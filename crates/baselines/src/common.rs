@@ -67,24 +67,28 @@ impl Base {
         // fetch_add atomicity, and the id is published to other threads
         // via the `txns` mutex below, not via this atomic.
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        let start = self.clock.tick();
+        let mut info = TxnInfo {
+            class: profile.class,
+            home: profile.write_segments.first().copied(),
+            read_only: profile.is_read_only(),
+            read_segments: profile.read_segments.clone(),
+            ..TxnInfo::default()
+        };
+        // The start is drawn under the table lock so that `maintenance`
+        // either sees this transaction or reads a clock below its start.
+        let start = {
+            let mut txns = self.txns.lock();
+            let start = self.clock.tick();
+            info.start = start;
+            txns.insert(id, info);
+            start
+        };
         Metrics::bump(&self.metrics.begins);
         self.log.record(ScheduleEvent::Begin {
             txn: id,
             start_ts: start,
             class: profile.class,
         });
-        self.txns.lock().insert(
-            id,
-            TxnInfo {
-                class: profile.class,
-                home: profile.write_segments.first().copied(),
-                read_only: profile.is_read_only(),
-                read_segments: profile.read_segments.clone(),
-                start,
-                ..TxnInfo::default()
-            },
-        );
         TxnHandle {
             id,
             start_ts: start,
@@ -161,6 +165,23 @@ impl Base {
         });
         Metrics::bump(&self.metrics.commits);
         cts
+    }
+
+    /// Garbage-collect below the oldest live transaction's start (the
+    /// clock's present when none is live). Safe for every baseline: a
+    /// timestamp-ordered reader selects the latest version below its own
+    /// start, which is at or above this watermark, and every other read
+    /// takes the latest committed version — a prune keeps both.
+    pub fn maintenance(&self) {
+        let wm = {
+            let txns = self.txns.lock();
+            let oldest = txns.values().map(|info| info.start).min();
+            oldest.unwrap_or_else(|| self.clock.now())
+        };
+        let reclaimed = self.store.prune_before(wm);
+        if reclaimed > 0 {
+            Metrics::add(&self.metrics.versions_gced, reclaimed as u64);
+        }
     }
 
     /// Abort for buffered-write schedulers: nothing was installed.

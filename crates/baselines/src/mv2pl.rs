@@ -158,6 +158,10 @@ impl Scheduler for Mv2pl {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

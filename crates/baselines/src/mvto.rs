@@ -105,6 +105,10 @@ impl Scheduler for Mvto {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

@@ -83,6 +83,10 @@ impl Scheduler for NoControl {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

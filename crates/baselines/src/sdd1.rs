@@ -203,6 +203,10 @@ impl Scheduler for Sdd1Pipeline {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

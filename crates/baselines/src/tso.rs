@@ -202,6 +202,10 @@ impl Scheduler for BasicTso {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

@@ -167,6 +167,10 @@ impl Scheduler for TwoPhaseLocking {
         }
     }
 
+    fn maintenance(&self) {
+        self.base.maintenance();
+    }
+
     fn log(&self) -> &ScheduleLog {
         &self.base.log
     }

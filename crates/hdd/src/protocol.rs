@@ -372,10 +372,11 @@ impl HddScheduler {
 
     /// Refresh the gauge board from live scheduler state. Called from
     /// the maintenance tick when observability is enabled; per-class
-    /// registry sampling runs every 4th call and the O(granules) store
-    /// scan every 16th, so the 50 µs maintenance cadence never turns
-    /// the board into a contention source. Hot paths only ever touch
-    /// the board through `record_staleness` (O(1) relaxed).
+    /// registry sampling runs every 4th call and the store gauges
+    /// (O(shards + GC queue)) every 16th, so the 50 µs maintenance
+    /// cadence never turns the board into a contention source. Hot
+    /// paths only ever touch the board through `record_staleness`
+    /// (O(1) relaxed).
     fn refresh_gauges(&self, call: u64) {
         let gauges = &self.core.metrics.obs.gauges;
         let now = self.core.clock.now();
@@ -646,71 +647,66 @@ impl HddScheduler {
                     version,
                     writer,
                 });
-                // Drift sketch: every cross-class read counts (no
-                // flight-recorder sampling, which would skew the share
-                // vector), one O(1) relaxed bump when the board is on.
-                if self.core.metrics.obs.enabled() && self.core.metrics.obs.drift.enabled() {
+                let obs = &self.core.metrics.obs;
+                if obs.enabled() {
                     let reader_row = match prov {
                         ReadProv::A { reader_class, .. } => reader_class.0,
                         ReadProv::Wall { .. } => obs::gauges::WALL_READER,
                     };
-                    self.core
-                        .metrics
-                        .obs
-                        .drift
-                        .record_access(reader_row, g.segment.0);
-                }
-                // Sampled mode (flight recorder active): only sampled
-                // transactions pay for per-op decision traces; the rest
-                // stay counter-only. With the recorder inactive,
-                // `trace_txn` is always true — behavior as before.
-                if self.core.metrics.obs.enabled() && self.core.metrics.obs.flight.trace_txn(h.id.0)
-                {
-                    let target_class = self.hierarchy.class_of(g.segment).0;
-                    // Cross-read staleness gauge: how far behind the
-                    // reader's logical present (`read_ts − version_ts`)
-                    // the served version is. Strictly positive on
-                    // Protocol A rows (the activity-link bound never
-                    // exceeds the reader's start); wall rows saturate
-                    // to 0 when a reader predates the wall it adopted
-                    // (DESIGN.md §10). O(1) relaxed-atomic record.
-                    let reader_row = match prov {
-                        ReadProv::A { reader_class, .. } => reader_class.0,
-                        ReadProv::Wall { .. } => obs::gauges::WALL_READER,
-                    };
-                    self.core.metrics.obs.gauges.record_staleness(
-                        reader_row,
-                        g.segment.0,
-                        h.start_ts.raw().saturating_sub(version.raw()),
-                    );
-                    match prov {
-                        ReadProv::A {
-                            reader_class,
-                            m,
-                            scanned,
-                        } => {
-                            self.core.metrics.obs.registry_scan.record(scanned);
-                            self.core.metrics.obs.trace.push(TraceEvent::CrossRead {
-                                txn: h.id.0,
-                                reader_class: reader_class.0,
-                                target_class,
-                                segment: g.segment.0,
-                                key: g.key,
-                                m: m.raw(),
-                                bound: bound.raw(),
-                                version: version.raw(),
-                            });
-                        }
-                        ReadProv::Wall { anchor } => {
-                            self.core.metrics.obs.trace.push(TraceEvent::WallRead {
-                                txn: h.id.0,
-                                target_class,
-                                segment: g.segment.0,
-                                key: g.key,
-                                anchor: anchor.raw(),
-                                bound: bound.raw(),
-                                version: version.raw(),
-                            });
+                    // Drift sketch: every cross-class read counts (no
+                    // flight-recorder sampling, which would skew the
+                    // share vector), one O(1) relaxed bump when the
+                    // board is on.
+                    if obs.drift.enabled() {
+                        obs.drift.record_access(reader_row, g.segment.0);
+                    }
+                    // Sampled mode (flight recorder active): only sampled
+                    // transactions pay for per-op decision traces; the
+                    // rest stay counter-only. With the recorder inactive,
+                    // `trace_txn` is always true — behavior as before.
+                    if obs.flight.trace_txn(h.id.0) {
+                        let target_class = self.hierarchy.class_of(g.segment).0;
+                        // Cross-read staleness gauge: how far behind the
+                        // reader's logical present (`read_ts − version_ts`)
+                        // the served version is. Strictly positive on
+                        // Protocol A rows (the activity-link bound never
+                        // exceeds the reader's start); wall rows saturate
+                        // to 0 when a reader predates the wall it adopted
+                        // (DESIGN.md §10). O(1) relaxed-atomic record.
+                        obs.gauges.record_staleness(
+                            reader_row,
+                            g.segment.0,
+                            h.start_ts.raw().saturating_sub(version.raw()),
+                        );
+                        match prov {
+                            ReadProv::A {
+                                reader_class,
+                                m,
+                                scanned,
+                            } => {
+                                obs.registry_scan.record(scanned);
+                                obs.trace.push(TraceEvent::CrossRead {
+                                    txn: h.id.0,
+                                    reader_class: reader_class.0,
+                                    target_class,
+                                    segment: g.segment.0,
+                                    key: g.key,
+                                    m: m.raw(),
+                                    bound: bound.raw(),
+                                    version: version.raw(),
+                                });
+                            }
+                            ReadProv::Wall { anchor } => {
+                                obs.trace.push(TraceEvent::WallRead {
+                                    txn: h.id.0,
+                                    target_class,
+                                    segment: g.segment.0,
+                                    key: g.key,
+                                    anchor: anchor.raw(),
+                                    bound: bound.raw(),
+                                    version: version.raw(),
+                                });
+                            }
                         }
                     }
                 }
@@ -817,10 +813,6 @@ impl HddScheduler {
                 out
             }
         }
-    }
-
-    fn state_start(&self, h: &TxnHandle) -> Timestamp {
-        h.start_ts
     }
 }
 
@@ -1005,7 +997,7 @@ impl Scheduler for HddScheduler {
         } else {
             // Protocol A: T_seg is higher than T_class (validated at
             // begin); compute the activity-link bound.
-            let m = self.state_start(h);
+            let m = h.start_ts;
             let (bound, scanned) =
                 self.funcs()
                     .a_fn_counted(class, self.hierarchy.class_of(seg), m);

@@ -79,6 +79,10 @@ pub struct VersionChain {
     versions: Vec<Version>,
     /// Granule-level max read timestamp (basic single-version TSO).
     pub max_rts: Timestamp,
+    /// Whether the owning store shard's GC queue names this chain.
+    /// Maintained by `MvStore` under the shard mutex; meaningless on a
+    /// chain outside a store.
+    pub(crate) gc_queued: bool,
 }
 
 impl VersionChain {

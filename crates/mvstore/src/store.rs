@@ -5,6 +5,12 @@
 //! chains (and in the schedulers above); the store provides location,
 //! seeding, per-granule critical sections, and sweep operations
 //! (commit/abort cleanup across a write set, garbage collection).
+//!
+//! Beside its map each shard keeps a **GC queue**: the granules whose
+//! chain holds more than one version. [`MvStore::with_chain`] — the one
+//! seam every chain mutation crosses — enqueues a chain the moment it
+//! grows past one version, so garbage collection and the version gauges
+//! visit what was written since the last prune, not what is stored.
 
 use crate::chain::VersionChain;
 use parking_lot::Mutex;
@@ -27,38 +33,73 @@ fn shard_index(g: GranuleId) -> usize {
     (mixed >> (64 - SHARDS.trailing_zeros())) as usize & (SHARDS - 1)
 }
 
+/// One shard: its chains and its GC queue, under one mutex.
+///
+/// Invariants, holding whenever the mutex is free: every chain holds at
+/// least one version; a chain holding more than one is in `gc_queue`;
+/// `gc_queue` names exactly the chains whose `gc_queued` flag is set,
+/// each once. A queued chain may hold a single version (re-seeded, or
+/// its pending versions aborted) — the next prune retires the entry.
+#[derive(Debug, Default)]
+struct Shard {
+    chains: HashMap<GranuleId, VersionChain>,
+    gc_queue: Vec<GranuleId>,
+}
+
+impl Shard {
+    /// Lengths of the queued chains — the only ones that can exceed 1.
+    fn queued_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.gc_queue.iter().map(|g| self.chains[g].len())
+    }
+}
+
 /// A concurrent granule → version-chain map.
 #[derive(Debug)]
 pub struct MvStore {
-    shards: Vec<Mutex<HashMap<GranuleId, VersionChain>>>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl MvStore {
     /// An empty store.
     pub fn new() -> Self {
         MvStore {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn shard(&self, g: GranuleId) -> &Mutex<HashMap<GranuleId, VersionChain>> {
+    fn shard(&self, g: GranuleId) -> &Mutex<Shard> {
         &self.shards[shard_index(g)]
     }
 
     /// Seed `g` with a committed initial version (write timestamp ZERO).
     /// Replaces any existing chain; intended for database population.
     pub fn seed(&self, g: GranuleId, value: Value) {
-        self.shard(g).lock().insert(g, VersionChain::seeded(value));
+        let mut shard = self.shard(g).lock();
+        if let Some(old) = shard.chains.insert(g, VersionChain::seeded(value)) {
+            if old.gc_queued {
+                // The replaced chain's queue entry passes to its
+                // replacement, so the entry stays unique and the next
+                // prune retires it.
+                shard.chains.get_mut(&g).expect("just inserted").gc_queued = true;
+            }
+        }
     }
 
     /// Run `f` with exclusive access to `g`'s chain, creating a seeded
     /// (`Value::Absent`) chain on first touch.
     pub fn with_chain<R>(&self, g: GranuleId, f: impl FnOnce(&mut VersionChain) -> R) -> R {
         let mut shard = self.shard(g).lock();
-        let chain = shard
+        let Shard { chains, gc_queue } = &mut *shard;
+        let chain = chains
             .entry(g)
             .or_insert_with(|| VersionChain::seeded(Value::Absent));
-        f(chain)
+        let out = f(chain);
+        debug_assert!(!chain.is_empty(), "a stored chain keeps a version");
+        if chain.len() > 1 && !chain.gc_queued {
+            chain.gc_queued = true;
+            gc_queue.push(g);
+        }
+        out
     }
 
     /// Mark all of `writer`'s pending versions in `write_set` committed.
@@ -77,50 +118,63 @@ impl MvStore {
 
     /// Garbage-collect every chain: drop committed versions older than the
     /// watermark except the latest one below it. Returns total reclaimed.
+    ///
+    /// Visits the queued chains only — a chain with one version has
+    /// nothing to reclaim, so every chain ends as a sweep of the whole
+    /// store would leave it. Chains back at one version leave the queue.
     pub fn prune_before(&self, wm: Timestamp) -> usize {
         let mut reclaimed = 0;
         for shard in &self.shards {
             let mut shard = shard.lock();
-            for chain in shard.values_mut() {
+            let Shard { chains, gc_queue } = &mut *shard;
+            gc_queue.retain(|g| {
+                let chain = chains.get_mut(g).expect("queued granules have a chain");
                 reclaimed += chain.prune_before(wm);
-            }
+                chain.gc_queued = chain.len() > 1;
+                chain.gc_queued
+            });
         }
         reclaimed
     }
 
-    /// Total number of versions held across all granules.
+    /// Total number of versions held across all granules: one per
+    /// granule plus the queued chains' surplus. O(shards + queued).
     pub fn version_count(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .values()
-                    .map(super::chain::VersionChain::len)
-                    .sum::<usize>()
+                let s = s.lock();
+                s.chains.len() + s.queued_lens().map(|len| len - 1).sum::<usize>()
             })
             .sum()
     }
 
     /// Number of granules with a chain.
     pub fn granule_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().chains.len()).sum()
     }
 
     /// Length of the deepest version chain — the gauge-board signal for
-    /// "GC is falling behind on some hot granule". O(granules); sample
-    /// it from maintenance ticks, not hot paths.
+    /// "GC is falling behind on some hot granule". O(shards + queued).
     pub fn max_chain_len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .values()
-                    .map(super::chain::VersionChain::len)
-                    .max()
-                    .unwrap_or(0)
+                let s = s.lock();
+                let floor = usize::from(!s.chains.is_empty());
+                s.queued_lens().max().unwrap_or(floor)
             })
             .max()
             .unwrap_or(0)
+    }
+
+    /// The granules queued for garbage collection, in no particular
+    /// order (diagnostics and tests; holds one shard lock at a time).
+    pub fn gc_queue(&self) -> Vec<GranuleId> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.lock().gc_queue.clone())
+            .collect()
     }
 
     /// Visit every chain with its granule id (the scan API of the
@@ -128,7 +182,7 @@ impl MvStore {
     /// quiescent moments (gauges refresh, checkpointing, tests).
     pub fn for_each_chain(&self, f: &mut dyn FnMut(GranuleId, &VersionChain)) {
         for shard in &self.shards {
-            for (g, chain) in shard.lock().iter() {
+            for (g, chain) in &shard.lock().chains {
                 f(*g, chain);
             }
         }
@@ -167,6 +221,7 @@ impl Default for MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{StorageBackend, VersionRecord};
     use std::sync::Arc;
     use txn_model::SegmentId;
 
@@ -250,5 +305,178 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.version_count(), 8 * 100 + 10); // + seeds
+    }
+
+    /// The full sweep `prune_before` replaced, kept as the reference
+    /// the GC queue is checked against: a plain map, every chain
+    /// visited on every prune.
+    #[derive(Default)]
+    struct SweepStore {
+        chains: HashMap<GranuleId, VersionChain>,
+    }
+
+    impl SweepStore {
+        fn chain(&mut self, g: GranuleId) -> &mut VersionChain {
+            self.chains
+                .entry(g)
+                .or_insert_with(|| VersionChain::seeded(Value::Absent))
+        }
+
+        fn prune_before(&mut self, wm: Timestamp) -> usize {
+            self.chains.values_mut().map(|c| c.prune_before(wm)).sum()
+        }
+    }
+
+    type ChainView = Vec<(u64, Value, u64, bool)>;
+
+    fn view_of(chain: &VersionChain) -> ChainView {
+        chain
+            .versions()
+            .iter()
+            .map(|v| (v.ts.raw(), (*v.value).clone(), v.writer.0, v.committed))
+            .collect()
+    }
+
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Everything a prune must leave equal between the queued store and
+    /// the sweeping reference, plus the queue's own invariants.
+    fn assert_matches_reference(store: &MvStore, reference: &SweepStore, ctx: &str) {
+        let mut views: HashMap<GranuleId, ChainView> = HashMap::new();
+        StorageBackend::scan_chains(store, &mut |g, c| {
+            views.insert(g, view_of(c));
+        });
+        let expected: HashMap<GranuleId, ChainView> = reference
+            .chains
+            .iter()
+            .map(|(g, c)| (*g, view_of(c)))
+            .collect();
+        assert_eq!(views, expected, "{ctx}: chain views diverged");
+
+        let lens = || views.values().map(Vec::len);
+        assert_eq!(store.version_count(), lens().sum::<usize>(), "{ctx}");
+        assert_eq!(store.max_chain_len(), lens().max().unwrap_or(0), "{ctx}");
+        assert_eq!(store.granule_count(), views.len(), "{ctx}");
+
+        let queue = store.gc_queue();
+        let distinct: std::collections::HashSet<_> = queue.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            queue.len(),
+            "{ctx}: a granule is queued twice"
+        );
+        for (g, view) in &views {
+            assert!(
+                view.len() <= 1 || distinct.contains(g),
+                "{ctx}: {g} holds {} versions but is not queued",
+                view.len()
+            );
+        }
+    }
+
+    #[test]
+    fn queued_prune_matches_a_full_sweep_on_200_seeded_scripts() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64(seed);
+            let store = MvStore::new();
+            let mut reference = SweepStore::default();
+            let mut next_ts = 1u64;
+            let mut pending: Vec<(TxnId, Vec<GranuleId>)> = Vec::new();
+            let granule = |rng: &mut SplitMix64| g(rng.below(2) as u32, rng.below(12));
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.below(10) {
+                    // Seed, or re-seed a live (possibly queued) granule.
+                    0 => {
+                        let (gr, v) = (granule(&mut rng), Value::Int(rng.below(100) as i64));
+                        store.seed(gr, v.clone());
+                        reference.chains.insert(gr, VersionChain::seeded(v));
+                        // Its writers' pending versions went with the chain.
+                        for (_, set) in &mut pending {
+                            set.retain(|&w| w != gr);
+                        }
+                    }
+                    // A transaction writes one to three granules.
+                    1..=4 => {
+                        let (ts, writer) = (Timestamp(next_ts), TxnId(next_ts));
+                        next_ts += 1;
+                        let mut set = Vec::new();
+                        for _ in 0..=rng.below(3) {
+                            let gr = granule(&mut rng);
+                            let v = Arc::new(Value::Int(rng.below(100) as i64));
+                            store.with_chain(gr, |c| c.mvto_write(ts, Arc::clone(&v), writer));
+                            reference.chain(gr).mvto_write(ts, v, writer);
+                            set.push(gr);
+                        }
+                        pending.push((writer, set));
+                    }
+                    5 | 6 if !pending.is_empty() => {
+                        let i = rng.below(pending.len() as u64) as usize;
+                        let (writer, set) = pending.swap_remove(i);
+                        if rng.below(4) == 0 {
+                            store.abort_writes(writer, &set);
+                            for &gr in &set {
+                                reference.chain(gr).remove_writer_pending(writer);
+                            }
+                        } else {
+                            store.commit_writes(writer, &set);
+                            for &gr in &set {
+                                reference.chain(gr).commit_writer(writer);
+                            }
+                        }
+                    }
+                    // Redo replay: committed versions at old, existing
+                    // and seed timestamps.
+                    7 => {
+                        let batch: Vec<VersionRecord> = (0..=rng.below(3))
+                            .map(|_| VersionRecord {
+                                granule: granule(&mut rng),
+                                ts: Timestamp(rng.below(next_ts)),
+                                value: Arc::new(Value::Int(rng.below(100) as i64)),
+                                writer: TxnId(1_000_000 + rng.below(1000)),
+                            })
+                            .collect();
+                        StorageBackend::put_versions(&store, &batch);
+                        for r in &batch {
+                            let c = reference.chain(r.granule);
+                            c.remove_version_at(r.ts);
+                            c.install(r.ts, Arc::clone(&r.value), r.writer, true);
+                        }
+                    }
+                    _ => {
+                        let wm = match rng.below(6) {
+                            0 => Timestamp::MAX,
+                            1 => Timestamp::ZERO, // below every version
+                            _ => Timestamp(rng.below(next_ts + 2)),
+                        };
+                        assert_eq!(
+                            store.prune_before(wm),
+                            reference.prune_before(wm),
+                            "{ctx}: reclaimed count at watermark {wm:?}"
+                        );
+                        assert_matches_reference(&store, &reference, &ctx);
+                    }
+                }
+            }
+            assert_eq!(
+                store.prune_before(Timestamp::MAX),
+                reference.prune_before(Timestamp::MAX)
+            );
+            assert_matches_reference(&store, &reference, &format!("seed {seed} end"));
+        }
     }
 }

@@ -18,6 +18,13 @@ echo "== tests (tier 1) =="
 cargo build --release -q
 cargo test -q
 
+echo "== benchmark smoke (release, ~30s) =="
+# Every leg and correctness gate of all four benchmark workloads at
+# smoke length: certify (incl. the partition-synchronization rule),
+# conservation and WAL recovery. The numbers mean nothing at this
+# length; the exit code is the gate.
+benchmark/run.sh --smoke > /dev/null
+
 echo "== tests (workspace) =="
 cargo test -q --workspace
 

@@ -111,3 +111,76 @@ fn gc_never_reclaims_what_a_pinned_reader_needs() {
     sched.commit(&audit);
     let _ = GranuleId::new(SegmentId(0), 0);
 }
+
+/// A prune on every maintenance call, racing Protocol A/C unregistered
+/// readers (which take no registration a watermark could see) and
+/// committing writers across 4 workers: every version a reader's bound
+/// selects must still be there, on 20 seeds of two hierarchies.
+///
+/// `wall_violations` is asserted on the tree, whose read-only
+/// transactions all stay on one critical path (Protocol A, whose
+/// `I_old` bounds exclude every pending version). Protocol C does not
+/// promise it at this cadence, with or without GC: a wall's component
+/// for its anchor class is the anchor time itself, so a reader handed a
+/// wall released while an anchor-class writer is still in flight meets
+/// that writer's pending version, blocks and is counted. `inventory`
+/// has such readers; there the certified log is the gate.
+#[test]
+fn gc_at_the_watermark_races_unregistered_readers_cleanly() {
+    use certify::certifier::certify_log;
+    use sim::concurrent::{run_concurrent, ConcurrentConfig};
+    use std::time::Duration;
+    use workloads::synthetic::{Synthetic, SyntheticConfig};
+
+    let mut reclaimed = 0;
+    for seed in 0..20u64 {
+        let workloads: [(Box<dyn Workload>, bool); 2] = [
+            (
+                Box::new(Inventory::new(InventoryConfig {
+                    items: 8,
+                    ..InventoryConfig::default()
+                })),
+                true,
+            ),
+            (
+                Box::new(Synthetic::new(SyntheticConfig {
+                    depth: 3,
+                    granules_per_segment: 16,
+                    off_chain_share: 0.0,
+                    ..SyntheticConfig::default()
+                })),
+                false,
+            ),
+        ];
+        for (mut w, has_wall_readers) in workloads {
+            let mut rng = StdRng::seed_from_u64(900 + seed);
+            let programs: Vec<_> = (0..500).map(|_| w.generate(&mut rng)).collect();
+            let (sched, _store, hierarchy) = build_hdd_with_config(
+                w.as_ref(),
+                HddConfig {
+                    gc_interval: 1,
+                    wall_interval: 1,
+                    ..HddConfig::default()
+                },
+            );
+            let out = run_concurrent(
+                sched.as_ref(),
+                programs,
+                &ConcurrentConfig {
+                    workers: 4,
+                    maintenance_interval: Duration::from_micros(5),
+                    ..ConcurrentConfig::default()
+                },
+            );
+            let ctx = format!("{} seed {seed}", w.name());
+            assert_eq!(out.stats.committed, 500, "{ctx}");
+            let cert = certify_log("hdd", sched.log(), Some(&hierarchy));
+            assert!(cert.ok(), "{ctx}: {}", cert.render());
+            if !has_wall_readers {
+                assert_eq!(out.stats.metrics.wall_violations, 0, "{ctx}");
+            }
+            reclaimed += out.stats.metrics.versions_gced;
+        }
+    }
+    assert!(reclaimed > 0, "GC must have run against the traffic");
+}

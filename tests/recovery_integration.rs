@@ -214,3 +214,65 @@ fn recovered_store_supports_time_slices() {
         );
     }
 }
+
+/// A recovered store must be as collectable as the live one: the chains
+/// redo replay rebuilds with more than one version sit in the GC queue,
+/// and a prune at the resumed scheduler's watermark reclaims exactly
+/// what it reclaims on the store that never crashed.
+#[test]
+fn resumed_store_collects_what_the_live_store_would() {
+    let mut w = Inventory::new(InventoryConfig {
+        items: 4,
+        ..InventoryConfig::default()
+    });
+    let mut rng = StdRng::seed_from_u64(63);
+    let programs: Vec<_> = (0..150).map(|_| w.generate(&mut rng)).collect();
+    let config = HddConfig {
+        gc_interval: 0, // keep every version: the crash image is the log
+        ..HddConfig::default()
+    };
+    let (sched, live_store, hierarchy) = build_hdd_with_config(&w, config.clone());
+    let stats = run_interleaved(sched.as_ref(), programs, &DriverConfig::default());
+    assert_eq!(stats.serializable, Some(true));
+
+    let store = Arc::new(MvStore::new());
+    w.seed(store.as_ref());
+    let (resumed, _report) = hdd::resume(
+        Arc::clone(&hierarchy),
+        store.clone(),
+        &sched.log().events(),
+        config,
+    );
+
+    let views = |s: &MvStore| {
+        let mut out: HashMap<GranuleId, Vec<(Timestamp, Value, TxnId)>> = HashMap::new();
+        s.for_each_chain(&mut |g, c| {
+            let versions = c.versions().iter();
+            out.insert(
+                g,
+                versions
+                    .map(|v| (v.ts, (*v.value).clone(), v.writer))
+                    .collect(),
+            );
+        });
+        out
+    };
+    let recovered = views(&store);
+    assert_eq!(recovered, views(&live_store));
+    let queued: HashSet<GranuleId> = store.gc_queue().into_iter().collect();
+    let long: Vec<_> = recovered.iter().filter(|(_, v)| v.len() > 1).collect();
+    assert!(!long.is_empty(), "the run must leave chains to collect");
+    for (g, versions) in long {
+        assert!(
+            queued.contains(g),
+            "{g} recovered with {} versions but is not queued",
+            versions.len()
+        );
+    }
+
+    let wm = resumed.gc_watermark();
+    let reclaimed = live_store.prune_before(wm);
+    assert!(reclaimed > 0);
+    assert_eq!(store.prune_before(wm), reclaimed);
+    assert_eq!(views(&store), views(&live_store));
+}
