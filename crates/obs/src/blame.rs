@@ -15,8 +15,7 @@
 //! * [`PhaseBreakdown`] — each sampled commit's wall time split into
 //!   phases (read/write/commit service, blocked, backoff-slept,
 //!   scheduler-other), aggregated over committed flights: the
-//!   critical-path phase profile per worker count that `BENCH_e18.json`
-//!   records.
+//!   critical-path phase profile per worker count that E18 tabulates.
 //! * [`critical_chain`] — the longest causally-ordered wait chain
 //!   ending at one flight: follow the flight's longest wait to its
 //!   blocking transaction, then that flight's longest wait, and so on —
@@ -167,46 +166,6 @@ impl BlameReport {
         }
         out
     }
-
-    /// Hand-rolled JSON object (no serde in the offline build).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"flights\": {}, \"total_wait_ns\": {}, \"attributed_ns\": {}, \
-             \"wall_wait_ns\": {}, \"backoff_slept_ns\": {}, \"coverage\": {:.4}, ",
-            self.flights,
-            self.total_wait_ns,
-            self.attributed_ns,
-            self.wall_wait_ns,
-            self.backoff_slept_ns,
-            self.coverage()
-        );
-        s.push_str("\"by_cause\": [");
-        for (i, b) in self.by_cause.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"cause\": \"{}\", \"wait_ns\": {}, \"waits\": {}}}",
-                if i == 0 { "" } else { ", " },
-                b.label,
-                b.wait_ns,
-                b.waits
-            );
-        }
-        s.push_str("], \"class_matrix\": [");
-        for (i, &(w, h, ns)) in self.class_matrix.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"waiter\": \"{}\", \"holder\": \"{}\", \"wait_ns\": {}}}",
-                if i == 0 { "" } else { ", " },
-                class_label(w),
-                class_label(h),
-                ns
-            );
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 /// A flight's wall time split into phases.
@@ -287,22 +246,6 @@ impl PhaseBreakdown {
             ("wait", self.wait_ns as f64 / t),
             ("other", self.other_ns as f64 / t),
         ]
-    }
-
-    /// Hand-rolled JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"flights\": {}, \"read_ns\": {}, \"write_ns\": {}, \"commit_ns\": {}, \
-             \"wait_ns\": {}, \"backoff_ns\": {}, \"other_ns\": {}, \"total_ns\": {}}}",
-            self.flights,
-            self.read_ns,
-            self.write_ns,
-            self.commit_ns,
-            self.wait_ns,
-            self.backoff_ns,
-            self.other_ns,
-            self.total_ns
-        )
     }
 
     /// Plain-text one-line phase profile in milliseconds.
@@ -432,9 +375,6 @@ mod tests {
         let table = r.render_top(5);
         assert!(table.contains("txn-pending c1"));
         assert!(table.contains("waiter -> holder"));
-        let json = r.to_json();
-        assert!(json.contains("\"coverage\": 0.8889"));
-        assert!(json.contains("\"holder\": \"c1\""));
     }
 
     #[test]
@@ -461,7 +401,6 @@ mod tests {
             .sum::<f64>()
             + p.shares().last().unwrap().1;
         assert!((total_share - 1.0).abs() < 1e-9);
-        assert!(p.to_json().contains("\"wait_ns\": 200"));
         assert!(p.render().contains("1 commits"));
     }
 

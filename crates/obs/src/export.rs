@@ -1,8 +1,8 @@
 //! Standard-format exporters: Prometheus text exposition and Chrome
 //! trace (Perfetto-loadable) JSON, both hand-rolled over `std`.
 //!
-//! The repo's native exports (`BENCH_*.json`, `ObsSnapshot::to_json`)
-//! are bespoke; external tooling speaks two lingua francas instead:
+//! The repo's native export (`ObsSnapshot::to_json`) is bespoke;
+//! external tooling speaks two lingua francas instead:
 //!
 //! * [`prometheus_text`] renders counters, latency summaries and the
 //!   [`GaugeBoard`](crate::gauges::GaugeBoard) as Prometheus text

@@ -4,8 +4,7 @@
 //! cannot say how the cost is *distributed* (latency histograms) or
 //! *why* a protocol decided what it did (decision traces). This crate
 //! supplies both, hand-rolled over `std` (the offline build forbids
-//! crates.io, in the style of `compat-rand`/`compat-criterion`), in
-//! three layers:
+//! crates.io, in the style of `compat-rand`), in three layers:
 //!
 //! 1. [`hist`] — log-bucketed HDR-style [`Histogram`] with ≤ ~6.25%
 //!    quantile error, and [`recorder::LatencyRecorder`] striping whole
@@ -16,7 +15,7 @@
 //! 3. [`Obs`] / [`ObsSnapshot`] — the per-scheduler sidecar bundling the
 //!    recorders behind **one atomic enable flag** (default off: a single
 //!    relaxed load per instrumentation site), plus hand-rolled JSON
-//!    export in the style of `BENCH_hotpath.json`.
+//!    export.
 //!
 //! `obs` sits *below* `txn-model` so `Metrics` can embed an [`Obs`]
 //! without a dependency cycle; that is why trace events carry raw

@@ -3,14 +3,8 @@
 //! ```text
 //! cargo run --release -p sim --bin experiments             # full sizes
 //! cargo run --release -p sim --bin experiments -- quick    # CI sizes
-//! cargo run --release -p sim --bin experiments -- hotpath  # E13 only,
-//!                                                          # emits BENCH_hotpath.json
-//! cargo run --release -p sim --bin experiments -- e14      # E14 only,
-//!                                                          # emits BENCH_obs.json
-//! cargo run --release -p sim --bin experiments -- e14 --obs-json out.json
-//! cargo run --release -p sim --bin experiments -- obs-smoke
-//!     # disabled-obs throughput guard: exits 1 if the hdd 8-worker
-//!     # run regresses >10% vs the BENCH_hotpath.json baseline
+//! cargo run --release -p sim --bin experiments -- e14      # E14 only
+//!     # (likewise e17, e18, e19, e20; add `quick` for CI sizes)
 //! cargo run --release -p sim --bin experiments -- certify-smoke
 //!     # a-priori lint of the bundled workloads + offline certification
 //!     # of concurrent hdd/mvto logs + a nocontrol anomaly self-check;
@@ -19,36 +13,20 @@
 //!     # quick E16 chaos soak: injected crashes/stalls/torn logs must
 //!     # all certify clean, every corpse reaped, no timestamp reuse
 //!     # after recovery; exits 1 on any violation
-//! cargo run --release -p sim --bin experiments -- e17      # E17 only,
-//!                                                          # emits BENCH_e17.json
-//! cargo run --release -p sim --bin experiments -- e17 --e17-json out.json
 //! cargo run --release -p sim --bin experiments -- export-smoke
 //!     # short obs-enabled run + quick E17; the generated Prometheus
 //!     # exposition and Chrome trace must pass the in-repo validators
 //!     # and carry staleness summaries; exits 1 on any failure
-//! cargo run --release -p sim --bin experiments -- bench-gate
-//!     # throughput floors: obs-disabled hdd 8w vs BENCH_hotpath.json
-//!     # (>90%) and obs-enabled hdd 8w vs BENCH_obs.json (>50%)
-//! cargo run --release -p sim --bin experiments -- e18      # E18 only,
-//!                                                          # emits BENCH_e18.json
 //! cargo run --release -p sim --bin experiments -- blame-smoke
 //!     # flight-recorder gate: an 8-worker traced run must attribute
 //!     # ≥95% of measured block time to a cause edge, leak no open
-//!     # spans, produce a valid Perfetto trace, and sampled-mode
-//!     # tracing (stride 32) must hold ≥85% of the BENCH_hotpath.json
-//!     # disabled baseline; exits 1 on any violation
-//! cargo run --release -p sim --bin experiments -- e19      # E19 only,
-//!                                                          # emits BENCH_e19.json
+//!     # spans and produce a valid Perfetto trace; exits 1 on any
+//!     # violation
 //! cargo run --release -p sim --bin experiments -- durability-smoke
 //!     # durable-tier gate: a 12-seed disk-fault soak (torn writes,
 //!     # lying fsyncs, kill-mid-batch) must recover from on-disk bytes
-//!     # alone, certify every stitched log, never violate the
-//!     # group-commit ack rule, and the StorageBackend trait refactor
-//!     # must hold ≥95% of the BENCH_hotpath.json hdd 8-worker
-//!     # baseline; exits 1 on any violation
-//! cargo run --release -p sim --bin experiments -- e20      # E20 only,
-//!                                                          # emits BENCH_e20.json
-//! cargo run --release -p sim --bin experiments -- e20 --e20-json out.json
+//!     # alone, certify every stitched log and never violate the
+//!     # group-commit ack rule; exits 1 on any violation
 //! cargo run --release -p sim --bin experiments -- drift-smoke
 //!     # workload-drift gate: the E20 phased run must keep the steady
 //!     # (negative-control) phase silent, trip the drift board within
@@ -57,12 +35,18 @@
 //!     # and hold drift-enabled hot-path throughput at ≥90% of the
 //!     # obs-only baseline; exits 1 on any violation
 //! ```
+//!
+//! Any other argument prints the valid names and exits 2. Experiments
+//! print tables and write no files; throughput numbers come from
+//! `benchmark/run.sh` (see `benchmark/README.md`).
 
 use certify::certifier::{attach_trace, certify_log};
 use certify::lint::lint_workload;
 use sim::concurrent::{run_concurrent, ConcurrentConfig};
 use sim::experiments::e02_inventory::batch;
+use sim::experiments::{e14_obs_profile, e17_gauges, e18_blame, e19_durability, e20_drift};
 use sim::factory::{build_scheduler, SchedulerKind};
+use sim::report::Table;
 use sim::scripts::run_script;
 use txn_model::Scheduler;
 use workloads::anomalies::{lost_update_script, AnomalyWorkload};
@@ -70,125 +54,6 @@ use workloads::banking::Banking;
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::synthetic::{Synthetic, SyntheticConfig};
 use workloads::Workload;
-
-/// Read the recorded hdd 8-worker commits/sec out of a `BENCH_*.json`
-/// artifact (shared scanner; see [`sim::baseline`]).
-fn recorded_hdd_8w_baseline(path: &str) -> Option<f64> {
-    sim::baseline::recorded_commits_per_sec(path, "hdd", 8)
-}
-
-/// Best-of-3 hdd 8-worker throughput with obs *disabled*, compared
-/// against the recorded baseline. Returns the process exit code.
-fn obs_smoke() -> i32 {
-    let n_txns = 20_000;
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (w, programs) = batch(n_txns, 0x00F1_6011);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers: 8,
-            verify: false,
-            capture_log: false,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        assert!(
-            !sched.metrics().obs.enabled(),
-            "obs must stay disabled in the smoke run"
-        );
-        best = best.max(out.throughput);
-    }
-    match recorded_hdd_8w_baseline("BENCH_hotpath.json") {
-        Some(baseline) => {
-            let floor = baseline * 0.9;
-            println!(
-                "obs-smoke: hdd 8-worker best-of-3 = {best:.1} commits/sec \
-                 (baseline {baseline:.1}, floor {floor:.1})"
-            );
-            if best < floor {
-                eprintln!("obs-smoke: FAIL — disabled-obs throughput regressed >10%");
-                1
-            } else {
-                println!("obs-smoke: OK");
-                0
-            }
-        }
-        None => {
-            println!(
-                "obs-smoke: no BENCH_hotpath.json baseline found; \
-                 measured {best:.1} commits/sec (not enforced)"
-            );
-            0
-        }
-    }
-}
-
-/// Best-of-3 hdd 8-worker throughput with obs *enabled* (gauge board
-/// configured and live), compared against the recorded `BENCH_obs.json`
-/// baseline. The enabled path pays for histograms, tracing and the
-/// maintenance-tick gauge refresh, and is noisier than the disabled
-/// path, so the floor is a coarse 50% — it catches an accidental O(n)
-/// regression on the instrumented path, not percent-level drift.
-/// Returns the process exit code.
-fn obs_enabled_gate() -> i32 {
-    let n_txns = 20_000;
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (w, programs) = batch(n_txns, 0x00F1_7011);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers: 8,
-            obs: true,
-            verify: false,
-            capture_log: false,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        assert!(
-            sched.metrics().obs.gauges.snapshot().configured,
-            "hdd must dimension the gauge board at construction"
-        );
-        best = best.max(out.throughput);
-    }
-    match recorded_hdd_8w_baseline("BENCH_obs.json") {
-        Some(baseline) => {
-            let floor = baseline * 0.5;
-            println!(
-                "bench-gate: hdd 8-worker obs-enabled best-of-3 = {best:.1} commits/sec \
-                 (baseline {baseline:.1}, floor {floor:.1})"
-            );
-            if best < floor {
-                eprintln!("bench-gate: FAIL — obs-enabled throughput regressed >50%");
-                1
-            } else {
-                println!("bench-gate: obs-enabled OK");
-                0
-            }
-        }
-        None => {
-            println!(
-                "bench-gate: no BENCH_obs.json baseline found; \
-                 measured {best:.1} commits/sec (not enforced)"
-            );
-            0
-        }
-    }
-}
-
-/// The combined throughput-floor gate (`scripts/bench_gate.sh`):
-/// obs-disabled vs `BENCH_hotpath.json` and obs-enabled vs
-/// `BENCH_obs.json`. Returns the exit code.
-fn bench_gate() -> i32 {
-    let disabled = obs_smoke();
-    let enabled = obs_enabled_gate();
-    if disabled != 0 || enabled != 0 {
-        eprintln!("bench-gate: FAIL");
-        1
-    } else {
-        println!("bench-gate: OK");
-        0
-    }
-}
 
 /// CI gate for the exporters: a short obs-enabled run over the
 /// synthetic workload (it exercises both Protocol A class readers and
@@ -425,15 +290,13 @@ fn chaos_smoke() -> i32 {
 /// CI gate for the flight recorder: one 8-worker traced run over the
 /// inventory batch whose blame report must attribute ≥95% of measured
 /// block time to a cause edge with zero open spans and a Perfetto
-/// export that passes the in-repo validator, plus a best-of-3
-/// sampled-mode (stride 32) throughput floor at ≥85% of the
-/// `BENCH_hotpath.json` disabled baseline. Returns the exit code.
+/// export that passes the in-repo validator. Returns the exit code.
 fn blame_smoke() -> i32 {
     use obs::{assemble, flight_chrome_trace, validate_chrome_trace, BlameReport, PhaseBreakdown};
 
     let mut failed = false;
 
-    // 1. Traced run: attribution coverage, span hygiene, exporter.
+    // Traced run: attribution coverage, span hygiene, exporter.
     let (w, programs) = batch(8_000, 0x00F1_B1A3);
     let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
     let cfg = ConcurrentConfig {
@@ -485,44 +348,6 @@ fn blame_smoke() -> i32 {
         }
     }
 
-    // 2. Sampled-mode overhead floor: best-of-3 with the recorder at
-    //    the coarse CI stride, vs the recorded disabled baseline.
-    let n_txns = 20_000;
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (w, programs) = batch(n_txns, 0x00F1_6011);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers: 8,
-            obs: true,
-            flight_sample: 32,
-            verify: false,
-            capture_log: false,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        best = best.max(out.throughput);
-    }
-    match recorded_hdd_8w_baseline("BENCH_hotpath.json") {
-        Some(baseline) => {
-            let floor = baseline * 0.85;
-            println!(
-                "blame-smoke: hdd 8-worker stride-32 best-of-3 = {best:.1} commits/sec \
-                 (disabled baseline {baseline:.1}, floor {floor:.1})"
-            );
-            if best < floor {
-                eprintln!("blame-smoke: FAIL — sampled-mode tracing costs >15%");
-                failed = true;
-            }
-        }
-        None => {
-            println!(
-                "blame-smoke: no BENCH_hotpath.json baseline found; \
-                 measured {best:.1} commits/sec at stride 32 (not enforced)"
-            );
-        }
-    }
-
     if failed {
         eprintln!("blame-smoke: FAIL");
         1
@@ -532,18 +357,15 @@ fn blame_smoke() -> i32 {
     }
 }
 
-/// CI gate for the durable tier: the disk-fault soak at CI sizes plus
-/// a trait-refactor throughput floor. The soak's claims — recovery
-/// from on-disk bytes alone, stitched certification, no timestamp
-/// reuse, no acked-commit missing from disk (outside lying-fsync
-/// seeds) — are enforced; the floor guards the `StorageBackend`
-/// virtual-dispatch refactor at ≥95% of the recorded hdd 8-worker
-/// baseline. Returns the exit code.
+/// CI gate for the durable tier: the disk-fault soak at CI sizes. The
+/// soak's claims — recovery from on-disk bytes alone, stitched
+/// certification, no timestamp reuse, no acked-commit missing from disk
+/// (outside lying-fsync seeds) — are enforced. Returns the exit code.
 fn durability_smoke() -> i32 {
     let mut failed = false;
 
-    // 1. Disk-fault soak: 12 seeds of journaled chaos, process death,
-    //    recovery from the torn WAL + file-backend segments.
+    // Disk-fault soak: 12 seeds of journaled chaos, process death,
+    // recovery from the torn WAL + file-backend segments.
     let tally = sim::experiments::e19_durability::soak(12, 30);
     println!(
         "durability-smoke: soak — {} seeds, {} durable commits, {} disk crashes, \
@@ -576,43 +398,6 @@ fn durability_smoke() -> i32 {
     if tally.disk_crashes == 0 || tally.committed == 0 {
         eprintln!("durability-smoke: FAIL — the fault schedules injected nothing");
         failed = true;
-    }
-
-    // 2. Trait-refactor floor: best-of-3 obs-disabled hdd 8-worker run
-    //    through the `Arc<dyn StorageBackend>` path must hold ≥95% of
-    //    the recorded baseline.
-    let n_txns = 20_000;
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (w, programs) = batch(n_txns, 0x00F1_9011);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers: 8,
-            verify: false,
-            capture_log: false,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        best = best.max(out.throughput);
-    }
-    match recorded_hdd_8w_baseline("BENCH_hotpath.json") {
-        Some(baseline) => {
-            let floor = baseline * 0.95;
-            println!(
-                "durability-smoke: hdd 8-worker best-of-3 = {best:.1} commits/sec \
-                 (baseline {baseline:.1}, floor {floor:.1})"
-            );
-            if best < floor {
-                eprintln!("durability-smoke: FAIL — the storage-trait refactor costs >5%");
-                failed = true;
-            }
-        }
-        None => {
-            println!(
-                "durability-smoke: no BENCH_hotpath.json baseline found; \
-                 measured {best:.1} commits/sec (not enforced)"
-            );
-        }
     }
 
     if failed {
@@ -698,84 +483,14 @@ fn drift_smoke() -> i32 {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let obs_json = args
-        .iter()
-        .position(|a| a == "--obs-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_obs.json".to_string());
-    let e17_json = args
-        .iter()
-        .position(|a| a == "--e17-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_e17.json".to_string());
-    if args.iter().any(|a| a == "obs-smoke") {
-        std::process::exit(obs_smoke());
-    }
-    if args.iter().any(|a| a == "bench-gate") {
-        std::process::exit(bench_gate());
-    }
-    if args.iter().any(|a| a == "export-smoke") {
-        std::process::exit(export_smoke());
-    }
-    if args.iter().any(|a| a == "certify-smoke") {
-        std::process::exit(certify_smoke());
-    }
-    if args.iter().any(|a| a == "chaos-smoke") {
-        std::process::exit(chaos_smoke());
-    }
-    if args.iter().any(|a| a == "blame-smoke") {
-        std::process::exit(blame_smoke());
-    }
-    if args.iter().any(|a| a == "durability-smoke") {
-        std::process::exit(durability_smoke());
-    }
-    if args.iter().any(|a| a == "drift-smoke") {
-        std::process::exit(drift_smoke());
-    }
-    if args.iter().any(|a| a == "e20") {
-        let e20_json = args
-            .iter()
-            .position(|a| a == "--e20-json")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_e20.json".to_string());
-        println!(
-            "{}",
-            sim::experiments::e20_drift::run_with_path(quick, &e20_json)
-        );
-        return;
-    }
-    if args.iter().any(|a| a == "e19") {
-        println!("{}", sim::experiments::e19_durability::run(quick));
-        return;
-    }
-    if args.iter().any(|a| a == "e18") {
-        println!("{}", sim::experiments::e18_blame::run(quick));
-        return;
-    }
-    if args.iter().any(|a| a == "hotpath") {
-        println!("{}", sim::experiments::e13_hotpath::run(quick));
-        return;
-    }
-    if args.iter().any(|a| a == "e14") {
-        println!(
-            "{}",
-            sim::experiments::e14_obs_profile::run_with_path(quick, &obs_json)
-        );
-        return;
-    }
-    if args.iter().any(|a| a == "e17") {
-        println!(
-            "{}",
-            sim::experiments::e17_gauges::run_with_path(quick, &e17_json)
-        );
-        return;
-    }
+/// Print an experiment's table; experiments themselves never fail.
+fn show(table: Table) -> i32 {
+    println!("{table}");
+    0
+}
+
+/// Every table of the suite, E1–E20.
+fn suite(quick: bool) -> i32 {
     println!(
         "Hierarchical Database Decomposition (Hsu 1982/83) — experiment suite ({} mode)",
         if quick { "quick" } else { "full" }
@@ -783,4 +498,46 @@ fn main() {
     for table in sim::experiments::run_all(quick) {
         println!("{table}");
     }
+    0
+}
+
+/// What an argument runs; returns the process exit code.
+type Command = fn(quick: bool) -> i32;
+
+/// Every accepted argument and what it runs. `quick` alone runs the
+/// suite at CI sizes; next to an experiment name it shrinks that
+/// experiment. The smokes have one size.
+const COMMANDS: &[(&str, Command)] = &[
+    ("quick", suite),
+    ("e14", |q| show(e14_obs_profile::run(q))),
+    ("e17", |q| show(e17_gauges::run(q))),
+    ("e18", |q| show(e18_blame::run(q))),
+    ("e19", |q| show(e19_durability::run(q))),
+    ("e20", |q| show(e20_drift::run(q))),
+    ("export-smoke", |_| export_smoke()),
+    ("certify-smoke", |_| certify_smoke()),
+    ("chaos-smoke", |_| chaos_smoke()),
+    ("blame-smoke", |_| blame_smoke()),
+    ("durability-smoke", |_| durability_smoke()),
+    ("drift-smoke", |_| drift_smoke()),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = |name: &str| COMMANDS.iter().find(|(n, _)| *n == name).map(|(_, f)| *f);
+    if let Some(unknown) = args.iter().find(|a| command(a).is_none()) {
+        let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "experiments: unknown argument `{unknown}`; valid arguments: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let quick = args.iter().any(|a| a == "quick");
+    let run = args
+        .iter()
+        .find(|a| *a != "quick")
+        .and_then(|a| command(a))
+        .unwrap_or(suite);
+    std::process::exit(run(quick));
 }

@@ -1,17 +1,14 @@
 //! **E14 — observability profile of the hot path** (no paper figure;
 //! ours).
 //!
-//! Re-runs the E13 worker sweep (HDD vs. MVTO vs. 2PL, inventory
-//! workload, concurrent driver) with the `obs` sidecar **enabled** and
+//! Runs a worker sweep (HDD vs. MVTO vs. 2PL, inventory workload,
+//! concurrent driver) with the `obs` sidecar **enabled** and
 //! reports *distributions* instead of flat counters: commit-latency and
 //! block-wait percentiles, Protocol A registry scan lengths, the
 //! per-reason rejection breakdown, and the GC / time-wall maintenance
 //! counters. Each cell runs a warmup batch first and reports the
 //! measured interval via [`MetricsSnapshot::delta`], so steady-state
 //! numbers are not polluted by cold chains.
-//!
-//! Full runs emit `BENCH_obs.json` (path overridable with
-//! `--obs-json <path>`):
 //!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e14
@@ -37,8 +34,6 @@ pub struct ObsPoint {
     pub scheduler: &'static str,
     /// Worker threads.
     pub workers: usize,
-    /// Programs offered in the measured interval.
-    pub offered: usize,
     /// Transactions committed in the measured interval.
     pub committed: usize,
     /// Committed transactions per second (measured interval).
@@ -88,7 +83,6 @@ pub fn sweep(quick: bool) -> Vec<ObsPoint> {
             points.push(ObsPoint {
                 scheduler: kind.name(),
                 workers,
-                offered: n_txns,
                 committed: out.stats.committed,
                 commits_per_sec: out.throughput,
                 obs: sched.metrics().obs.snapshot(),
@@ -97,37 +91,6 @@ pub fn sweep(quick: bool) -> Vec<ObsPoint> {
         }
     }
     points
-}
-
-/// Serialize the sweep as JSON (hand-rolled; no serde in this build).
-pub fn to_json(points: &[ObsPoint]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"obs_profile\",\n  \"workload\": \"inventory\",\n  \"results\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"workers\": {}, \"offered\": {}, \"committed\": {}, \
-             \"commits_per_sec\": {:.1},\n     \"rejections\": {}, \"rej_write_too_late\": {}, \
-             \"rej_read_too_late\": {}, \"rej_deadlock_victim\": {}, \"wall_violations\": {},\n     \
-             \"versions_gced\": {}, \"timewalls_released\": {},\n     \"obs\": {}}}{}\n",
-            p.scheduler,
-            p.workers,
-            p.offered,
-            p.committed,
-            p.commits_per_sec,
-            p.interval.rejections,
-            p.interval.rej_write_too_late,
-            p.interval.rej_read_too_late,
-            p.interval.rej_deadlock_victim,
-            p.interval.wall_violations,
-            p.interval.versions_gced,
-            p.interval.timewalls_released,
-            p.obs.to_json(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// The latency table (µs cells).
@@ -203,22 +166,11 @@ pub fn decision_table(points: &[ObsPoint]) -> Table {
 }
 
 /// Run E14 and return the decision table (the latency table is printed
-/// to stdout alongside). Full runs write the JSON artifact to
-/// `json_path`; quick (smoke) runs leave the canonical artifact alone.
-pub fn run_with_path(quick: bool, json_path: &str) -> Table {
+/// to stdout alongside).
+pub fn run(quick: bool) -> Table {
     let points = sweep(quick);
-    if !quick {
-        if let Err(e) = std::fs::write(json_path, to_json(&points)) {
-            eprintln!("warning: could not write {json_path}: {e}");
-        }
-    }
     println!("{}", latency_table(&points));
     decision_table(&points)
-}
-
-/// Run E14 with the default artifact path.
-pub fn run(quick: bool) -> Table {
-    run_with_path(quick, "BENCH_obs.json")
 }
 
 #[cfg(test)]
@@ -255,10 +207,6 @@ mod tests {
             .iter()
             .filter(|p| p.scheduler != "hdd")
             .all(|p| p.obs.registry_scan.count == 0));
-        let json = to_json(&points);
-        assert!(json.contains("\"experiment\": \"obs_profile\""));
-        assert!(json.contains("\"commit_latency_ns\""));
-        assert!(json.contains("\"rej_write_too_late\""));
         let t = decision_table(&points);
         assert!(t.cell("hdd", "trace_events").is_some());
     }

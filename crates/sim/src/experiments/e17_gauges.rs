@@ -15,7 +15,7 @@
 //! — so every cell's minimum is at least 1 tick.
 //!
 //! Like E14, each cell runs a warmup batch and reports the measured
-//! interval only. Full runs emit `BENCH_e17.json`:
+//! interval only.
 //!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e17
@@ -39,8 +39,6 @@ use workloads::Workload;
 pub struct GaugePoint {
     /// Workload name.
     pub workload: &'static str,
-    /// Worker threads.
-    pub workers: usize,
     /// Transactions committed in the measured interval.
     pub committed: usize,
     /// Committed transactions per second (measured interval).
@@ -78,7 +76,6 @@ fn run_one<W: Workload>(mut w: W, quick: bool, seed: u64) -> GaugePoint {
     sched.refresh_gauges_now();
     GaugePoint {
         workload: w.name(),
-        workers,
         committed: out.stats.committed,
         commits_per_sec: out.throughput,
         gauges: sched.metrics().obs.gauges.snapshot(),
@@ -105,28 +102,6 @@ pub fn sweep(quick: bool) -> Vec<GaugePoint> {
             0x0E17_0003,
         ),
     ]
-}
-
-/// Serialize the sweep as JSON (hand-rolled; no serde in this build).
-pub fn to_json(points: &[GaugePoint]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"gauges\",\n  \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"workers\": {}, \"committed\": {}, \
-             \"commits_per_sec\": {:.1}, \"cross_class_reads\": {}, \"wall_reads\": {},\n     \
-             \"gauges\": {}}}{}\n",
-            p.workload,
-            p.workers,
-            p.committed,
-            p.commits_per_sec,
-            p.interval.cross_class_reads,
-            p.interval.wall_reads,
-            p.gauges.to_json(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// The headline staleness table: one row per non-empty
@@ -198,22 +173,11 @@ pub fn gauges_table(points: &[GaugePoint]) -> Table {
 }
 
 /// Run E17 and return the staleness table (the gauge summary is printed
-/// to stdout alongside). Full runs write the JSON artifact to
-/// `json_path`; quick runs leave the canonical artifact alone.
-pub fn run_with_path(quick: bool, json_path: &str) -> Table {
+/// to stdout alongside).
+pub fn run(quick: bool) -> Table {
     let points = sweep(quick);
-    if !quick {
-        if let Err(e) = std::fs::write(json_path, to_json(&points)) {
-            eprintln!("warning: could not write {json_path}: {e}");
-        }
-    }
     println!("{}", gauges_table(&points));
     staleness_table(&points)
-}
-
-/// Run E17 with the default artifact path.
-pub fn run(quick: bool) -> Table {
-    run_with_path(quick, "BENCH_e17.json")
 }
 
 #[cfg(test)]
@@ -283,9 +247,6 @@ mod tests {
                 .any(|c| c.reader == WALL_READER),
             "synthetic workload produced no wall-reader staleness"
         );
-        let json = to_json(&points);
-        assert!(json.contains("\"experiment\": \"gauges\""));
-        assert!(json.contains("\"reader\": \"wall\""));
         let t = staleness_table(&points);
         assert!(!t.rows.is_empty());
     }

@@ -2,10 +2,9 @@
 //!
 //! For each worker count, two hdd runs over the same inventory batch:
 //! one with the flight recorder **off** (the tracing-disabled
-//! throughput, which must track `BENCH_hotpath.json`) and one with it
-//! sampling every 4th transaction. The traced run's span stream is
-//! assembled into flight trees and reduced to the two headline
-//! artifacts of the recorder:
+//! throughput) and one with it sampling every 4th transaction. The
+//! traced run's span stream is assembled into flight trees and reduced
+//! to the two headline artifacts of the recorder:
 //!
 //! * a [`BlameReport`] — measured block time bucketed by *cause edge*
 //!   (which transaction class, or which pending time wall, the waiter
@@ -13,14 +12,10 @@
 //! * a committed-flight [`PhaseBreakdown`] — read/write/commit service
 //!   vs. blocked vs. driver-other time across every sampled commit.
 //!
-//! Full runs emit `BENCH_e18.json` so the blame profile has a recorded
-//! trajectory, like `BENCH_hotpath.json` for raw throughput:
-//!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e18
 //! ```
 
-use crate::baseline::recorded_commits_per_sec;
 use crate::concurrent::{run_concurrent, ConcurrentConfig};
 use crate::experiments::e02_inventory::batch;
 use crate::factory::{build_scheduler, SchedulerKind};
@@ -40,9 +35,6 @@ pub struct BlamePoint {
     pub disabled_cps: f64,
     /// Commits/sec with obs on and the recorder sampling 1-in-4.
     pub traced_cps: f64,
-    /// Recorded `BENCH_hotpath.json` hdd baseline for this worker
-    /// count, when present.
-    pub baseline_cps: Option<f64>,
     /// Wait-cause blame over the sampled flights.
     pub blame: BlameReport,
     /// Phase profile over the sampled committed flights.
@@ -88,7 +80,6 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
             workers,
             disabled_cps: disabled.throughput,
             traced_cps: traced.throughput,
-            baseline_cps: recorded_commits_per_sec("BENCH_hotpath.json", "hdd", workers),
             blame: BlameReport::build(&log),
             phases: PhaseBreakdown::of_commits(&log),
             flights: log.flights.len() + log.open,
@@ -98,41 +89,9 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
     points
 }
 
-/// Serialize the sweep as JSON (hand-rolled; no serde in this build).
-pub fn to_json(points: &[BlamePoint]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"blame\",\n  \"workload\": \"inventory\",\n  \
-         \"scheduler\": \"hdd\",\n  \"sample_every\": 4,\n  \"results\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"disabled_commits_per_sec\": {:.1}, \
-             \"traced_commits_per_sec\": {:.1}, \"baseline_commits_per_sec\": {}, \
-             \"coverage\": {:.4},\n     \"phases\": {},\n     \"blame\": {}}}{}\n",
-            p.workers,
-            p.disabled_cps,
-            p.traced_cps,
-            p.baseline_cps
-                .map_or("null".to_string(), |b| format!("{b:.1}")),
-            p.blame.coverage(),
-            p.phases.to_json(),
-            p.blame.to_json(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Run E18 and return the table. Full runs write `BENCH_e18.json` into
-/// the current directory; quick runs leave the artifact alone.
+/// Run E18 and return the table.
 pub fn run(quick: bool) -> Table {
     let points = sweep(quick);
-    if !quick {
-        if let Err(e) = std::fs::write("BENCH_e18.json", to_json(&points)) {
-            eprintln!("warning: could not write BENCH_e18.json: {e}");
-        }
-    }
     let mut table = Table::new(
         "E18 — flight-recorder blame profile (inventory, hdd, sample 1-in-4)",
         &[
@@ -199,9 +158,5 @@ mod tests {
                 p.workers
             );
         }
-        let json = to_json(&points);
-        assert!(json.contains("\"experiment\": \"blame\""));
-        assert!(json.contains("\"workers\": 2"));
-        assert!(json.contains("\"phases\": {\"flights\""));
     }
 }

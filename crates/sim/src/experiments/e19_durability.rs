@@ -7,9 +7,7 @@
 //!    with the group-commit WAL at `max_batch_frames` 1/4/16/64, plus a
 //!    no-WAL baseline. Batch 1 fsyncs once per commit; larger batches
 //!    amortize the sync across concurrent committers (the *group-commit
-//!    ack rule*: a commit counts only once its batch is durable). Full
-//!    runs emit `BENCH_e19.json` in the same line shape as
-//!    `BENCH_hotpath.json`, so [`crate::baseline`] can scan it.
+//!    ack rule*: a commit counts only once its batch is durable).
 //! 2. **Backend parity.** The same run over the log-structured
 //!    [`FileBackend`] instead of the in-memory
 //!    store — what durable reads/writes cost without any WAL batching.
@@ -70,8 +68,6 @@ pub struct DurabilityPoint {
     pub batch_frames: usize,
     /// Transactions committed (durably, when a WAL is configured).
     pub committed: usize,
-    /// Wall-clock seconds.
-    pub elapsed_s: f64,
     /// Durable commits per second.
     pub commits_per_sec: f64,
     /// Fsync batches the WAL wrote (0 = no WAL).
@@ -121,7 +117,6 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             workers,
             batch_frames: 0,
             committed: out.stats.committed,
-            elapsed_s: out.elapsed.as_secs_f64(),
             commits_per_sec: out.throughput,
             fsync_batches: 0,
         });
@@ -153,7 +148,6 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             workers,
             batch_frames,
             committed: out.stats.committed,
-            elapsed_s: out.elapsed.as_secs_f64(),
             commits_per_sec: out.throughput,
             fsync_batches: wal.stats().batches,
         });
@@ -179,7 +173,6 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             workers,
             batch_frames: 0,
             committed: out.stats.committed,
-            elapsed_s: out.elapsed.as_secs_f64(),
             commits_per_sec: out.throughput,
             fsync_batches: 0,
         });
@@ -431,39 +424,9 @@ pub fn soak(seeds: u64, n: usize) -> SoakTally {
     tally
 }
 
-/// Serialize the throughput sweep as JSON (one `results` line per
-/// point, same shape `crate::baseline` scans).
-pub fn to_json(points: &[DurabilityPoint]) -> String {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"durability\",\n  \"workload\": \"inventory\",\n  \"results\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"workers\": {}, \"batch_frames\": {}, \
-             \"committed\": {}, \"elapsed_s\": {:.6}, \"commits_per_sec\": {:.1}, \
-             \"fsync_batches\": {}}}{}\n",
-            p.scheduler,
-            p.workers,
-            p.batch_frames,
-            p.committed,
-            p.elapsed_s,
-            p.commits_per_sec,
-            p.fsync_batches,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Run E19 and return the table. Full runs write `BENCH_e19.json`.
+/// Run E19 and return the table.
 pub fn run(quick: bool) -> Table {
     let points = throughput_sweep(quick);
-    if !quick && !points.is_empty() {
-        if let Err(e) = std::fs::write("BENCH_e19.json", to_json(&points)) {
-            eprintln!("warning: could not write BENCH_e19.json: {e}");
-        }
-    }
     let recovery = recovery_sweep(quick);
     let (seeds, n) = if quick { (12, 30) } else { (200, 48) };
     let tally = soak(seeds, n);
@@ -530,13 +493,6 @@ mod tests {
         assert!(
             b1.fsync_batches as usize >= b1.committed / 2,
             "batch=1 can only merge frames racing the same leader window: {b1:?}"
-        );
-        let json = to_json(&points);
-        assert!(json.contains("\"scheduler\": \"hdd-wal-b16\""));
-        assert!(
-            crate::baseline::recorded_commits_per_sec_str(&json, "hdd-wal-b16", points[0].workers)
-                .is_some(),
-            "bench-gate scanner must parse the emitted rows"
         );
     }
 

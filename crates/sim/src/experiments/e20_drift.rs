@@ -24,8 +24,6 @@
 //!    hold ≥ 90% of the obs-only baseline (enforced in release mode by
 //!    the `drift-smoke` CI stage, reported here).
 //!
-//! Full runs emit `BENCH_e20.json`:
-//!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e20
 //! ```
@@ -369,38 +367,6 @@ pub fn measure(quick: bool) -> DriftOutcome {
     }
 }
 
-/// Serialize the outcome as JSON (hand-rolled; no serde in this build).
-pub fn to_json(o: &DriftOutcome) -> String {
-    format!(
-        "{{\n  \"experiment\": \"drift\",\n  \"committed\": {},\n  \
-         \"steady_max_score_milli\": {},\n  \"steady_tripped\": {},\n  \
-         \"phase_a_quality_milli\": {},\n  \"phase_a_advice\": \"{}\",\n  \
-         \"detection_folds\": {},\n  \"trip_score_milli\": {},\n  \
-         \"threshold_milli\": {},\n  \"post_quality_milli\": {},\n  \
-         \"post_optimal\": {},\n  \"online_matches_offline\": {},\n  \
-         \"offline_merge_help\": \"{}\",\n  \"trace_has_trip_instant\": {},\n  \
-         \"obs_only_commits_per_sec\": {:.1},\n  \
-         \"obs_drift_commits_per_sec\": {:.1},\n  \"overhead_ratio\": {:.3}\n}}\n",
-        o.committed,
-        o.steady_max_score_milli,
-        o.steady_tripped,
-        o.phase_a_quality_milli,
-        certify::diag::json_escape(&o.phase_a_advice),
-        o.detection_folds
-            .map_or("null".to_string(), |f| f.to_string()),
-        o.trip_score_milli,
-        o.threshold_milli,
-        o.post_quality_milli,
-        o.post_optimal,
-        o.online_matches_offline,
-        certify::diag::json_escape(&o.offline_merge_help),
-        o.trace_has_trip_instant,
-        o.obs_only_cps,
-        o.obs_drift_cps,
-        o.overhead_ratio,
-    )
-}
-
 /// The headline table.
 pub fn table(o: &DriftOutcome) -> Table {
     let mut t = Table::new(
@@ -469,20 +435,9 @@ pub fn table(o: &DriftOutcome) -> Table {
     t
 }
 
-/// Run E20; full runs write the JSON artifact to `json_path`.
-pub fn run_with_path(quick: bool, json_path: &str) -> Table {
-    let o = measure(quick);
-    if !quick {
-        if let Err(e) = std::fs::write(json_path, to_json(&o)) {
-            eprintln!("warning: could not write {json_path}: {e}");
-        }
-    }
-    table(&o)
-}
-
-/// Run E20 with the default artifact path.
+/// Run E20 and return the headline table.
 pub fn run(quick: bool) -> Table {
-    run_with_path(quick, "BENCH_e20.json")
+    table(&measure(quick))
 }
 
 #[cfg(test)]
@@ -570,9 +525,6 @@ mod tests {
         // Overhead legs ran; the ≥0.9 floor is enforced in release by
         // drift-smoke (debug-mode ratios are too noisy to gate here).
         assert!(o.obs_only_cps > 0.0 && o.obs_drift_cps > 0.0);
-        let json = to_json(&o);
-        assert!(json.contains("\"experiment\": \"drift\""));
-        assert!(json.contains("\"online_matches_offline\": true"));
         let t = table(&o);
         assert_eq!(t.rows.len(), 10);
     }

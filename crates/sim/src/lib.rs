@@ -5,8 +5,6 @@
 //!   restart-on-abort semantics shared by every scheduler;
 //! * [`concurrent`] — a multi-threaded closed-loop executor for
 //!   wall-clock throughput comparisons;
-//! * [`baseline`] — recorded-throughput lookups out of the
-//!   `BENCH_*.json` artifacts, shared by every CI floor gate;
 //! * [`dashboard`] — text-frame rendering for the `hdd-top` live
 //!   dashboard binary;
 //! * [`scripts`] — replay of the deterministic anomaly interleavings of
@@ -21,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod concurrent;
 pub mod dashboard;
 pub mod driver;

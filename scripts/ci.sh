@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, and a release
-# smoke of the hot-path experiment. Run from the repository root:
+# Local CI gate: formatting, lints, the full test suite, the benchmark
+# smoke and the release correctness smokes. Run from the repository root:
 #
 #   scripts/ci.sh
 #
@@ -25,8 +25,9 @@ echo "== benchmark smoke (release, ~30s) =="
 # length; the exit code is the gate.
 benchmark/run.sh --smoke > /dev/null
 
-echo "== tests (workspace) =="
-cargo test -q --workspace
+echo "== tests (member crates) =="
+# Tier 1 above already ran the root package's integration tests.
+cargo test -q --workspace --exclude hdd-repro
 
 echo "== docs =="
 cargo doc --no-deps -q --workspace
@@ -43,9 +44,6 @@ echo "== mc smoke (instrumented, <60s) =="
 # routed crate, so sharing ./target would thrash the main cache.
 RUSTFLAGS="--cfg mc" cargo test -q -p mc --target-dir target/mc
 
-echo "== hot-path smoke (release, quick) =="
-cargo run --release -q -p sim --bin experiments -- hotpath quick
-
 echo "== obs profile smoke (release, quick) =="
 cargo run --release -q -p sim --bin experiments -- e14 quick
 
@@ -54,11 +52,6 @@ echo "== export smoke (release) =="
 # and Chrome trace must pass the in-repo validators, and the staleness
 # tables must carry Protocol A (class) and Protocol C (wall) rows.
 cargo run --release -q -p sim --bin experiments -- export-smoke
-
-echo "== bench gate (release) =="
-# Throughput floors: obs-disabled hdd 8w vs BENCH_hotpath.json (>90%)
-# and obs-enabled hdd 8w vs BENCH_obs.json (>50%).
-scripts/bench_gate.sh
 
 echo "== certify smoke (release) =="
 # A-priori lint of the bundled workloads must be clean, and the broken
@@ -82,18 +75,14 @@ cargo run --release -q -p sim --bin experiments -- chaos-smoke
 echo "== blame smoke (release) =="
 # Flight-recorder gate: an 8-worker traced run must attribute >=95% of
 # measured block time to a cause edge, leak no open spans, and emit a
-# Perfetto trace that passes the in-repo validator; sampled-mode
-# tracing (stride 32) must hold >=85% of the BENCH_hotpath.json
-# disabled baseline.
+# Perfetto trace that passes the in-repo validator.
 cargo run --release -q -p sim --bin experiments -- blame-smoke
 
 echo "== durability smoke (release) =="
 # Durable-tier gate: a 12-seed disk-fault soak (torn writes, lying
 # fsyncs, kill-mid-batch) must recover from on-disk bytes alone,
 # certify every stitched log, never reuse a timestamp, and never leave
-# an acked commit off the disk (outside lying-fsync seeds); the
-# StorageBackend trait refactor must hold >=95% of the
-# BENCH_hotpath.json hdd 8-worker baseline.
+# an acked commit off the disk (outside lying-fsync seeds).
 cargo run --release -q -p sim --bin experiments -- durability-smoke
 
 echo "== drift smoke (release) =="
