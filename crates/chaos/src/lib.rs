@@ -1,8 +1,10 @@
-//! # chaos — deterministic fault injection for the HDD runtime
+//! # chaos — seeded fault plans for the HDD runtime
 //!
-//! A seeded harness that drives transaction programs against any
-//! [`Scheduler`](txn_model::Scheduler) while injecting faults drawn
-//! from a reproducible [`FaultPlan`]:
+//! This crate decides *which* fault hits *what*, reproducibly from a
+//! seed; it executes nothing. Two kinds of plan:
+//!
+//! **Worker faults** — a [`FaultPlan`] assigns each program of a run
+//! one [`FaultKind`]:
 //!
 //! * **Crash** — the worker abandons its transaction mid-program
 //!   *without* aborting it, leaving pending versions in the store and a
@@ -18,24 +20,28 @@
 //! * **DelayCommit** — the worker sleeps just before committing,
 //!   stretching the transaction's activity interval.
 //!
-//! Faults are assigned per program by [`FaultPlan::generate`] from a
-//! seed, so a failing schedule replays exactly. A monitor thread
-//! samples the scheduler's `timewalls_released` counter and reports the
-//! longest gap between consecutive wall releases — the observable
-//! measure of "the time wall resumed within a bounded interval" that
-//! experiment E16 asserts on.
+//! **Disk faults** — a [`DiskFaultPlan`] is the
+//! [`WalFault`](txn_model::WalFault) a group-commit WAL consults before
+//! each batch: torn final write, lying fsync, kill before or after the
+//! write.
 //!
-//! The harness is scheduler-agnostic but only meaningful against
-//! schedulers that survive abandonment: run HDD with
-//! `HddConfig::txn_lease` set, or crashed programs pin the registry
-//! forever.
+//! Faults are drawn per program by [`FaultPlan::generate`] (and per WAL
+//! by [`DiskFaultPlan::generate`]) from a seed, so a failing schedule
+//! replays exactly. The driver that executes a worker plan is
+//! `sim::concurrent` — the one closed worker loop of this repository,
+//! which asks [`FaultKind::due`] before every operation and, beside its
+//! workers, samples `timewalls_released` to report the longest gap
+//! between wall releases, the observable measure of "the time wall
+//! resumed within a bounded interval" that experiment E16 asserts on.
+//!
+//! Plans are scheduler-agnostic but only meaningful against schedulers
+//! that survive abandonment: run HDD with `HddConfig::txn_lease` set,
+//! or crashed programs pin the registry forever.
 
 #![warn(missing_docs)]
 
 pub mod disk;
-pub mod driver;
 pub mod plan;
 
 pub use disk::{DiskFaultKind, DiskFaultPlan};
-pub use driver::{run_chaos, ChaosReport, ChaosRunConfig};
 pub use plan::{ChaosConfig, FaultKind, FaultPlan};

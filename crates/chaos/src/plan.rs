@@ -1,5 +1,8 @@
 //! Seeded fault plans: which fault (if any) hits each program.
 
+use obs::FaultCode;
+use std::time::Duration;
+
 /// The fault injected into one program's worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultKind {
@@ -36,6 +39,22 @@ impl FaultKind {
             FaultKind::Stall { .. } => "stall",
             FaultKind::DelayCommit { .. } => "delay-commit",
         }
+    }
+
+    /// The fault to inject now, if any: the code its
+    /// [`obs::TraceEvent::CrashPoint`] record carries and how long the
+    /// worker pauses — no pause means it dies, abandoning the
+    /// transaction. `done_ops` operations have completed; `at_commit` is
+    /// true once only the commit request is left, where a crash or stall
+    /// whose `after_ops` lies past the program's end fires too.
+    pub fn due(&self, done_ops: usize, at_commit: bool) -> Option<(FaultCode, Option<Duration>)> {
+        let (code, after_ops, micros) = match *self {
+            FaultKind::None => return None,
+            FaultKind::Crash { after_ops } => (FaultCode::Crash, after_ops, None),
+            FaultKind::Stall { after_ops, micros } => (FaultCode::Stall, after_ops, Some(micros)),
+            FaultKind::DelayCommit { micros } => (FaultCode::DelayCommit, usize::MAX, Some(micros)),
+        };
+        (at_commit || done_ops >= after_ops).then(|| (code, micros.map(Duration::from_micros)))
     }
 }
 
@@ -203,5 +222,28 @@ mod tests {
         let (c, s, d) = plan.counts();
         assert!(c > 0 && s > 0 && d > 0, "({c}, {s}, {d})");
         assert!(c + s + d < 500, "most programs run clean");
+    }
+
+    #[test]
+    fn faults_fall_due_at_their_position_or_at_the_commit() {
+        let crash = FaultKind::Crash { after_ops: 2 };
+        assert_eq!(crash.due(1, false), None);
+        assert_eq!(crash.due(2, false), Some((FaultCode::Crash, None)));
+        assert_eq!(
+            crash.due(1, true),
+            Some((FaultCode::Crash, None)),
+            "clamped to the end"
+        );
+        let stall = FaultKind::Stall {
+            after_ops: 1,
+            micros: 7,
+        };
+        let pause = Some(Duration::from_micros(7));
+        assert_eq!(stall.due(0, false), None);
+        assert_eq!(stall.due(1, false), Some((FaultCode::Stall, pause)));
+        let delay = FaultKind::DelayCommit { micros: 7 };
+        assert_eq!(delay.due(9, false), None);
+        assert_eq!(delay.due(0, true), Some((FaultCode::DelayCommit, pause)));
+        assert_eq!(FaultKind::None.due(9, true), None);
     }
 }

@@ -243,7 +243,7 @@ fn certify_smoke() -> i32 {
     }
 }
 
-/// CI gate for the chaos harness: run the E16 soak at quick sizes and
+/// CI gate for fault runs: run the E16 soak at quick sizes and
 /// enforce its claims — every surviving and recovered log certifies
 /// clean, every crashed corpse is reaped by the watchdog, torn WAL
 /// tails are truncated (not replayed), and recovery never reuses a

@@ -1,7 +1,8 @@
 //! `hdd-top` — a live terminal dashboard over a running HDD scheduler.
 //!
-//! Spawns a closed-loop concurrent driver (or the chaos driver with
-//! `--chaos`) over a bundled workload, enables the `obs` sidecar, and
+//! Spawns the closed-loop concurrent driver over a bundled workload
+//! (with `--chaos`, handing it a generated fault plan and the scheduler
+//! a transaction lease), enables the `obs` sidecar, and
 //! redraws the gauge board — time-wall lag, per-class `I_old`,
 //! registry/settled-cursor lag, MV-store chain depth and GC backlog,
 //! reject-reason deltas and the cross-read staleness quantiles — at
@@ -16,20 +17,19 @@
 //! cargo run --release -p sim --bin hdd-top -- --frames 4 --prom out.prom --chrome-trace out.json
 //! ```
 
-use chaos::driver::{run_chaos, ChaosRunConfig};
-use chaos::plan::{ChaosConfig, FaultPlan};
+use chaos::{ChaosConfig, FaultPlan};
 use hdd::protocol::HddConfig;
 use obs::{chrome_trace, prometheus_text_full, validate_chrome_trace, validate_prometheus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::concurrent::{run_concurrent, ConcurrentConfig};
+use sim::concurrent::{run_with_faults, ConcurrentConfig};
 use sim::dashboard::{Dashboard, ANSI_CLEAR};
 use sim::factory::build_hdd_with_config;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txn_model::Scheduler;
+use txn_model::{Scheduler, TxnProgram};
 use workloads::banking::Banking;
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::synthetic::{Synthetic, SyntheticConfig};
@@ -52,7 +52,8 @@ OPTIONS:
   --frames N         stop after N frames (default: duration-bound)
   --once             drive one bounded wave, render a single frame to
                      stderr and print a snapshot JSON object on stdout
-  --chaos            use the fault-injecting chaos driver
+  --chaos            inject seeded faults (crash/stall/delayed commit)
+                     and give the scheduler a lease to heal from them
   --no-clear         append frames instead of clearing the screen
   --prom PATH        on exit, write Prometheus text exposition to PATH
   --chrome-trace PATH  on exit, write a Chrome/Perfetto trace to PATH
@@ -170,6 +171,33 @@ fn build_workload(name: &str) -> Result<Box<dyn Workload + Send>, String> {
     }
 }
 
+/// Transaction lease under `--chaos`: a crash fault leaves a corpse in
+/// the activity registry that only the straggler watchdog removes, and
+/// the watchdog runs only when a lease is set. Above the default plan's
+/// 3 ms stalls, well below the fault preset's 50 ms drain.
+const CHAOS_LEASE: Duration = Duration::from_millis(10);
+
+/// Drive wave number `wave`. Under `--chaos` the same driver gets a
+/// plan generated for that wave, plus the deadline and drain that go
+/// with one; otherwise the empty plan.
+fn drive(sched: &dyn Scheduler, programs: Vec<TxnProgram>, opts: &Opts, wave: u64) {
+    let (plan, base) = if opts.chaos {
+        let seed = 0x70D0_1000 ^ wave;
+        let plan = FaultPlan::generate(seed, programs.len(), &ChaosConfig::default());
+        (plan, ConcurrentConfig::fault_run())
+    } else {
+        (FaultPlan::clean(0), ConcurrentConfig::default())
+    };
+    let cfg = ConcurrentConfig {
+        workers: opts.workers,
+        obs: true,
+        verify: false,
+        capture_log: false,
+        ..base
+    };
+    run_with_faults(sched, programs, &plan, &cfg);
+}
+
 fn main() {
     let opts = match parse_opts() {
         Ok(o) => o,
@@ -186,16 +214,20 @@ fn main() {
         }
     };
     let segment_names = w.segment_names();
-    let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), HddConfig::default());
-    // The drivers also set this per wave, but turning it on up front
+    let config = HddConfig {
+        txn_lease: opts.chaos.then_some(CHAOS_LEASE),
+        ..HddConfig::default()
+    };
+    let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), config);
+    // The driver also sets this per wave, but turning it on up front
     // means the very first frame already sees live gauges. The drift
     // sketch has its own switch and only hdd-top turns it on.
     sched.metrics().obs.set_enabled(true);
     sched.metrics().obs.drift.set_enabled(true);
 
-    let mode = if opts.chaos { "chaos" } else { "concurrent" };
+    let mode = if opts.chaos { " + fault plan" } else { "" };
     let title = format!(
-        "{} ({} driver, {} workers)",
+        "{} (concurrent driver{}, {} workers)",
         opts.workload, mode, opts.workers
     );
 
@@ -204,28 +236,13 @@ fn main() {
         // (stdout) — the machine-readable path for scripts and CI.
         let mut rng = StdRng::seed_from_u64(0x70D0_0001);
         let programs: Vec<_> = (0..opts.txns).map(|_| w.generate(&mut rng)).collect();
-        if opts.chaos {
-            let plan = FaultPlan::generate(0x70D0_1000, opts.txns, &ChaosConfig::default());
-            let cfg = ChaosRunConfig {
-                workers: opts.workers,
-                trace: true,
-                ..ChaosRunConfig::default()
-            };
-            run_chaos(sched.as_ref(), programs, &plan, &cfg);
-        } else {
-            let cfg = ConcurrentConfig {
-                workers: opts.workers,
-                obs: true,
-                verify: false,
-                capture_log: false,
-                ..ConcurrentConfig::default()
-            };
-            run_concurrent(sched.as_ref(), programs, &cfg);
-        }
-        sched.refresh_gauges_now();
-        sched.refresh_drift_now();
+        // Built before the wave: the frame's rates are per second since
+        // the board's construction.
         let mut dash =
             Dashboard::new(&title, segment_names.clone()).with_hierarchy(Arc::clone(&hierarchy));
+        drive(sched.as_ref(), programs, &opts, 0);
+        sched.refresh_gauges_now();
+        sched.refresh_drift_now();
         eprint!("{}", dash.frame(sched.metrics()));
         let m = sched.metrics().snapshot();
         println!(
@@ -252,34 +269,15 @@ fn main() {
         let sched_ref = &sched;
         let stop_ref = &stop;
         let w = &mut w;
-        let driver_opts = (opts.workers, opts.txns, opts.chaos);
+        let opts_ref = &opts;
         scope.spawn(move || {
-            let (workers, txns, chaos_mode) = driver_opts;
             let mut rng = StdRng::seed_from_u64(0x70D0_0001);
             let mut wave = 0u64;
             // ordering: Relaxed — advisory stop flag; the generator may
             // run one extra wave after the store, which is harmless.
             while !stop_ref.load(Ordering::Relaxed) {
-                let programs: Vec<_> = (0..txns).map(|_| w.generate(&mut rng)).collect();
-                if chaos_mode {
-                    let plan =
-                        FaultPlan::generate(0x70D0_1000 ^ wave, txns, &ChaosConfig::default());
-                    let cfg = ChaosRunConfig {
-                        workers,
-                        trace: true,
-                        ..ChaosRunConfig::default()
-                    };
-                    run_chaos(sched_ref.as_ref(), programs, &plan, &cfg);
-                } else {
-                    let cfg = ConcurrentConfig {
-                        workers,
-                        obs: true,
-                        verify: false,
-                        capture_log: false,
-                        ..ConcurrentConfig::default()
-                    };
-                    run_concurrent(sched_ref.as_ref(), programs, &cfg);
-                }
+                let programs: Vec<_> = (0..opts_ref.txns).map(|_| w.generate(&mut rng)).collect();
+                drive(sched_ref.as_ref(), programs, opts_ref, wave);
                 wave += 1;
             }
         });

@@ -11,9 +11,10 @@
 //!   watchdog reaps them into real `Abort` events, so the full log —
 //!   faults included — passes the offline certifier's dependency-cycle
 //!   and partition-synchronization checks.
-//! * **The time wall resumes within a bounded interval.** The chaos
-//!   monitor samples `timewalls_released`; the longest release gap stays
-//!   bounded (lease + reap latency), never "forever".
+//! * **The time wall resumes within a bounded interval.** The driver's
+//!   ticker samples `timewalls_released` after every maintenance call;
+//!   the longest release gap stays bounded (lease + reap latency),
+//!   never "forever".
 //! * **Crashes never leak open flight spans.** The soak runs with the
 //!   flight recorder sampling every transaction; a crash fault closes
 //!   its span tree as `Abandoned` at the fault point and the watchdog's
@@ -28,10 +29,11 @@
 //!   the restored high-water mark keeps Protocol B's "timestamps only
 //!   grow" invariant across the crash.
 
+use crate::concurrent::{run_concurrent, run_with_faults, ConcurrentConfig};
 use crate::factory::build_hdd_with_config;
 use crate::report::Table;
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosConfig, ChaosRunConfig, FaultPlan};
+use chaos::{ChaosConfig, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::MvStore;
 use rand::rngs::StdRng;
@@ -131,18 +133,18 @@ fn soak_one(seed: u64, n: usize, tally: &mut Tally) {
             delay_micros: 300,
         },
     );
-    let report = run_chaos(
+    let report = run_with_faults(
         sched.as_ref(),
         batch,
         &plan,
-        &ChaosRunConfig {
+        &ConcurrentConfig {
             drain: 10 * LEASE,
             flight_sample: 1,
-            ..ChaosRunConfig::default()
+            ..ConcurrentConfig::fault_run()
         },
     );
     tally.seeds += 1;
-    tally.committed += report.committed;
+    tally.committed += report.stats.committed;
     tally.crashed += report.crashed;
     tally.stalled += report.stalled;
     tally.delayed += report.delayed;
@@ -179,8 +181,7 @@ fn soak_one(seed: u64, n: usize, tally: &mut Tally) {
     w.seed(store.as_ref());
     let (resumed, resume_report) = hdd::resume(Arc::clone(&hierarchy), store, &survivors, config);
     let phase2 = programs(&mut w, &mut rng, n / 2);
-    let plan2 = FaultPlan::clean(phase2.len());
-    run_chaos(&resumed, phase2, &plan2, &ChaosRunConfig::default());
+    run_concurrent(&resumed, phase2, &ConcurrentConfig::default());
 
     let stitched = resumed.log().events();
     let stamps = end_point_timestamps(&stitched);

@@ -22,12 +22,12 @@
 //!    certify clean with no timestamp reuse. Except on lying-disk
 //!    seeds, every acked commit must be on disk.
 
-use crate::concurrent::{capped_workers, run_concurrent, ConcurrentConfig};
+use crate::concurrent::{capped_workers, run_concurrent, run_with_faults, ConcurrentConfig};
 use crate::experiments::e02_inventory::batch;
 use crate::factory::{build_hdd_on, build_scheduler, SchedulerKind};
 use crate::report::{f2, Table};
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosConfig, ChaosRunConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
+use chaos::{ChaosConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::{FileBackend, FileBackendConfig, MvStore, StorageBackend, VersionRecord};
 use rand::rngs::StdRng;
@@ -349,18 +349,18 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
             delay_micros: 300,
         },
     );
-    let report = run_chaos(
+    let report = run_with_faults(
         sched.as_ref(),
         phase1,
         &plan,
-        &ChaosRunConfig {
+        &ConcurrentConfig {
             drain: 10 * LEASE,
             wal: Some(Arc::clone(&wal)),
-            ..ChaosRunConfig::default()
+            ..ConcurrentConfig::fault_run()
         },
     );
     tally.seeds += 1;
-    tally.committed += report.committed;
+    tally.committed += report.stats.committed;
     tally.wal_lost += report.wal_lost;
     tally.worker_crashes += report.crashed;
     tally.reaped += sched.metrics().snapshot().rej_watchdog_abort;
@@ -401,8 +401,7 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
 
     // Phase 2 on the survivor, clean.
     let phase2: Vec<_> = (0..n / 2).map(|_| w.generate(&mut rng)).collect();
-    let plan2 = FaultPlan::clean(phase2.len());
-    run_chaos(&resumed, phase2, &plan2, &ChaosRunConfig::default());
+    run_concurrent(&resumed, phase2, &ConcurrentConfig::default());
     tally.reaped += resumed.metrics().snapshot().rej_watchdog_abort;
 
     let stitched = resumed.log().events();

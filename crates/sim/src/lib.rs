@@ -3,8 +3,9 @@
 //! * [`driver`] — a seeded, deterministic interleaved executor: one
 //!   logical step of one transaction at a time, with retry-on-block and
 //!   restart-on-abort semantics shared by every scheduler;
-//! * [`concurrent`] — a multi-threaded closed-loop executor for
-//!   wall-clock throughput comparisons;
+//! * [`concurrent`] — the multi-threaded closed-loop executor, the one
+//!   worker loop of the repository: wall-clock runs, and — handed a
+//!   `chaos::FaultPlan` — fault-injection runs;
 //! * [`dashboard`] — text-frame rendering for the `hdd-top` live
 //!   dashboard binary;
 //! * [`scripts`] — replay of the deterministic anomaly interleavings of

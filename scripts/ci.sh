@@ -67,9 +67,9 @@ fi
 cargo run --release -q -p sim --bin experiments -- certify-smoke
 
 echo "== chaos smoke (release, quick) =="
-# Quick E16 soak: injected crashes/stalls/torn WAL tails must all
-# certify clean, every corpse reaped by the watchdog, and recovery must
-# never reuse a pre-crash timestamp.
+# Quick E16 soak — the concurrent driver under seeded fault plans:
+# crashes/stalls/torn WAL tails must all certify clean, every corpse be
+# reaped by the watchdog, and recovery never reuse a pre-crash timestamp.
 cargo run --release -q -p sim --bin experiments -- chaos-smoke
 
 echo "== blame smoke (release) =="

@@ -3,12 +3,12 @@
 //! atomicity and state equivalence independently of the recovery code.
 
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosRunConfig, FaultKind, FaultPlan};
+use chaos::{FaultKind, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::{recover, MvStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::concurrent::{run_concurrent, ConcurrentConfig};
+use sim::concurrent::{run_concurrent, run_with_faults, ConcurrentConfig};
 use sim::driver::{run_interleaved, DriverConfig};
 use sim::factory::{build_hdd_with_config, build_scheduler, SchedulerKind};
 use std::collections::{HashMap, HashSet};
@@ -120,9 +120,14 @@ fn concurrent_crash_recover_resume_certifies() {
     let mut plan = FaultPlan::clean(programs.len());
     plan.faults[5] = FaultKind::Crash { after_ops: 1 };
     plan.faults[20] = FaultKind::Crash { after_ops: 2 };
-    let report = run_chaos(sched.as_ref(), programs, &plan, &ChaosRunConfig::default());
+    let report = run_with_faults(
+        sched.as_ref(),
+        programs,
+        &plan,
+        &ConcurrentConfig::fault_run(),
+    );
     assert_eq!(report.crashed, 2);
-    assert_eq!(report.committed, 58);
+    assert_eq!(report.stats.committed, 58);
 
     // "Kill the process": the schedule log is the WAL image, and the
     // crash tore its tail mid-frame.
