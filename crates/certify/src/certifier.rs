@@ -39,7 +39,7 @@ use crate::diag::json_escape;
 use crate::shrink::ddmin;
 use hdd::activity::{topologically_follows, ActivityFuncs, ActivityRegistry, TxnCoord};
 use hdd::analysis::Hierarchy;
-use obs::TraceEvent;
+use obs::{Event, TraceEvent};
 use std::collections::HashMap;
 use txn_model::schedule::INITIAL_WRITER;
 use txn_model::{DependencyGraph, ScheduleEvent, ScheduleLog, Timestamp, TxnId};
@@ -459,12 +459,12 @@ pub fn certify_log(
     certify_events(scheduler, &log.events(), hierarchy)
 }
 
-/// Join a drained obs [`TraceRing`](obs::TraceRing) into the
-/// certificate: decision-trace lines for the transactions implicated in
-/// a violation (cycle members and partition-sync edge endpoints),
-/// ordered by trace ticket. A certificate with no violations is left
+/// Join a drained obs event log into the certificate: decision-trace
+/// lines for the transactions implicated in a violation (cycle members
+/// and partition-sync edge endpoints), ordered by ticket; span records
+/// in the slice are skipped. A certificate with no violations is left
 /// untouched.
-pub fn attach_trace(cert: &mut Certificate, trace: &[(u64, TraceEvent)]) {
+pub fn attach_trace(cert: &mut Certificate, trace: &[(u64, Event)]) {
     if cert.ok() {
         return;
     }
@@ -478,7 +478,10 @@ pub fn attach_trace(cert: &mut Certificate, trace: &[(u64, TraceEvent)]) {
     }
     implicated.sort_unstable();
     implicated.dedup();
-    let mut sorted: Vec<&(u64, TraceEvent)> = trace.iter().collect();
+    let mut sorted: Vec<(u64, &TraceEvent)> = trace
+        .iter()
+        .filter_map(|(ticket, ev)| Some((*ticket, ev.decision()?)))
+        .collect();
     sorted.sort_by_key(|(ticket, _)| *ticket);
     for (ticket, ev) in sorted {
         if ev
@@ -684,8 +687,9 @@ mod tests {
     #[test]
     fn trace_join_keeps_only_implicated_txns() {
         let mut cert = certify_events("nocontrol", &skewed_events(), None);
+        let reject = |ticket: u64, ev| (ticket, Event::Decision(ev));
         let trace = vec![
-            (
+            reject(
                 7u64,
                 TraceEvent::Reject {
                     txn: 1,
@@ -694,7 +698,7 @@ mod tests {
                     reason: obs::RejectReason::WriteTooLate,
                 },
             ),
-            (
+            reject(
                 3u64,
                 TraceEvent::Reject {
                     txn: 999,

@@ -48,13 +48,7 @@ impl<'a> ActivityFuncs<'a> {
     /// # Panics
     /// If no critical path `CP_i^j` exists.
     pub fn a_fn(&self, i: ClassId, j: ClassId, m: Timestamp) -> Timestamp {
-        let hops = self
-            .hierarchy
-            .paths()
-            .a_hops(i.index(), j.index())
-            .unwrap_or_else(|| panic!("A_{i}^{j} undefined: no critical path"));
-        hops.iter()
-            .fold(m, |cur, &c| self.registry.i_old(ClassId(c), cur))
+        self.a_fn_counted(i, j, m).0
     }
 
     /// [`a_fn`](Self::a_fn) plus the total activity-registry intervals
@@ -66,6 +60,12 @@ impl<'a> ActivityFuncs<'a> {
             .paths()
             .a_hops(i.index(), j.index())
             .unwrap_or_else(|| panic!("A_{i}^{j} undefined: no critical path"));
+        self.fold_i_old(hops, m)
+    }
+
+    /// Fold `I_old` over `hops` starting from `m`, summing the intervals
+    /// each hop examined.
+    fn fold_i_old(&self, hops: &[u32], m: Timestamp) -> (Timestamp, u64) {
         hops.iter().fold((m, 0), |(cur, scanned), &c| {
             let (t, s) = self.registry.i_old_counted(ClassId(c), cur);
             (t, scanned + s)
@@ -78,13 +78,7 @@ impl<'a> ActivityFuncs<'a> {
     /// that path). Folds `I_old` over the path from `c` to `j`
     /// **including `c` itself**.
     pub fn a_fn_from_below(&self, c: ClassId, j: ClassId, m: Timestamp) -> Timestamp {
-        let hops = self
-            .hierarchy
-            .paths()
-            .a_hops_inclusive(c.index(), j.index())
-            .unwrap_or_else(|| panic!("A-from-below undefined: no critical path {c} → {j}"));
-        hops.iter()
-            .fold(m, |cur, &cl| self.registry.i_old(ClassId(cl), cur))
+        self.a_fn_from_below_counted(c, j, m).0
     }
 
     /// [`a_fn_from_below`](Self::a_fn_from_below) plus the intervals
@@ -100,10 +94,7 @@ impl<'a> ActivityFuncs<'a> {
             .paths()
             .a_hops_inclusive(c.index(), j.index())
             .unwrap_or_else(|| panic!("A-from-below undefined: no critical path {c} → {j}"));
-        hops.iter().fold((m, 0), |(cur, scanned), &cl| {
-            let (t, s) = self.registry.i_old_counted(ClassId(cl), cur);
-            (t, scanned + s)
-        })
+        self.fold_i_old(hops, m)
     }
 
     /// `B_j^i(m)`: fold `C_late` down the critical path from `j` to `i`,

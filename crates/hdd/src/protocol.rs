@@ -27,7 +27,7 @@ use crate::activity::{ActivityFuncs, ActivityRegistry};
 use crate::analysis::Hierarchy;
 use crate::timewall::{TimeWall, TimeWallService};
 use mvstore::{MvtoReadResult, MvtoWriteResult, StorageBackend};
-use obs::{RejectReason, SpanEvent, Terminal, TraceEvent, WaitCause, NO_CLASS};
+use obs::{Obs, RejectReason, ServedRead, NO_CLASS};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,21 +57,6 @@ enum RoMode {
     OnChain { base: ClassId },
     /// Protocol C: pinned to a released time wall (lazily bound).
     Wall { wall: Option<Arc<TimeWall>> },
-}
-
-/// Provenance of an unregistered read's bound, for tracing: which rule
-/// produced it and (for activity-link bounds) what it cost to compute.
-#[derive(Debug, Clone, Copy)]
-enum ReadProv {
-    /// Protocol A: activity-link bound anchored at `reader_class` with
-    /// argument `m`; computing it scanned `scanned` registry entries.
-    A {
-        reader_class: ClassId,
-        m: Timestamp,
-        scanned: u64,
-    },
-    /// Protocol C: time-wall component of the wall anchored at `anchor`.
-    Wall { anchor: Timestamp },
 }
 
 #[derive(Debug)]
@@ -249,15 +234,10 @@ impl HddScheduler {
     /// hands the same core to the next epoch).
     pub fn with_core(hierarchy: Arc<Hierarchy>, core: SchedulerCore, config: HddConfig) -> Self {
         let n = hierarchy.class_count();
-        // Dimension the gauge board to this hierarchy (first-wins, so a
+        // Dimension the boards to this hierarchy (first-wins, so a
         // restructured epoch sharing the core keeps the original shape).
         core.metrics
             .obs
-            .gauges
-            .configure(n as u32, hierarchy.segment_count() as u32);
-        core.metrics
-            .obs
-            .drift
             .configure(n as u32, hierarchy.segment_count() as u32);
         HddScheduler {
             hierarchy,
@@ -321,19 +301,10 @@ impl HddScheduler {
                 });
         if let Some(w) = &released {
             Metrics::bump(&self.core.metrics.timewalls_released);
-            self.core.metrics.obs.emit(TraceEvent::WallRelease {
-                anchor: w.anchor_time.raw(),
-                released_at: w.released_at.raw(),
-            });
-            // Flight-recorder wake event: wall-pending cause edges in
-            // sampled flights resolve to this release.
-            let obs = &self.core.metrics.obs;
-            if obs.enabled() && obs.flight.active() {
-                obs.flight.push(SpanEvent::WallRelease {
-                    anchor: w.anchor_time.raw(),
-                    at_ns: obs.flight.now_ns(),
-                });
-            }
+            self.core
+                .metrics
+                .obs
+                .wall_released(w.anchor_time.raw(), w.released_at.raw());
         }
         released.is_some()
     }
@@ -347,27 +318,28 @@ impl HddScheduler {
         self.walls.retire_old(4);
         if reclaimed > 0 {
             Metrics::add(&self.core.metrics.versions_gced, reclaimed as u64);
-            self.core.metrics.obs.emit(TraceEvent::GcReclaim {
-                watermark: wm.raw(),
-                reclaimed: reclaimed as u64,
-            });
         }
-        if self.core.metrics.obs.enabled() {
+        let obs = &self.core.metrics.obs;
+        obs.gc_ran(wm.raw(), reclaimed as u64);
+        if obs.enabled() {
             // GC just rewrote the chain shape; republish the store
             // gauges at the freshest point instead of waiting for the
             // next throttled refresh.
-            let gauges = &self.core.metrics.obs.gauges;
-            gauges.set_gc_watermark(wm.raw());
-            let versions = self.core.store.version_count() as u64;
-            let granules = self.core.store.granule_count() as u64;
-            gauges.set_store(
-                versions,
-                granules,
-                self.core.store.max_chain_len() as u64,
-                versions.saturating_sub(granules),
-            );
+            self.publish_store_gauges();
         }
         reclaimed
+    }
+
+    /// Publish the store levels (O(shards + GC queue)) to the gauge board.
+    fn publish_store_gauges(&self) {
+        let versions = self.core.store.version_count() as u64;
+        let granules = self.core.store.granule_count() as u64;
+        self.core.metrics.obs.gauges.set_store(
+            versions,
+            granules,
+            self.core.store.max_chain_len() as u64,
+            versions.saturating_sub(granules),
+        );
     }
 
     /// Refresh the gauge board from live scheduler state. Called from
@@ -375,8 +347,8 @@ impl HddScheduler {
     /// registry sampling runs every 4th call and the store gauges
     /// (O(shards + GC queue)) every 16th, so the 50 µs maintenance
     /// cadence never turns the board into a contention source. Hot
-    /// paths only ever touch the board through `record_staleness`
-    /// (O(1) relaxed).
+    /// paths only ever touch the board through the `obs` read hooks'
+    /// staleness record (O(1) relaxed).
     fn refresh_gauges(&self, call: u64) {
         let gauges = &self.core.metrics.obs.gauges;
         let now = self.core.clock.now();
@@ -406,10 +378,7 @@ impl HddScheduler {
                     gauges.set_segment_wall(seg.0, w.component(class).raw());
                 }
             }
-            let drift = &self.core.metrics.obs.drift;
-            if drift.enabled() {
-                drift.note_wall_floor(dragger, now.raw());
-            }
+            self.core.metrics.obs.wall_floor_held(dragger, now.raw());
         }
         let mut active_total = 0u64;
         let mut intervals_total = 0u64;
@@ -430,14 +399,7 @@ impl HddScheduler {
         }
         gauges.set_activity(active_total, intervals_total, lag_total);
         if call.is_multiple_of(16) {
-            let versions = self.core.store.version_count() as u64;
-            let granules = self.core.store.granule_count() as u64;
-            gauges.set_store(
-                versions,
-                granules,
-                self.core.store.max_chain_len() as u64,
-                versions.saturating_sub(granules),
-            );
+            self.publish_store_gauges();
         }
     }
 
@@ -448,22 +410,12 @@ impl HddScheduler {
         self.refresh_gauges(16); // 16 ≡ 0 mod 4 and mod 16: full refresh
     }
 
-    /// Fold the drift sketch: score the interval since the previous
-    /// fold against the EWMA baselines and, on a fresh threshold
-    /// crossing, emit a `drift-trip` trace instant. Runs from the
-    /// maintenance tick at [`HddConfig::drift_interval`] cadence; E20
-    /// and the advisor binary call it directly for deterministic fold
-    /// boundaries.
+    /// Fold the drift sketch, if it is on (see `Obs::fold_drift`). Runs
+    /// from the maintenance tick at [`HddConfig::drift_interval`]
+    /// cadence; E20 and the advisor binary call it directly for
+    /// deterministic fold boundaries.
     pub fn refresh_drift_now(&self) {
-        let obs = &self.core.metrics.obs;
-        if let Some(trip) = obs.drift.fold() {
-            obs.emit(TraceEvent::DriftTrip {
-                fold: trip.fold,
-                score_milli: trip.score_milli,
-                threshold_milli: trip.threshold_milli,
-                dragger_class: trip.dragger.unwrap_or(u32::MAX),
-            });
-        }
+        self.core.metrics.obs.fold_drift();
     }
 
     /// The GC watermark: nothing at or above it may be reclaimed.
@@ -549,23 +501,13 @@ impl HddScheduler {
             let overdue_micros = st
                 .deadline
                 .map_or(0, |d| now.saturating_duration_since(d).as_micros() as u64);
-            self.core.metrics.obs.emit(TraceEvent::WatchdogAbort {
-                txn: id.0,
-                start: st.start.raw(),
-                overdue_micros,
-            });
-            // Close the sampled flight: a crashed worker never reaches
-            // a driver terminal, so the reap is what guarantees no
-            // span leaks (E16 invariant). Last terminal wins in
-            // assembly, so this supersedes a chaos `Abandoned`.
-            let obs = &self.core.metrics.obs;
-            if obs.enabled() && obs.flight.sampled(id.0) {
-                obs.flight.push(SpanEvent::End {
-                    txn: id.0,
-                    at_ns: obs.flight.now_ns(),
-                    terminal: Terminal::Reaped,
-                });
-            }
+            // Also closes the sampled flight: a crashed worker never
+            // reaches a driver terminal, so the reap is what guarantees
+            // no span leaks (E16 invariant).
+            self.core
+                .metrics
+                .obs
+                .reaped(id.0, st.start.raw(), overdue_micros);
         }
         reaped
     }
@@ -578,57 +520,31 @@ impl HddScheduler {
         ActivityFuncs::new(&self.hierarchy, &self.registry)
     }
 
-    /// Record a pending-transaction cause edge for `txn`'s block, if
-    /// the flight recorder sampled it: the wait ends when `holder`
-    /// commits or aborts. The holder's class is resolved with an O(1)
-    /// shard lookup — called only after chain locks are released, so
+    /// `txn`'s operation blocked on `holder`'s pending version. The
+    /// holder's class is resolved with an O(1) shard lookup, and only
+    /// for a sampled flight — call after chain locks are released, so
     /// the chain → txn-shard lock order is never nested.
-    fn flight_block_on_txn(&self, txn: TxnId, holder: TxnId) {
-        let obs = &self.core.metrics.obs;
-        if obs.enabled() && obs.flight.sampled(txn.0) {
-            let class = self
-                .txns
+    fn blocked_on_txn(&self, txn: TxnId, holder: TxnId) {
+        Metrics::bump(&self.core.metrics.blocks);
+        self.core.metrics.obs.blocked_on_txn(txn.0, holder.0, || {
+            self.txns
                 .with(holder, |st| st.and_then(|s| s.class).map(|c| c.0))
-                .unwrap_or(NO_CLASS);
-            obs.flight.push(SpanEvent::BlockCause {
-                txn: txn.0,
-                at_ns: obs.flight.now_ns(),
-                cause: WaitCause::TxnPending {
-                    txn: holder.0,
-                    class,
-                },
-            });
-        }
+                .unwrap_or(NO_CLASS)
+        });
     }
 
-    /// Record a time-wall cause edge for `txn`'s block (Protocol C
-    /// before any wall has been released), if the flight recorder
-    /// sampled it: the wait ends at the next wall release.
-    fn flight_block_on_wall(&self, txn: TxnId) {
-        let obs = &self.core.metrics.obs;
-        if obs.enabled() && obs.flight.sampled(txn.0) {
-            let anchor = self
-                .walls
-                .pending_anchor()
-                .map_or(0, txn_model::Timestamp::raw);
-            obs.flight.push(SpanEvent::BlockCause {
-                txn: txn.0,
-                at_ns: obs.flight.now_ns(),
-                cause: WaitCause::WallPending { anchor },
-            });
-        }
-    }
-
-    /// Protocol A read: serve the latest committed version below `bound`
-    /// without registering anything. `prov` says which rule produced the
-    /// bound, so enabled tracing can record *why* this version was
-    /// picked (and the scan cost of computing the bound).
+    /// Unregistered (Protocol A / Protocol C) read of `g`, owned by
+    /// class `target`: serve the latest committed version below `bound`
+    /// without registering anything. `served` reports the read to `obs`
+    /// as the fact its caller knows it to be — which rule produced the
+    /// bound is the caller's knowledge, not this function's.
     fn read_unregistered(
         &self,
         h: &TxnHandle,
         g: GranuleId,
+        target: ClassId,
         bound: Timestamp,
-        prov: ReadProv,
+        served: impl FnOnce(&Obs, ServedRead),
     ) -> ReadOutcome {
         let r = self
             .core
@@ -647,69 +563,18 @@ impl HddScheduler {
                     version,
                     writer,
                 });
-                let obs = &self.core.metrics.obs;
-                if obs.enabled() {
-                    let reader_row = match prov {
-                        ReadProv::A { reader_class, .. } => reader_class.0,
-                        ReadProv::Wall { .. } => obs::gauges::WALL_READER,
-                    };
-                    // Drift sketch: every cross-class read counts (no
-                    // flight-recorder sampling, which would skew the
-                    // share vector), one O(1) relaxed bump when the
-                    // board is on.
-                    if obs.drift.enabled() {
-                        obs.drift.record_access(reader_row, g.segment.0);
-                    }
-                    // Sampled mode (flight recorder active): only sampled
-                    // transactions pay for per-op decision traces; the
-                    // rest stay counter-only. With the recorder inactive,
-                    // `trace_txn` is always true — behavior as before.
-                    if obs.flight.trace_txn(h.id.0) {
-                        let target_class = self.hierarchy.class_of(g.segment).0;
-                        // Cross-read staleness gauge: how far behind the
-                        // reader's logical present (`read_ts − version_ts`)
-                        // the served version is. Strictly positive on
-                        // Protocol A rows (the activity-link bound never
-                        // exceeds the reader's start); wall rows saturate
-                        // to 0 when a reader predates the wall it adopted
-                        // (DESIGN.md §10). O(1) relaxed-atomic record.
-                        obs.gauges.record_staleness(
-                            reader_row,
-                            g.segment.0,
-                            h.start_ts.raw().saturating_sub(version.raw()),
-                        );
-                        match prov {
-                            ReadProv::A {
-                                reader_class,
-                                m,
-                                scanned,
-                            } => {
-                                obs.registry_scan.record(scanned);
-                                obs.trace.push(TraceEvent::CrossRead {
-                                    txn: h.id.0,
-                                    reader_class: reader_class.0,
-                                    target_class,
-                                    segment: g.segment.0,
-                                    key: g.key,
-                                    m: m.raw(),
-                                    bound: bound.raw(),
-                                    version: version.raw(),
-                                });
-                            }
-                            ReadProv::Wall { anchor } => {
-                                obs.trace.push(TraceEvent::WallRead {
-                                    txn: h.id.0,
-                                    target_class,
-                                    segment: g.segment.0,
-                                    key: g.key,
-                                    anchor: anchor.raw(),
-                                    bound: bound.raw(),
-                                    version: version.raw(),
-                                });
-                            }
-                        }
-                    }
-                }
+                served(
+                    &self.core.metrics.obs,
+                    ServedRead {
+                        txn: h.id.0,
+                        start: h.start_ts.raw(),
+                        target_class: target.0,
+                        segment: g.segment.0,
+                        key: g.key,
+                        bound: bound.raw(),
+                        version: version.raw(),
+                    },
+                );
                 ReadOutcome::Value(value)
             }
             // Unreachable by the bound proof; block defensively — and
@@ -718,8 +583,7 @@ impl HddScheduler {
                 self.core
                     .metrics
                     .reject(RejectReason::WallViolation, h.id.0, g.segment.0, g.key);
-                Metrics::bump(&self.core.metrics.blocks);
-                self.flight_block_on_txn(h.id, waiting_for);
+                self.blocked_on_txn(h.id, waiting_for);
                 ReadOutcome::Block
             }
         }
@@ -749,8 +613,7 @@ impl HddScheduler {
                     MvtoReadResult::BlockOn(waiting_for) => {
                         // Reading one's own pending version must not block.
                         debug_assert_ne!(waiting_for, h.id);
-                        Metrics::bump(&self.core.metrics.blocks);
-                        self.flight_block_on_txn(h.id, waiting_for);
+                        self.blocked_on_txn(h.id, waiting_for);
                         ReadOutcome::Block
                     }
                 }
@@ -789,7 +652,6 @@ impl HddScheduler {
                         return ReadOutcome::Abort;
                     }
                     if !latest.committed {
-                        Metrics::bump(&self.core.metrics.blocks);
                         blocked_on = Some(latest.writer);
                         return ReadOutcome::Block;
                     }
@@ -808,7 +670,7 @@ impl HddScheduler {
                     ReadOutcome::Value(v.value.clone())
                 });
                 if let Some(holder) = blocked_on {
-                    self.flight_block_on_txn(h.id, holder);
+                    self.blocked_on_txn(h.id, holder);
                 }
                 out
             }
@@ -833,26 +695,11 @@ impl Scheduler for HddScheduler {
         let id = TxnId(self.core.txn_ids.fetch_add(1, Ordering::Relaxed));
         Metrics::bump(&self.core.metrics.begins);
 
-        // Drift sketch: count the arrival and fold the declared profile
-        // into the observed co-access edge matrix (the DHG
-        // arc-generation rule: writer segment → every accessed
-        // segment, diagonal for the write itself). O(|W|·|R∪W|) on the
-        // declared sets — single digits for every bundled workload —
-        // and only while the board is on.
-        {
-            let drift = &self.core.metrics.obs.drift;
-            if self.core.metrics.obs.enabled() && drift.enabled() {
-                drift.note_begin(profile.class.map_or(u32::MAX, |c| c.0));
-                for w in &profile.write_segments {
-                    drift.record_edge(w.0, w.0);
-                    for a in profile.read_segments.iter().chain(&profile.write_segments) {
-                        if a != w {
-                            drift.record_edge(w.0, a.0);
-                        }
-                    }
-                }
-            }
-        }
+        self.core.metrics.obs.began(
+            profile.class.map_or(u32::MAX, |c| c.0),
+            profile.read_segments.iter().map(|s| s.0),
+            profile.write_segments.iter().map(|s| s.0),
+        );
 
         let ro_mode = if profile.is_read_only() {
             if self
@@ -918,7 +765,7 @@ impl Scheduler for HddScheduler {
     }
 
     fn read(&self, h: &TxnHandle, g: GranuleId) -> ReadOutcome {
-        let seg = g.segment;
+        let target = self.hierarchy.class_of(g.segment);
         // Liveness check + lease heartbeat (each operation renews the
         // watchdog lease), folded into the read-only-mode lookup.
         let deadline = self.lease_deadline();
@@ -938,18 +785,13 @@ impl Scheduler for HddScheduler {
         if let Some(mode) = ro {
             return match mode {
                 RoMode::OnChain { base } => {
-                    let (bound, scanned) = self.funcs().a_fn_from_below_counted(
-                        base,
-                        self.hierarchy.class_of(seg),
-                        h.start_ts,
-                    );
+                    let (bound, scanned) = self
+                        .funcs()
+                        .a_fn_from_below_counted(base, target, h.start_ts);
                     Metrics::bump(&self.core.metrics.cross_class_reads);
-                    let prov = ReadProv::A {
-                        reader_class: base,
-                        m: h.start_ts,
-                        scanned,
-                    };
-                    self.read_unregistered(h, g, bound, prov)
+                    self.read_unregistered(h, g, target, bound, |obs, r| {
+                        obs.cross_read(base.0, r, scanned);
+                    })
                 }
                 RoMode::Wall { wall } => {
                     let wall = match wall {
@@ -975,39 +817,34 @@ impl Scheduler for HddScheduler {
                                     // for the service (the only wait
                                     // Protocol C has).
                                     Metrics::bump(&self.core.metrics.blocks);
-                                    self.flight_block_on_wall(h.id);
+                                    self.core.metrics.obs.blocked_on_wall(h.id.0, || {
+                                        self.walls.pending_anchor().map_or(0, Timestamp::raw)
+                                    });
                                     return ReadOutcome::Block;
                                 }
                             }
                         }
                     };
                     Metrics::bump(&self.core.metrics.wall_reads);
-                    let prov = ReadProv::Wall {
-                        anchor: wall.anchor_time,
-                    };
-                    self.read_unregistered(h, g, wall.component(self.hierarchy.class_of(seg)), prov)
+                    self.read_unregistered(h, g, target, wall.component(target), |obs, r| {
+                        obs.wall_read(wall.anchor_time.raw(), r);
+                    })
                 }
             };
         }
 
         // Update transactions.
         let class = h.class.expect("update transactions carry a class");
-        if self.hierarchy.class_of(seg) == class {
+        if target == class {
             self.read_root(h, g)
         } else {
-            // Protocol A: T_seg is higher than T_class (validated at
+            // Protocol A: T_target is higher than T_class (validated at
             // begin); compute the activity-link bound.
-            let m = h.start_ts;
-            let (bound, scanned) =
-                self.funcs()
-                    .a_fn_counted(class, self.hierarchy.class_of(seg), m);
+            let (bound, scanned) = self.funcs().a_fn_counted(class, target, h.start_ts);
             Metrics::bump(&self.core.metrics.cross_class_reads);
-            let prov = ReadProv::A {
-                reader_class: class,
-                m,
-                scanned,
-            };
-            self.read_unregistered(h, g, bound, prov)
+            self.read_unregistered(h, g, target, bound, |obs, r| {
+                obs.cross_read(class.0, r, scanned);
+            })
         }
     }
 
@@ -1057,9 +894,9 @@ impl Scheduler for HddScheduler {
         };
         match result {
             MvtoWriteResult::Blocked => {
-                Metrics::bump(&self.core.metrics.blocks);
-                if let Some(holder) = blocked_on {
-                    self.flight_block_on_txn(h.id, holder);
+                match blocked_on {
+                    Some(holder) => self.blocked_on_txn(h.id, holder),
+                    None => Metrics::bump(&self.core.metrics.blocks),
                 }
                 WriteOutcome::Block
             }
@@ -1130,12 +967,10 @@ impl Scheduler for HddScheduler {
             commit_ts,
         });
         Metrics::bump(&self.core.metrics.commits);
-        {
-            let drift = &self.core.metrics.obs.drift;
-            if self.core.metrics.obs.enabled() && drift.enabled() {
-                drift.note_commit(st.class.map_or(u32::MAX, |c| c.0));
-            }
-        }
+        self.core
+            .metrics
+            .obs
+            .committed(st.class.map_or(u32::MAX, |c| c.0));
         CommitOutcome::Committed(commit_ts)
     }
 
@@ -1162,21 +997,25 @@ impl Scheduler for HddScheduler {
         // ordering: Relaxed — private cadence counter for interval gating;
         // no cross-thread data depends on it.
         let n = self.maintenance_calls.fetch_add(1, Ordering::Relaxed) + 1;
+        let HddConfig {
+            wall_interval,
+            gc_interval,
+            drift_interval,
+            ..
+        } = self.config;
+        let due = |interval: u64| interval > 0 && n.is_multiple_of(interval);
         if self.config.txn_lease.is_some() {
             self.reap_stragglers();
         }
-        if self.config.wall_interval > 0 && n.is_multiple_of(self.config.wall_interval) {
+        if due(wall_interval) {
             self.try_release_wall();
         }
-        if self.config.gc_interval > 0 && n.is_multiple_of(self.config.gc_interval) {
+        if due(gc_interval) {
             self.run_gc();
         }
         if self.core.metrics.obs.enabled() {
             self.refresh_gauges(n);
-            if self.config.drift_interval > 0
-                && n.is_multiple_of(self.config.drift_interval)
-                && self.core.metrics.obs.drift.enabled()
-            {
+            if due(drift_interval) {
                 self.refresh_drift_now();
             }
         }
@@ -1385,7 +1224,7 @@ mod tests {
         assert_eq!(s.trips, 1);
         assert!(s.cells.iter().any(|c| c.reader == 1 && c.segment == 0));
         assert!(s.edges.iter().any(|e| e.from == 1 && e.to == 0));
-        let kinds: Vec<&str> = obs.trace.drain().iter().map(|(_, e)| e.kind()).collect();
+        let kinds = decision_kinds(obs);
         assert!(kinds.contains(&"drift-trip"), "{kinds:?}");
 
         // Maintenance attributes the wall floor to a dragger class and
@@ -1508,9 +1347,8 @@ mod tests {
         assert_eq!(m.wall_reads, 0);
     }
 
-    #[test]
-    fn read_only_off_chain_needs_a_wall() {
-        // Branching hierarchy: 1 → 0 ← 2; segments 1 and 2 off-chain.
+    /// Branching hierarchy: 1 → 0 ← 2; segments 1 and 2 off-chain.
+    fn setup_branching() -> HddScheduler {
         let h = Hierarchy::build(
             3,
             &[
@@ -1521,14 +1359,97 @@ mod tests {
         )
         .unwrap();
         let store = Arc::new(MvStore::new());
+        store.seed(g(0, 1), Value::Int(0));
         store.seed(g(1, 1), Value::Int(11));
         store.seed(g(2, 1), Value::Int(22));
-        let sched = HddScheduler::new(
+        HddScheduler::new(
             Arc::new(h),
             store,
             Arc::new(LogicalClock::new()),
             HddConfig::default(),
-        );
+        )
+    }
+
+    /// The decision kinds in `obs`'s drained event log, in ticket order.
+    fn decision_kinds(obs: &Obs) -> Vec<&'static str> {
+        let events = obs.events.drain();
+        let kinds = events.iter().filter_map(|(_, e)| e.decision());
+        kinds.map(obs::TraceEvent::kind).collect()
+    }
+
+    #[test]
+    fn one_fact_reaches_every_sink_once() {
+        // Sampled phase: a Protocol C reader blocks before any wall
+        // exists; the one wall-release event is what `assemble` resolves
+        // its wall-pending edge to.
+        let sched = setup_branching();
+        let obs = &sched.metrics().obs;
+        obs.set_enabled(true);
+        obs.drift.set_enabled(true);
+        obs.flight.set_sample_every(1);
+        let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
+        assert!(obs.admit(ro.id.0, NO_CLASS, 0));
+        let blocked_at = obs.flight.now_ns();
+        assert_eq!(sched.read(&ro, g(1, 1)), ReadOutcome::Block);
+        assert!(sched.try_release_wall());
+        let dur_ns = obs.flight.now_ns() - blocked_at;
+        obs.span(obs::SpanEvent::Wait {
+            txn: ro.id.0,
+            start_ns: blocked_at,
+            dur_ns,
+            slept_ns: 0,
+        });
+        sched.abort(&ro);
+        let events = obs.events.drain();
+        let releases = events
+            .iter()
+            .filter(|(_, e)| matches!(e.decision(), Some(obs::TraceEvent::WallRelease { .. })));
+        assert_eq!(releases.count(), 1, "one release, one event");
+        let log = obs::assemble(&events);
+        assert_eq!(log.wall_releases.len(), 1);
+        let wait = log.flight(ro.id.0).expect("admitted").waits[0];
+        assert!(matches!(wait.cause, obs::WaitCause::WallPending { .. }));
+        assert!(log.wall_releases[0].1 <= wait.start_ns + wait.dur_ns);
+
+        // Stride-0 phase: every Protocol A and Protocol C read is one
+        // staleness sample, one drift cell bump and one decision event.
+        obs.reset();
+        obs.flight.set_sample_every(0);
+        for round in 0..4 {
+            let t0 = sched.begin(&TxnProfile::update(ClassId(0), vec![]));
+            sched.write(&t0, g(0, 1), Value::Int(round));
+            assert!(matches!(sched.commit(&t0), CommitOutcome::Committed(_)));
+            for class in [1, 2] {
+                let t = sched.begin(&TxnProfile::update(ClassId(class), vec![s(0)]));
+                assert!(matches!(sched.read(&t, g(0, 1)), ReadOutcome::Value(_)));
+                assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
+            }
+            let chain = sched.begin(&TxnProfile::read_only(vec![s(0), s(1)]));
+            assert!(matches!(sched.read(&chain, g(0, 1)), ReadOutcome::Value(_)));
+            assert!(matches!(sched.read(&chain, g(1, 1)), ReadOutcome::Value(_)));
+            assert!(matches!(sched.commit(&chain), CommitOutcome::Committed(_)));
+            let wall = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
+            assert!(matches!(sched.read(&wall, g(1, 1)), ReadOutcome::Value(_)));
+            assert!(matches!(sched.read(&wall, g(2, 1)), ReadOutcome::Value(_)));
+            assert!(matches!(sched.commit(&wall), CommitOutcome::Committed(_)));
+        }
+        let m = sched.metrics().snapshot();
+        let facts = m.cross_class_reads + m.wall_reads;
+        assert_eq!((m.cross_class_reads, m.wall_reads), (16, 8));
+        let staleness = obs.gauges.snapshot().staleness;
+        assert_eq!(staleness.iter().map(|c| c.hist.count).sum::<u64>(), facts);
+        let cells = obs.drift.snapshot().cells;
+        assert_eq!(cells.iter().map(|c| c.count).sum::<u64>(), facts);
+        let kinds = decision_kinds(obs);
+        let of = |kind| kinds.iter().filter(|k| **k == kind).count() as u64;
+        assert_eq!(of("cross-read"), m.cross_class_reads);
+        assert_eq!(of("wall-read"), m.wall_reads);
+        assert_eq!(obs.registry_scan.count(), m.cross_class_reads);
+    }
+
+    #[test]
+    fn read_only_off_chain_needs_a_wall() {
+        let sched = setup_branching();
 
         // Without a wall, the read blocks.
         let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
@@ -1670,14 +1591,7 @@ mod tests {
         assert_eq!(m.rej_watchdog_abort, 1);
         assert_eq!(m.rejections, 1);
         assert_eq!(m.aborts, 1);
-        let kinds: Vec<&str> = sched
-            .metrics()
-            .obs
-            .trace
-            .drain()
-            .iter()
-            .map(|(_, e)| e.kind())
-            .collect();
+        let kinds = decision_kinds(&sched.metrics().obs);
         assert!(kinds.contains(&"watchdog-abort"));
         assert!(DependencyGraph::from_log(sched.log()).is_serializable());
     }

@@ -27,7 +27,7 @@
 use crate::analysis::Hierarchy;
 use crate::protocol::{HddConfig, HddScheduler, SchedulerCore};
 use mvstore::{RecoveryReport, StorageBackend};
-use obs::TraceEvent;
+use obs::{Event, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -171,21 +171,18 @@ pub fn resume(
         .obs
         .gauges
         .set_recovery_progress(events.len() as u64, recovery.anomalies.total() as u64);
-    // Recovery is a rare, load-bearing event: record it in the trace
-    // ring unconditionally (bypassing the enable gate, which no caller
+    // Recovery is a rare, load-bearing event: record it in the event
+    // log unconditionally (bypassing the enable gate, which no caller
     // has had a chance to set on the freshly built scheduler).
-    sched
-        .core()
-        .metrics
-        .obs
-        .trace
-        .push(TraceEvent::RecoveryReplay {
-            events: events.len() as u64,
-            redone: recovery.redone as u64,
-            rolled_back: recovery.rolled_back as u64,
-            in_flight_aborted: in_flight_aborted as u64,
-            high_water_mark: recovery.high_water_mark.raw(),
-        });
+    let replay = TraceEvent::RecoveryReplay {
+        events: events.len() as u64,
+        redone: recovery.redone as u64,
+        rolled_back: recovery.rolled_back as u64,
+        in_flight_aborted: in_flight_aborted as u64,
+        high_water_mark: recovery.high_water_mark.raw(),
+    };
+    let obs = &sched.core().metrics.obs;
+    obs.events.push(Event::Decision(replay));
     let report = ResumeReport {
         recovery,
         in_flight_aborted,
@@ -334,15 +331,15 @@ mod tests {
             .filter(|ev| matches!(ev, ScheduleEvent::Abort { .. }))
             .count();
         assert_eq!(aborts, 1);
-        // The replay is recorded in the trace ring even with obs off.
+        // The replay is recorded in the event log even with obs off.
         let kinds: Vec<&str> = sched
             .core()
             .metrics
             .obs
-            .trace
+            .events
             .drain()
             .iter()
-            .map(|(_, e)| e.kind())
+            .filter_map(|(_, e)| e.decision().map(TraceEvent::kind))
             .collect();
         assert!(kinds.contains(&"recovery-replay"));
     }

@@ -5,8 +5,9 @@
 //! Two families:
 //!
 //! * **Invariant models** — Protocol A's `I_old` immutability, time-wall
-//!   monotonicity, schedule-log ticket density, gauge tear-freedom,
-//!   span-ring accounting — must hold in every interleaving
+//!   monotonicity, ticket-ring density and accounting (the one striped
+//!   log, in both its shapes), gauge tear-freedom — must hold in every
+//!   interleaving
 //!   (`assert_clean`, `complete`).
 //! * **Race regression models** — the two PR-1 Protocol A races
 //!   (initiation/termination timestamps drawn *outside* the class lock)
@@ -21,7 +22,7 @@
 use hdd::activity::{ActivityFuncs, ActivityRegistry};
 use hdd::{AccessSpec, Hierarchy, TimeWallService};
 use mc::{check, Config};
-use obs::{FlightRecorder, GaugeBoard, SpanEvent, TraceEvent, TraceRing};
+use obs::{GaugeBoard, TicketRing};
 use std::sync::Arc;
 use txn_model::{ClassId, LogicalClock, ScheduleEvent, ScheduleLog, SegmentId, Timestamp, TxnId};
 
@@ -191,33 +192,85 @@ fn timewall_floor_and_release_monotonicity() {
     assert!(report.complete, "timewall model must exhaust");
 }
 
-/// Striped schedule log: concurrent appends never lose, duplicate or
-/// tear a ticket — the quiescent merge is dense `0..n` in order.
+/// Three concurrent appends — two from a spawned thread, one from the
+/// main thread — through `push`, then the quiescent merge through
+/// `merged`: the schedule every ring model explores.
+fn three_racing_appends<L: Send + Sync + 'static, M>(
+    log: L,
+    push: fn(&L, u64),
+    merged: impl FnOnce(&L) -> M,
+) -> M {
+    let log = Arc::new(log);
+    let l2 = Arc::clone(&log);
+    let t = mc::thread::spawn(move || {
+        push(&l2, 1);
+        push(&l2, 2);
+    });
+    push(&log, 3);
+    t.join().unwrap();
+    merged(&log)
+}
+
+/// Unbounded shape: concurrent appends never lose, duplicate or tear a
+/// ticket — the quiescent merge is dense `0..n` in order.
+fn assert_dense<T>(stamped: &[(u64, T)]) {
+    assert_eq!(stamped.len(), 3, "lost append");
+    for (i, (ticket, _)) in stamped.iter().enumerate() {
+        assert_eq!(*ticket, i as u64, "tickets must merge dense and sorted");
+    }
+}
+
+/// The one striped ticket log, both shapes. Unbounded (the schedule
+/// log's): dense merge, nothing dropped. Capacity 1 (the event log's
+/// eviction path at its tightest): `recorded − dropped` equals exactly
+/// what a quiescent drain returns — every eviction counted, no record
+/// lost untallied — ticket-ordered, no duplicate.
+#[test]
+fn ticket_ring_is_dense_unbounded_and_balances_at_capacity_one() {
+    let report = check(Config::exhaustive(), || {
+        let push = |ring: &TicketRing<u64>, v| ring.push(v);
+        let all = three_racing_appends(TicketRing::unbounded(), push, |ring| {
+            assert_eq!(ring.dropped(), 0);
+            ring.snapshot()
+        });
+        assert_dense(&all);
+    });
+    report.assert_clean("ticket_ring_unbounded");
+    assert!(report.complete);
+
+    let report = check(Config::exhaustive(), || {
+        let push = |ring: &TicketRing<u64>, v| ring.push(v);
+        three_racing_appends(TicketRing::bounded(1), push, |ring| {
+            let drained = ring.drain();
+            assert_eq!(
+                ring.recorded() - ring.dropped(),
+                drained.len() as u64,
+                "ring accounting out of balance"
+            );
+            let mut tickets: Vec<u64> = drained.iter().map(|&(t, _)| t).collect();
+            let sorted = tickets.windows(2).all(|w| w[0] < w[1]);
+            assert!(sorted, "drain must be ticket-ordered");
+            tickets.dedup();
+            assert_eq!(tickets.len(), drained.len(), "duplicated record");
+        });
+    });
+    report.assert_clean("ticket_ring_capacity_1");
+    assert!(report.complete);
+}
+
+/// The production wrapper over the unbounded shape stays under the
+/// checker: `ScheduleLog::record` / `events_stamped`.
 #[test]
 fn schedule_log_tickets_dense_after_concurrent_appends() {
     let report = check(Config::exhaustive(), || {
-        let log = Arc::new(ScheduleLog::new());
-        let l2 = Arc::clone(&log);
-        let t = mc::thread::spawn(move || {
-            l2.record(ScheduleEvent::Commit {
-                txn: TxnId(1),
-                commit_ts: Timestamp(1),
+        let record = |log: &ScheduleLog, ts| {
+            log.record(ScheduleEvent::Commit {
+                txn: TxnId(ts),
+                commit_ts: Timestamp(ts),
             });
-            l2.record(ScheduleEvent::Commit {
-                txn: TxnId(1),
-                commit_ts: Timestamp(2),
-            });
-        });
-        log.record(ScheduleEvent::Commit {
-            txn: TxnId(2),
-            commit_ts: Timestamp(3),
-        });
-        t.join().unwrap();
-        let stamped = log.events_stamped();
-        assert_eq!(stamped.len(), 3, "lost append");
-        for (i, &(ticket, _)) in stamped.iter().enumerate() {
-            assert_eq!(ticket, i as u64, "tickets must merge dense and sorted");
-        }
+        };
+        let stamped = three_racing_appends(ScheduleLog::new(), record, |log| log.events_stamped());
+        assert_dense(&stamped);
     });
     report.assert_clean("schedule_log");
     assert!(report.complete);
@@ -249,64 +302,6 @@ fn gauge_board_cells_are_tear_free() {
         t.join().unwrap();
     });
     report.assert_clean("gauge_tear_free");
-    assert!(report.complete);
-}
-
-/// Span-ring accounting: `recorded − dropped` equals exactly what a
-/// quiescent drain returns, under concurrent pushes into a capacity-1
-/// ring (every eviction must be counted, no record lost untallied).
-#[test]
-fn span_ring_accounting_balances() {
-    let report = check(Config::exhaustive(), || {
-        let fr = Arc::new(FlightRecorder::with_capacity(1));
-        let f2 = Arc::clone(&fr);
-        let t = mc::thread::spawn(move || {
-            f2.push(SpanEvent::WallRelease {
-                anchor: 1,
-                at_ns: 0,
-            });
-            f2.push(SpanEvent::WallRelease {
-                anchor: 2,
-                at_ns: 0,
-            });
-        });
-        fr.push(SpanEvent::WallRelease {
-            anchor: 3,
-            at_ns: 0,
-        });
-        t.join().unwrap();
-        let drained = fr.drain();
-        assert_eq!(
-            fr.recorded() - fr.dropped(),
-            drained.len() as u64,
-            "ring accounting out of balance"
-        );
-        let mut tickets: Vec<u64> = drained.iter().map(|&(t, _)| t).collect();
-        let sorted = tickets.windows(2).all(|w| w[0] < w[1]);
-        assert!(sorted, "drain must be ticket-ordered");
-        tickets.dedup();
-        assert_eq!(tickets.len(), drained.len(), "duplicated record");
-    });
-    report.assert_clean("span_ring");
-    assert!(report.complete);
-}
-
-/// Trace-ring accounting under the same schedule shape (the decision
-/// ring and the flight ring share the stripe design but not state).
-#[test]
-fn trace_ring_accounting_balances() {
-    let report = check(Config::exhaustive(), || {
-        let ring = Arc::new(TraceRing::with_capacity(1));
-        let r2 = Arc::clone(&ring);
-        let t = mc::thread::spawn(move || {
-            r2.push(TraceEvent::Backoff { nanos: 1 });
-        });
-        ring.push(TraceEvent::Backoff { nanos: 2 });
-        t.join().unwrap();
-        let drained = ring.drain();
-        assert_eq!(ring.recorded() - ring.dropped(), drained.len() as u64);
-    });
-    report.assert_clean("trace_ring");
     assert!(report.complete);
 }
 

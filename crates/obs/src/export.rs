@@ -8,12 +8,12 @@
 //!   [`GaugeBoard`](crate::gauges::GaugeBoard) as Prometheus text
 //!   exposition format (`# TYPE`-annotated families, `{label="v"}`
 //!   samples) — scrapeable, `promtool`-checkable, diffable;
-//! * [`chrome_trace`] renders a drained
-//!   [`TraceRing`](crate::trace::TraceRing) as Chrome trace-event JSON
-//!   (`chrome://tracing`, Perfetto UI): one track per reader class for
-//!   Protocol A cross-reads, a wall-reader track for Protocol C, and a
-//!   scheduler track for walls/GC/rejects; watchdog reaps and driver
-//!   backoff become duration (`"ph":"X"`) events.
+//! * [`chrome_trace`] renders the decision events of a drained event
+//!   log as Chrome trace-event JSON (`chrome://tracing`, Perfetto UI):
+//!   one track per reader class for Protocol A cross-reads, a
+//!   wall-reader track for Protocol C, and a scheduler track for
+//!   walls/GC/rejects; watchdog reaps become duration (`"ph":"X"`)
+//!   events.
 //!
 //! Both formats ship with tiny in-repo validators
 //! ([`validate_prometheus`], [`validate_chrome_trace`]) so `ci.sh
@@ -29,7 +29,7 @@ use crate::gauges::{GaugeSnapshot, WALL_READER};
 use crate::hist::HistogramSnapshot;
 use crate::span::{FlightLog, Terminal, WaitCause, NO_CLASS};
 use crate::trace::TraceEvent;
-use crate::ObsSnapshot;
+use crate::{Event, ObsSnapshot};
 
 /// Append one summary family (`quantile` samples + `_sum`/`_count`) in
 /// exposition format. Empty histograms still emit the family (with
@@ -420,34 +420,28 @@ fn tid_name(tid: u64) -> String {
 /// Render the event's `args` object (all payload fields, spelled out).
 fn event_args(ev: &TraceEvent) -> String {
     match *ev {
-        TraceEvent::CrossRead {
-            txn,
-            reader_class,
-            target_class,
-            segment,
-            key,
-            m,
-            bound,
-            version,
-        } => format!(
-            "{{\"txn\":{txn},\"reader_class\":{reader_class},\"target_class\":{target_class},\
-             \"segment\":{segment},\"key\":{key},\"m\":{m},\"bound\":{bound},\
-             \"version\":{version},\"staleness\":{}}}",
-            m.saturating_sub(version)
+        TraceEvent::CrossRead { reader_class, read } => format!(
+            "{{\"txn\":{},\"reader_class\":{reader_class},\"target_class\":{},\
+             \"segment\":{},\"key\":{},\"m\":{},\"bound\":{},\"version\":{},\"staleness\":{}}}",
+            read.txn,
+            read.target_class,
+            read.segment,
+            read.key,
+            read.start,
+            read.bound,
+            read.version,
+            read.start.saturating_sub(read.version)
         ),
-        TraceEvent::WallRead {
-            txn,
-            target_class,
-            segment,
-            key,
-            anchor,
-            bound,
-            version,
-        } => format!(
-            "{{\"txn\":{txn},\"target_class\":{target_class},\"segment\":{segment},\
-             \"key\":{key},\"anchor\":{anchor},\"bound\":{bound},\"version\":{version},\
-             \"staleness\":{}}}",
-            bound.saturating_sub(version)
+        TraceEvent::WallRead { anchor, read } => format!(
+            "{{\"txn\":{},\"target_class\":{},\"segment\":{},\"key\":{},\
+             \"anchor\":{anchor},\"bound\":{},\"version\":{},\"staleness\":{}}}",
+            read.txn,
+            read.target_class,
+            read.segment,
+            read.key,
+            read.bound,
+            read.version,
+            read.bound.saturating_sub(read.version)
         ),
         TraceEvent::Reject {
             txn,
@@ -458,25 +452,20 @@ fn event_args(ev: &TraceEvent) -> String {
             "{{\"txn\":{txn},\"segment\":{segment},\"key\":{key},\"reason\":\"{}\"}}",
             reason.label()
         ),
-        TraceEvent::Block {
-            txn,
-            segment,
-            key,
-            write,
-        } => format!("{{\"txn\":{txn},\"segment\":{segment},\"key\":{key},\"write\":{write}}}"),
         TraceEvent::WallRelease {
             anchor,
             released_at,
+            ..
         } => format!("{{\"anchor\":{anchor},\"released_at\":{released_at}}}"),
         TraceEvent::GcReclaim {
             watermark,
             reclaimed,
         } => format!("{{\"watermark\":{watermark},\"reclaimed\":{reclaimed}}}"),
-        TraceEvent::Backoff { nanos } => format!("{{\"nanos\":{nanos}}}"),
         TraceEvent::WatchdogAbort {
             txn,
             start,
             overdue_micros,
+            ..
         } => format!("{{\"txn\":{txn},\"start\":{start},\"overdue_micros\":{overdue_micros}}}"),
         TraceEvent::CrashPoint {
             txn,
@@ -508,65 +497,72 @@ fn event_args(ev: &TraceEvent) -> String {
     }
 }
 
-/// Render a drained trace (ticket, event) stream as Chrome trace-event
-/// JSON, loadable in `chrome://tracing` or the Perfetto UI.
+/// Render the decision events of a drained (ticket, event) stream as
+/// Chrome trace-event JSON, loadable in `chrome://tracing` or the
+/// Perfetto UI; span records in the slice are skipped (they render
+/// through [`assemble`](crate::span::assemble) and
+/// [`flight_chrome_trace`]).
 ///
-/// Tracks: tid 0 is the scheduler (walls, GC, rejects, blocks, chaos,
+/// Tracks: tid 0 is the scheduler (walls, GC, rejects, chaos,
 /// recovery), tid 1 the Protocol C wall readers, tid `2 + class` one
 /// track per Protocol A reader class. The global ticket is used as the
 /// timestamp (`ts`) — decision *order*, not wall-clock. Watchdog reaps
-/// and driver backoffs render as duration (`"ph":"X"`) events with
-/// their overdue/sleep time as the duration; everything else is an
-/// instant (`"ph":"i"`).
-pub fn chrome_trace(events: &[(u64, TraceEvent)]) -> String {
-    let mut tids: Vec<u64> = events.iter().map(|(_, e)| event_tid(e)).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, s: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&s);
-    };
-    for tid in &tids {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                tid_name(*tid)
-            ),
-        );
-    }
-    for (ticket, ev) in events {
+/// render as duration (`"ph":"X"`) events with their overdue time as
+/// the duration; everything else is an instant (`"ph":"i"`).
+pub fn chrome_trace(events: &[(u64, Event)]) -> String {
+    let decisions = || events.iter().filter_map(|(t, e)| Some((t, e.decision()?)));
+    let tids = decisions().map(|(_, e)| event_tid(e)).collect();
+    let mut out = TraceJson::with_tracks(tids, tid_name);
+    for (ticket, ev) in decisions() {
         let tid = event_tid(ev);
         let args = event_args(ev);
-        let body = match ev {
+        out.push(match ev {
             TraceEvent::WatchdogAbort { overdue_micros, .. } => format!(
                 "{{\"name\":\"{}\",\"cat\":\"hdd\",\"ph\":\"X\",\"ts\":{ticket},\
                  \"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
                 ev.kind(),
                 (*overdue_micros).max(1)
             ),
-            TraceEvent::Backoff { nanos } => format!(
-                "{{\"name\":\"{}\",\"cat\":\"hdd\",\"ph\":\"X\",\"ts\":{ticket},\
-                 \"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
-                ev.kind(),
-                (nanos / 1000).max(1)
-            ),
             _ => format!(
                 "{{\"name\":\"{}\",\"cat\":\"hdd\",\"ph\":\"i\",\"ts\":{ticket},\
                  \"s\":\"t\",\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
                 ev.kind()
             ),
-        };
-        push(&mut out, body);
+        });
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    out.finish()
+}
+
+/// The `traceEvents` array both Chrome renderers fill, opened with one
+/// `thread_name` metadata record per track.
+struct TraceJson(String);
+
+impl TraceJson {
+    fn with_tracks(mut tids: Vec<u64>, name: impl Fn(u64) -> String) -> Self {
+        tids.sort_unstable();
+        tids.dedup();
+        let mut json = TraceJson(String::from("{\"traceEvents\":["));
+        for tid in tids {
+            json.push(format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                name(tid)
+            ));
+        }
+        json
+    }
+
+    fn push(&mut self, record: String) {
+        if !self.0.ends_with('[') {
+            self.0.push(',');
+        }
+        self.0.push_str(&record);
+    }
+
+    fn finish(mut self) -> String {
+        self.0.push_str("],\"displayTimeUnit\":\"ms\"}");
+        self.0
+    }
 }
 
 /// Track id of the maintenance/time-wall thread in
@@ -602,96 +598,63 @@ fn flight_class_label(class: u32) -> String {
 /// Timestamps are recorder-epoch microseconds (fractional, so the
 /// nanosecond clock survives). Output passes [`validate_chrome_trace`].
 pub fn flight_chrome_trace(log: &FlightLog) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, s: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&s);
-    };
     let mut tids: Vec<u64> = log
         .flights
         .iter()
         .map(|f| u64::from(f.worker) + 1)
         .collect();
     tids.push(FLIGHT_TID_MAINTENANCE);
-    tids.sort_unstable();
-    tids.dedup();
-    for &tid in &tids {
-        let name = if tid == FLIGHT_TID_MAINTENANCE {
-            "maintenance / time walls".to_string()
-        } else {
-            format!("worker {}", tid - 1)
-        };
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
-    }
+    let mut out = TraceJson::with_tracks(tids, |tid| match tid {
+        FLIGHT_TID_MAINTENANCE => "maintenance / time walls".to_string(),
+        worker => format!("worker {}", worker - 1),
+    });
     for &(anchor, at_ns) in &log.wall_releases {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"wall-release\",\"cat\":\"wall\",\"ph\":\"i\",\"ts\":{:.3},\
-                 \"s\":\"t\",\"pid\":1,\"tid\":{FLIGHT_TID_MAINTENANCE},\
-                 \"args\":{{\"anchor\":{anchor}}}}}",
-                flight_us(at_ns)
-            ),
-        );
+        out.push(format!(
+            "{{\"name\":\"wall-release\",\"cat\":\"wall\",\"ph\":\"i\",\"ts\":{:.3},\
+             \"s\":\"t\",\"pid\":1,\"tid\":{FLIGHT_TID_MAINTENANCE},\
+             \"args\":{{\"anchor\":{anchor}}}}}",
+            flight_us(at_ns)
+        ));
     }
     let mut flow_id = 0u64;
     for f in &log.flights {
         let tid = u64::from(f.worker) + 1;
         let terminal = f.terminal.map_or("open", Terminal::label);
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"txn {} [{terminal}]\",\"cat\":\"flight\",\"ph\":\"X\",\
-                 \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"txn\":{},\"class\":\"{}\",\"worker\":{}}}}}",
-                f.txn,
-                flight_us(f.admit_ns),
-                flight_us(f.total_ns().max(1)),
-                f.txn,
-                flight_class_label(f.class),
-                f.worker
-            ),
-        );
+        out.push(format!(
+            "{{\"name\":\"txn {} [{terminal}]\",\"cat\":\"flight\",\"ph\":\"X\",\
+             \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
+             \"args\":{{\"txn\":{},\"class\":\"{}\",\"worker\":{}}}}}",
+            f.txn,
+            flight_us(f.admit_ns),
+            flight_us(f.total_ns().max(1)),
+            f.txn,
+            flight_class_label(f.class),
+            f.worker
+        ));
         for op in &f.ops {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"segment\":{},\"key\":{}}}}}",
-                    op.kind.label(),
-                    flight_us(op.start_ns),
-                    flight_us(op.dur_ns.max(1)),
-                    op.segment,
-                    op.key
-                ),
-            );
+            out.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":{:.3},\
+                 \"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"segment\":{},\"key\":{}}}}}",
+                op.kind.label(),
+                flight_us(op.start_ns),
+                flight_us(op.dur_ns.max(1)),
+                op.segment,
+                op.key
+            ));
         }
         for w in &f.waits {
             let wait_end_ns = w.start_ns + w.dur_ns;
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"wait: {}\",\"cat\":\"wait\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"cause\":\"{}\",\"slept_ns\":{}}}}}",
-                    w.cause.label(),
-                    flight_us(w.start_ns),
-                    flight_us(w.dur_ns.max(1)),
-                    w.cause,
-                    w.slept_ns
-                ),
-            );
+            out.push(format!(
+                "{{\"name\":\"wait: {}\",\"cat\":\"wait\",\"ph\":\"X\",\"ts\":{:.3},\
+                 \"dur\":{:.3},\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"cause\":\"{}\",\"slept_ns\":{}}}}}",
+                w.cause.label(),
+                flight_us(w.start_ns),
+                flight_us(w.dur_ns.max(1)),
+                w.cause,
+                w.slept_ns
+            ));
             // Cause edge as a flow arrow: source at the unblocking
             // event, sink at the wait span's end.
             let source: Option<(u64, u64)> = match w.cause {
@@ -707,27 +670,20 @@ pub fn flight_chrome_trace(log: &FlightLog) -> String {
             };
             if let Some((src_tid, src_ns)) = source {
                 flow_id += 1;
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"s\",\"id\":{flow_id},\
-                         \"ts\":{:.3},\"pid\":1,\"tid\":{src_tid},\"args\":{{}}}}",
-                        flight_us(src_ns)
-                    ),
-                );
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"f\",\"bp\":\"e\",\
-                         \"id\":{flow_id},\"ts\":{:.3},\"pid\":1,\"tid\":{tid},\"args\":{{}}}}",
-                        flight_us(wait_end_ns)
-                    ),
-                );
+                out.push(format!(
+                    "{{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"s\",\"id\":{flow_id},\
+                     \"ts\":{:.3},\"pid\":1,\"tid\":{src_tid},\"args\":{{}}}}",
+                    flight_us(src_ns)
+                ));
+                out.push(format!(
+                    "{{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"f\",\"bp\":\"e\",\
+                     \"id\":{flow_id},\"ts\":{:.3},\"pid\":1,\"tid\":{tid},\"args\":{{}}}}",
+                    flight_us(wait_end_ns)
+                ));
             }
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    out.finish()
 }
 
 /// Validate Chrome trace JSON shape without a JSON library: the text
@@ -809,7 +765,14 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::gauges::{GaugeBoard, WALL_READER};
-    use crate::trace::{FaultCode, RejectReason};
+    use crate::span::SpanEvent;
+    use crate::trace::{FaultCode, RejectReason, ServedRead};
+
+    /// Wrap hand-built decision events as a drained event-log slice.
+    fn decisions(events: Vec<(u64, TraceEvent)>) -> Vec<(u64, Event)> {
+        let wrap = |(ticket, ev)| (ticket, Event::Decision(ev));
+        events.into_iter().map(wrap).collect()
+    }
 
     #[test]
     fn prometheus_golden_minimal() {
@@ -931,55 +894,63 @@ mod tests {
 
     #[test]
     fn chrome_trace_golden_minimal() {
-        let events = vec![
-            (
-                3u64,
-                TraceEvent::WallRelease {
-                    anchor: 30,
-                    released_at: 31,
-                },
-            ),
-            (5u64, TraceEvent::Backoff { nanos: 2048 }),
-        ];
+        let mut events = decisions(vec![(
+            3u64,
+            TraceEvent::WallRelease {
+                anchor: 30,
+                released_at: 31,
+                at_ns: 777,
+            },
+        )]);
+        // A span record in the same slice is not this exporter's.
+        let end = SpanEvent::End {
+            txn: 1,
+            at_ns: 778,
+            terminal: Terminal::Committed,
+        };
+        events.push((5u64, Event::Span(end)));
         let text = chrome_trace(&events);
         let expected = "{\"traceEvents\":[\
              {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
              \"args\":{\"name\":\"scheduler\"}},\
              {\"name\":\"wall-release\",\"cat\":\"hdd\",\"ph\":\"i\",\"ts\":3,\
-             \"s\":\"t\",\"pid\":1,\"tid\":0,\"args\":{\"anchor\":30,\"released_at\":31}},\
-             {\"name\":\"backoff\",\"cat\":\"hdd\",\"ph\":\"X\",\"ts\":5,\
-             \"dur\":2,\"pid\":1,\"tid\":0,\"args\":{\"nanos\":2048}}\
+             \"s\":\"t\",\"pid\":1,\"tid\":0,\"args\":{\"anchor\":30,\"released_at\":31}}\
              ],\"displayTimeUnit\":\"ms\"}";
         assert_eq!(text, expected);
-        assert_eq!(validate_chrome_trace(&text).unwrap(), 3);
+        assert_eq!(validate_chrome_trace(&text).unwrap(), 2);
     }
 
     #[test]
     fn chrome_trace_assigns_per_class_tracks() {
-        let events = vec![
+        let events = decisions(vec![
             (
                 0u64,
                 TraceEvent::CrossRead {
-                    txn: 1,
                     reader_class: 2,
-                    target_class: 0,
-                    segment: 0,
-                    key: 7,
-                    m: 10,
-                    bound: 8,
-                    version: 5,
+                    read: ServedRead {
+                        txn: 1,
+                        start: 10,
+                        target_class: 0,
+                        segment: 0,
+                        key: 7,
+                        bound: 8,
+                        version: 5,
+                    },
                 },
             ),
             (
                 1u64,
                 TraceEvent::WallRead {
-                    txn: 2,
-                    target_class: 1,
-                    segment: 1,
-                    key: 3,
                     anchor: 20,
-                    bound: 18,
-                    version: 9,
+                    read: ServedRead {
+                        txn: 2,
+                        start: 25,
+                        target_class: 1,
+                        segment: 1,
+                        key: 3,
+                        bound: 18,
+                        version: 9,
+                    },
                 },
             ),
             (
@@ -997,6 +968,7 @@ mod tests {
                     txn: 5,
                     start: 40,
                     overdue_micros: 1500,
+                    at_ns: 0,
                 },
             ),
             (
@@ -1007,7 +979,7 @@ mod tests {
                     fault: FaultCode::Stall,
                 },
             ),
-        ];
+        ]);
         let text = chrome_trace(&events);
         // 3 tracks (scheduler, wall readers, class 2) + 5 events.
         assert_eq!(validate_chrome_trace(&text).unwrap(), 8);
@@ -1169,7 +1141,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_renders_drift_trip_instants() {
-        let events = vec![(
+        let events = decisions(vec![(
             9u64,
             TraceEvent::DriftTrip {
                 fold: 4,
@@ -1177,7 +1149,7 @@ mod tests {
                 threshold_milli: 250,
                 dragger_class: 2,
             },
-        )];
+        )]);
         let text = chrome_trace(&events);
         assert_eq!(validate_chrome_trace(&text).unwrap(), 2);
         assert!(text.contains("\"name\":\"drift-trip\""));

@@ -14,26 +14,26 @@
 //! Nth transaction (by id) is fully traced and the rest are
 //! counter-only ([`FlightRecorder::admitted`] still counts them). The
 //! stride is also consulted by the per-op decision tracing in the
-//! scheduler via [`FlightRecorder::trace_txn`], so "sampled mode" keeps
-//! the hot path at counter cost for the other N−1 transactions. With
-//! `sample_every = 0` the recorder is inert and enabled-mode behavior
-//! is exactly as before this module existed.
+//! [`Obs`](crate::Obs) hooks via [`FlightRecorder::trace_txn`], so
+//! "sampled mode" keeps the hot path at counter cost for the other N−1
+//! transactions. With `sample_every = 0` the recorder is inert.
 //!
-//! Storage reuses the [`TraceRing`](crate::trace::TraceRing) shape:
-//! thread-affine stripes stamped with a global ticket, bounded per
-//! stripe (oldest evicted, counted in [`FlightRecorder::dropped`]),
-//! merged ticket-ordered on [`FlightRecorder::drain`]. Timestamps are
-//! nanoseconds since the recorder's epoch (one `Instant` captured at
-//! construction), so events from driver threads, scheduler block points
-//! and the maintenance thread share one clock.
+//! Span records live in the one event log under [`Obs`](crate::Obs),
+//! beside the decision events; the [`FlightRecorder`] is only what is
+//! unique to flights — the stride, the `admitted`/`sampled` counters
+//! and the span clock. Timestamps are nanoseconds since the recorder's
+//! epoch (one `Instant` captured at construction), so events from
+//! driver threads, scheduler block points and the maintenance thread
+//! share one clock.
 //!
 //! [`assemble`] folds a drained event stream back into per-transaction
 //! [`TxnFlight`] trees, resolving each wait span's cause to the latest
 //! [`SpanEvent::BlockCause`] recorded before the wait ended, ready for
 //! [`blame`](crate::blame) analysis or the Perfetto exporter.
 
-use mc::sync::{AtomicU64, Mutex, Ordering, ThreadStripe};
-use std::collections::VecDeque;
+use crate::trace::TraceEvent;
+use crate::Event;
+use mc::sync::{AtomicU64, Ordering};
 use std::fmt;
 use std::time::Instant;
 
@@ -168,16 +168,8 @@ pub enum SpanEvent {
     Op {
         /// Transaction id.
         txn: u64,
-        /// Which call.
-        kind: SpanKind,
-        /// Segment of the granule touched (0 for commit).
-        segment: u32,
-        /// Granule key (0 for commit).
-        key: u64,
-        /// Call start.
-        start_ns: u64,
-        /// Call duration.
-        dur_ns: u64,
+        /// The call and its timing.
+        op: OpSpan,
     },
     /// A contiguous block streak ended (the blocked step was finally
     /// granted or abandoned); recorded by the driver.
@@ -202,14 +194,6 @@ pub enum SpanEvent {
         /// The cause edge.
         cause: WaitCause,
     },
-    /// The maintenance thread released a time wall (the wake event for
-    /// [`WaitCause::WallPending`] edges).
-    WallRelease {
-        /// Anchor time `m` of the released wall.
-        anchor: u64,
-        /// Release time.
-        at_ns: u64,
-    },
     /// The flight ended.
     End {
         /// Transaction id.
@@ -221,42 +205,11 @@ pub enum SpanEvent {
     },
 }
 
-impl SpanEvent {
-    /// The transaction the event belongs to, if any.
-    pub fn txn(&self) -> Option<u64> {
-        match self {
-            SpanEvent::Admit { txn, .. }
-            | SpanEvent::Op { txn, .. }
-            | SpanEvent::Wait { txn, .. }
-            | SpanEvent::BlockCause { txn, .. }
-            | SpanEvent::End { txn, .. } => Some(*txn),
-            SpanEvent::WallRelease { .. } => None,
-        }
-    }
-}
-
-/// Power-of-two stripe count (mirrors the trace ring).
-const STRIPES: usize = 8;
-
-/// Default events retained per stripe. A fully traced transaction costs
-/// roughly `2 + ops + waits` events, so the default window holds the
-/// freshest few thousand sampled flights.
-pub const DEFAULT_STRIPE_CAPACITY: usize = 8192;
-
-/// Allocator of stable per-thread stripe indices (a distinct instance
-/// from the trace ring's so the two rings spread threads independently;
-/// deterministic model thread ids under `--cfg mc`).
-static STRIPE_OF_THREAD: ThreadStripe = ThreadStripe::new();
-
-/// The flight recorder: a bounded, ticket-stamped, thread-affine ring
-/// of [`SpanEvent`]s plus the sampling stride and counter-only totals
-/// (see module docs).
+/// What is unique to flight recording: the sampling stride, the
+/// counter-only totals and the span clock (see module docs; the span
+/// records themselves go to the event log under [`Obs`](crate::Obs)).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<VecDeque<(u64, SpanEvent)>>>,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    capacity: usize,
     /// Shared epoch for `now_ns` across every recording thread.
     epoch: Instant,
     /// Sampling stride: 0 = recorder off, N = trace every Nth txn id.
@@ -269,26 +222,16 @@ pub struct FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_STRIPE_CAPACITY)
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder retaining at most `per_stripe` events per stripe,
-    /// with sampling off.
-    pub fn with_capacity(per_stripe: usize) -> Self {
         FlightRecorder {
-            stripes: (0..STRIPES).map(|_| Mutex::new(VecDeque::new())).collect(),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            capacity: per_stripe.max(1),
             epoch: Instant::now(),
             sample_every: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
         }
     }
+}
 
+impl FlightRecorder {
     /// Nanoseconds since the recorder's epoch — the shared span clock.
     #[inline]
     pub fn now_ns(&self) -> u64 {
@@ -328,10 +271,9 @@ impl FlightRecorder {
     }
 
     /// Should per-op decision tracing fire for `txn`? `true` for every
-    /// transaction while the recorder is inactive (pre-existing
-    /// enabled-mode behavior), and only for sampled transactions in
-    /// sampled mode — the stride that keeps the other N−1 transactions
-    /// counter-only.
+    /// transaction while the recorder is inactive, and only for sampled
+    /// transactions in sampled mode — the stride that keeps the other
+    /// N−1 transactions counter-only.
     #[inline]
     pub fn trace_txn(&self, txn: u64) -> bool {
         match self.sample_every() {
@@ -340,11 +282,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Admit a transaction: counts it, and when it falls on the stride
-    /// pushes the [`SpanEvent::Admit`] record and returns `true` (the
-    /// caller should then record the rest of the flight). No-op
-    /// returning `false` while inactive.
-    pub fn admit(&self, txn: u64, class: u32, worker: u32) -> bool {
+    /// Count an admitted transaction; `true` when it falls on the stride
+    /// (the caller then records the flight, starting with its
+    /// [`SpanEvent::Admit`]). No-op returning `false` while inactive.
+    pub fn admit(&self, txn: u64) -> bool {
         if !self.active() {
             return false;
         }
@@ -355,40 +296,7 @@ impl FlightRecorder {
             return false;
         }
         self.sampled.fetch_add(1, Ordering::Relaxed); // ordering: statistical counter, see note above
-        self.push(SpanEvent::Admit {
-            txn,
-            class,
-            worker,
-            at_ns: self.now_ns(),
-        });
         true
-    }
-
-    /// Append an event: draw a global ticket, push into the calling
-    /// thread's stripe, evicting that stripe's oldest event when full.
-    pub fn push(&self, ev: SpanEvent) {
-        // ordering: Relaxed — ticket uniqueness from fetch_add atomicity;
-        // the event payload is published by the stripe mutex below.
-        let ticket = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut stripe = self.stripes[STRIPE_OF_THREAD.index_for_thread(STRIPES - 1)].lock();
-        if stripe.len() >= self.capacity {
-            stripe.pop_front();
-            // ordering: Relaxed — statistical eviction counter.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        stripe.push_back((ticket, ev));
-    }
-
-    /// Events recorded over the recorder's lifetime (evicted included).
-    pub fn recorded(&self) -> u64 {
-        // ordering: Relaxed — advisory total, exact only at quiescence.
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Events evicted by ring wrap-around.
-    pub fn dropped(&self) -> u64 {
-        // ordering: Relaxed — advisory total, exact only at quiescence.
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Transactions offered to [`FlightRecorder::admit`] while active.
@@ -403,35 +311,18 @@ impl FlightRecorder {
         self.sampled.load(Ordering::Relaxed)
     }
 
-    /// Take every retained event, merged into one ticket-ordered
-    /// stream. Intended for quiescent moments, like the trace ring.
-    pub fn drain(&self) -> Vec<(u64, SpanEvent)> {
-        let mut all: Vec<(u64, SpanEvent)> = Vec::new();
-        for s in &self.stripes {
-            all.extend(s.lock().drain(..));
-        }
-        all.sort_unstable_by_key(|&(t, _)| t);
-        all
-    }
-
-    /// Drop every retained event and zero the counters. The sampling
-    /// stride is left as-is (it is configuration, like the enable
-    /// flag).
+    /// Zero the counters. The sampling stride is left as-is (it is
+    /// configuration, like the enable flag).
     pub fn reset(&self) {
-        for s in &self.stripes {
-            s.lock().clear();
-        }
         // ordering: Relaxed — counter reset between phases; racing
         // recorders land on either side, both acceptable.
-        self.seq.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed); // ordering: phase reset, see note above
-        self.admitted.store(0, Ordering::Relaxed); // ordering: phase reset, see note above
+        self.admitted.store(0, Ordering::Relaxed);
         self.sampled.store(0, Ordering::Relaxed); // ordering: phase reset, see note above
     }
 }
 
-/// One op service span of an assembled flight.
-#[derive(Debug, Clone, Copy)]
+/// One op service span of a flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSpan {
     /// Which scheduler call.
     pub kind: SpanKind,
@@ -512,9 +403,12 @@ impl FlightLog {
     }
 }
 
-/// Fold a drained event stream into per-transaction flights.
+/// Fold a drained event stream into per-transaction flights. Decision
+/// events are skipped, except the two scheduler facts that are also
+/// flight facts: a wall release (the wake event of wall-pending edges)
+/// and a watchdog reap (the flight's [`Terminal::Reaped`]).
 ///
-/// * Events without a preceding `Admit` (evicted, or pushed by the
+/// * Events without a preceding `Admit` (evicted, or reported by the
 ///   watchdog for an unsampled transaction) are dropped.
 /// * Each wait span's cause is the **latest** `BlockCause` for the same
 ///   transaction recorded at or before the wait's end; earlier causes
@@ -523,7 +417,7 @@ impl FlightLog {
 ///   at the fault point and `Reaped` when the watchdog retires it; the
 ///   assembled flight reports `Reaped` (and keeps the earlier end time
 ///   of the first terminal as its end).
-pub fn assemble(events: &[(u64, SpanEvent)]) -> FlightLog {
+pub fn assemble(events: &[(u64, Event)]) -> FlightLog {
     let mut log = FlightLog::default();
     // txn -> index into log.flights; rebuilt streams are small enough
     // that a linear probe on cause resolution would also do, but admits
@@ -533,7 +427,20 @@ pub fn assemble(events: &[(u64, SpanEvent)]) -> FlightLog {
     let mut causes: std::collections::HashMap<u64, Vec<(u64, WaitCause)>> =
         std::collections::HashMap::new();
     for (_, ev) in events {
-        match *ev {
+        let span = match *ev {
+            Event::Span(span) => span,
+            Event::Decision(TraceEvent::WallRelease { anchor, at_ns, .. }) => {
+                log.wall_releases.push((anchor, at_ns));
+                continue;
+            }
+            Event::Decision(TraceEvent::WatchdogAbort { txn, at_ns, .. }) => SpanEvent::End {
+                txn,
+                at_ns,
+                terminal: Terminal::Reaped,
+            },
+            Event::Decision(_) => continue,
+        };
+        match span {
             SpanEvent::Admit {
                 txn,
                 class,
@@ -552,22 +459,9 @@ pub fn assemble(events: &[(u64, SpanEvent)]) -> FlightLog {
                     waits: Vec::new(),
                 });
             }
-            SpanEvent::Op {
-                txn,
-                kind,
-                segment,
-                key,
-                start_ns,
-                dur_ns,
-            } => {
+            SpanEvent::Op { txn, op } => {
                 if let Some(&i) = index.get(&txn) {
-                    log.flights[i].ops.push(OpSpan {
-                        kind,
-                        segment,
-                        key,
-                        start_ns,
-                        dur_ns,
-                    });
+                    log.flights[i].ops.push(op);
                 }
             }
             SpanEvent::Wait {
@@ -593,9 +487,6 @@ pub fn assemble(events: &[(u64, SpanEvent)]) -> FlightLog {
             SpanEvent::BlockCause { txn, at_ns, cause } => {
                 causes.entry(txn).or_default().push((at_ns, cause));
             }
-            SpanEvent::WallRelease { anchor, at_ns } => {
-                log.wall_releases.push((anchor, at_ns));
-            }
             SpanEvent::End {
                 txn,
                 at_ns,
@@ -618,84 +509,98 @@ pub fn assemble(events: &[(u64, SpanEvent)]) -> FlightLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Obs;
+
+    /// An enabled sidecar tracing every `stride`th transaction.
+    fn recording(stride: u64) -> Obs {
+        let o = Obs::new();
+        o.set_enabled(true);
+        o.flight.set_sample_every(stride);
+        o
+    }
 
     #[test]
     fn inactive_recorder_admits_nothing() {
-        let fr = FlightRecorder::default();
-        assert!(!fr.active());
-        assert!(!fr.admit(0, 0, 0));
-        assert_eq!(fr.admitted(), 0);
-        assert_eq!(fr.recorded(), 0);
-        assert!(fr.trace_txn(7), "inactive stride traces every txn");
+        let o = Obs::new();
+        assert!(!o.flight.active());
+        assert!(!o.admit(0, 0, 0));
+        assert_eq!(o.flight.admitted(), 0);
+        assert_eq!(o.events.recorded(), 0);
+        assert!(o.flight.trace_txn(7), "inactive stride traces every txn");
     }
 
     #[test]
     fn stride_samples_every_nth_txn_and_counts_the_rest() {
-        let fr = FlightRecorder::default();
-        fr.set_sample_every(4);
+        let o = recording(4);
         let mut traced = 0;
         for txn in 0..16 {
-            if fr.admit(txn, 1, 0) {
+            if o.admit(txn, 1, 0) {
                 traced += 1;
-                assert!(fr.trace_txn(txn));
+                assert!(o.flight.trace_txn(txn));
             } else {
-                assert!(!fr.trace_txn(txn), "unsampled txns are counter-only");
+                assert!(!o.flight.trace_txn(txn), "unsampled txns are counter-only");
             }
         }
         assert_eq!(traced, 4);
-        assert_eq!(fr.admitted(), 16);
-        assert_eq!(fr.sampled_count(), 4);
-        assert_eq!(fr.recorded(), 4, "one Admit event per sampled txn");
+        assert_eq!(o.flight.admitted(), 16);
+        assert_eq!(o.flight.sampled_count(), 4);
+        assert_eq!(o.events.recorded(), 4, "one Admit event per sampled txn");
     }
 
     #[test]
     fn assemble_builds_trees_and_resolves_causes() {
-        let fr = FlightRecorder::default();
-        fr.set_sample_every(1);
-        assert!(fr.admit(7, 2, 0));
-        fr.push(SpanEvent::Op {
-            txn: 7,
+        let o = recording(1);
+        assert!(o.admit(7, 2, 0));
+        let op = OpSpan {
             kind: SpanKind::Read,
             segment: 1,
             key: 9,
             start_ns: 100,
             dur_ns: 50,
-        });
+        };
+        o.span(SpanEvent::Op { txn: 7, op });
         // Two block streaks: the first caused by t3, the second by the
         // pending wall. Causes recorded at block points, waits by the
         // driver when each streak ends.
-        fr.push(SpanEvent::BlockCause {
+        o.span(SpanEvent::BlockCause {
             txn: 7,
             at_ns: 160,
             cause: WaitCause::TxnPending { txn: 3, class: 0 },
         });
-        fr.push(SpanEvent::Wait {
+        o.span(SpanEvent::Wait {
             txn: 7,
             start_ns: 155,
             dur_ns: 40,
             slept_ns: 10,
         });
-        fr.push(SpanEvent::BlockCause {
+        o.span(SpanEvent::BlockCause {
             txn: 7,
             at_ns: 210,
             cause: WaitCause::WallPending { anchor: 42 },
         });
-        fr.push(SpanEvent::Wait {
+        o.span(SpanEvent::Wait {
             txn: 7,
             start_ns: 205,
             dur_ns: 30,
             slept_ns: 0,
         });
-        fr.push(SpanEvent::WallRelease {
+        // The scheduler's one wall-release fact is the wake event, and
+        // foreign decisions in the same slice are skipped.
+        o.emit(TraceEvent::WallRelease {
             anchor: 42,
+            released_at: 43,
             at_ns: 230,
         });
-        fr.push(SpanEvent::End {
+        o.emit(TraceEvent::GcReclaim {
+            watermark: 1,
+            reclaimed: 1,
+        });
+        o.span(SpanEvent::End {
             txn: 7,
             at_ns: 300,
             terminal: Terminal::Committed,
         });
-        let log = assemble(&fr.drain());
+        let log = assemble(&o.events.drain());
         assert_eq!(log.flights.len(), 1);
         assert_eq!(log.open, 0);
         assert_eq!(log.wall_releases, vec![(42, 230)]);
@@ -712,21 +617,16 @@ mod tests {
 
     #[test]
     fn last_terminal_wins_and_open_flights_are_counted() {
-        let fr = FlightRecorder::default();
-        fr.set_sample_every(1);
-        assert!(fr.admit(1, 0, 0));
-        fr.push(SpanEvent::End {
+        let o = recording(1);
+        assert!(o.admit(1, 0, 0));
+        o.span(SpanEvent::End {
             txn: 1,
             at_ns: 50,
             terminal: Terminal::Abandoned,
         });
-        fr.push(SpanEvent::End {
-            txn: 1,
-            at_ns: 90,
-            terminal: Terminal::Reaped,
-        });
-        assert!(fr.admit(2, 0, 1)); // never terminated: a leak
-        let log = assemble(&fr.drain());
+        o.reaped(1, 0, 0);
+        assert!(o.admit(2, 0, 1)); // never terminated: a leak
+        let log = assemble(&o.events.drain());
         let f1 = log.flight(1).unwrap();
         assert_eq!(f1.terminal, Some(Terminal::Reaped), "reap supersedes");
         assert_eq!(f1.end_ns, 50, "first terminal fixes the end time");
@@ -736,47 +636,16 @@ mod tests {
 
     #[test]
     fn unadmitted_events_are_dropped_and_reset_clears() {
-        let fr = FlightRecorder::default();
-        fr.set_sample_every(2);
-        // Watchdog pushes an End for an unsampled txn: assemble ignores it.
-        fr.push(SpanEvent::End {
-            txn: 5,
-            at_ns: 10,
-            terminal: Terminal::Reaped,
-        });
-        let log = assemble(&fr.drain());
+        let o = recording(2);
+        // The watchdog reaps an unsampled txn: assemble ignores it.
+        o.reaped(5, 0, 0);
+        let log = assemble(&o.events.drain());
         assert!(log.flights.is_empty());
-        fr.admit(2, 0, 0);
-        fr.reset();
-        assert_eq!(fr.recorded(), 0);
-        assert_eq!(fr.admitted(), 0);
-        assert_eq!(fr.sample_every(), 2, "stride is configuration");
-    }
-
-    #[test]
-    fn concurrent_pushes_merge_ticket_ordered() {
-        let fr = FlightRecorder::with_capacity(10_000);
-        fr.set_sample_every(1);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let fr = &fr;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        fr.push(SpanEvent::BlockCause {
-                            txn: t,
-                            at_ns: i,
-                            cause: WaitCause::Unattributed,
-                        });
-                    }
-                });
-            }
-        });
-        let drained = fr.drain();
-        assert_eq!(drained.len(), 2000);
-        for w in drained.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-        assert_eq!(fr.dropped(), 0);
+        o.admit(2, 0, 0);
+        o.reset();
+        assert_eq!(o.events.recorded(), 0);
+        assert_eq!(o.flight.admitted(), 0);
+        assert_eq!(o.flight.sample_every(), 2, "stride is configuration");
     }
 
     #[test]
@@ -800,14 +669,6 @@ mod tests {
         assert_eq!(
             format!("{}", WaitCause::WallPending { anchor: 3 }),
             "wall-pending(m=3)"
-        );
-        assert_eq!(
-            SpanEvent::WallRelease {
-                anchor: 1,
-                at_ns: 2
-            }
-            .txn(),
-            None
         );
     }
 }

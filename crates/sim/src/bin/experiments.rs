@@ -109,7 +109,7 @@ fn export_smoke() -> i32 {
     }
 
     // 3. Chrome trace must validate and contain events.
-    let events = sched.metrics().obs.trace.drain();
+    let events = sched.metrics().obs.events.drain();
     let trace = chrome_trace(&events);
     match validate_chrome_trace(&trace) {
         Ok(n) if n > 0 => println!("export-smoke: chrome trace OK — {n} events"),
@@ -190,7 +190,7 @@ fn certify_smoke() -> i32 {
         let hierarchy = (kind == SchedulerKind::Hdd).then(|| w.hierarchy());
         let mut cert = certify_log(kind.name(), sched.log(), hierarchy.as_ref());
         if kind == SchedulerKind::Hdd {
-            attach_trace(&mut cert, &sched.metrics().obs.trace.drain());
+            attach_trace(&mut cert, &sched.metrics().obs.events.drain());
         }
         print!("{}", cert.render());
         if !cert.ok() {
@@ -308,7 +308,7 @@ fn blame_smoke() -> i32 {
         ..ConcurrentConfig::default()
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);
-    let log = assemble(&sched.metrics().obs.flight.drain());
+    let log = assemble(&sched.metrics().obs.events.drain());
     let blame = BlameReport::build(&log);
     print!("{}", blame.render_top(5));
     println!(

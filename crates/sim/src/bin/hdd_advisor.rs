@@ -19,14 +19,11 @@ use certify::{advise, DEFAULT_MIN_EDGE};
 use hdd::protocol::HddConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim::cli::{self, Args};
 use sim::concurrent::{run_concurrent, ConcurrentConfig};
 use sim::factory::build_hdd_with_config;
 use std::time::{Duration, Instant};
 use txn_model::Scheduler;
-use workloads::banking::Banking;
-use workloads::inventory::{Inventory, InventoryConfig};
-use workloads::synthetic::{Synthetic, SyntheticConfig};
-use workloads::Workload;
 
 const USAGE: &str = "\
 hdd-advisor — online decomposition advisor over a live HDD scheduler
@@ -72,66 +69,21 @@ fn parse_opts() -> Result<Opts, String> {
         threshold_milli: None,
         json: false,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                o.workload = value(&args, i, "--workload")?;
-                i += 1;
-            }
-            "--workers" => {
-                o.workers = value(&args, i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                i += 1;
-            }
-            "--txns" => {
-                o.txns = value(&args, i, "--txns")?
-                    .parse()
-                    .map_err(|e| format!("--txns: {e}"))?;
-                i += 1;
-            }
-            "--waves" => {
-                o.waves = value(&args, i, "--waves")?
-                    .parse()
-                    .map_err(|e| format!("--waves: {e}"))?;
-                i += 1;
-            }
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--workload" => o.workload = args.value(&flag)?,
+            "--workers" => o.workers = args.parsed(&flag)?,
+            "--txns" => o.txns = args.parsed(&flag)?,
+            "--waves" => o.waves = args.parsed(&flag)?,
             "--watch" => o.watch = true,
-            "--duration-s" => {
-                o.duration_s = value(&args, i, "--duration-s")?
-                    .parse()
-                    .map_err(|e| format!("--duration-s: {e}"))?;
-                i += 1;
-            }
-            "--min-edge" => {
-                o.min_edge = value(&args, i, "--min-edge")?
-                    .parse()
-                    .map_err(|e| format!("--min-edge: {e}"))?;
-                i += 1;
-            }
-            "--threshold-milli" => {
-                o.threshold_milli = Some(
-                    value(&args, i, "--threshold-milli")?
-                        .parse()
-                        .map_err(|e| format!("--threshold-milli: {e}"))?,
-                );
-                i += 1;
-            }
+            "--duration-s" => o.duration_s = args.parsed(&flag)?,
+            "--min-edge" => o.min_edge = args.parsed(&flag)?,
+            "--threshold-milli" => o.threshold_milli = Some(args.parsed(&flag)?),
             "--json" => o.json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" | "-h" => cli::help(USAGE),
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if o.waves == 0 {
         return Err("--waves must be at least 1".to_string());
@@ -139,35 +91,9 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(o)
 }
 
-fn build_workload(name: &str) -> Result<Box<dyn Workload + Send>, String> {
-    match name {
-        "inventory" => Ok(Box::new(Inventory::new(InventoryConfig {
-            items: 32,
-            ..InventoryConfig::default()
-        }))),
-        "banking" => Ok(Box::new(Banking::new(16))),
-        "synthetic" => Ok(Box::new(Synthetic::new(SyntheticConfig::default()))),
-        other => Err(format!(
-            "unknown workload {other} (inventory|banking|synthetic)"
-        )),
-    }
-}
-
 fn main() {
-    let opts = match parse_opts() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hdd-advisor: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let mut w = match build_workload(&opts.workload) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("hdd-advisor: {e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = cli::or_usage("hdd-advisor", USAGE, parse_opts());
+    let mut w = cli::or_usage("hdd-advisor", USAGE, cli::build_workload(&opts.workload));
     let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), HddConfig::default());
     let obs = &sched.metrics().obs;
     obs.set_enabled(true);

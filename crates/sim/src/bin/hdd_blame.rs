@@ -16,11 +16,28 @@
 
 use obs::{assemble, critical_chain, flight_chrome_trace, validate_chrome_trace};
 use obs::{BlameReport, PhaseBreakdown, Terminal, NO_CLASS};
+use sim::cli::{self, Args};
 use sim::concurrent::{run_concurrent, ConcurrentConfig};
 use sim::experiments::e02_inventory::batch;
 use sim::factory::{build_scheduler, SchedulerKind};
 
-struct Args {
+const USAGE: &str = "\
+hdd-blame — transaction flight-recorder profiler (inventory, hdd)
+
+USAGE:
+  hdd-blame [--quick] [--workers N] [--txns N] [--sample N] [--top N]
+            [--chrome-trace PATH]
+
+OPTIONS:
+  --quick              CI sizes: 4 workers, 2000 transactions
+  --workers N          driver worker threads (default: 8)
+  --txns N             transactions to run (default: 20000)
+  --sample N           trace every Nth transaction (default: 4)
+  --top N              blame-table rows to print (default: 10)
+  --chrome-trace PATH  write the span trees as a Chrome/Perfetto trace
+";
+
+struct Opts {
     workers: usize,
     txns: usize,
     sample: u64,
@@ -28,29 +45,33 @@ struct Args {
     chrome_trace: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == name)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
-    };
-    let num = |name: &str, default: usize| -> usize {
-        flag(name).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let quick = argv.iter().any(|a| a == "--quick" || a == "quick");
-    Args {
-        workers: num("--workers", if quick { 4 } else { 8 }),
-        txns: num("--txns", if quick { 2_000 } else { 20_000 }),
-        sample: num("--sample", 4) as u64,
-        top: num("--top", 10),
-        chrome_trace: flag("--chrome-trace"),
+fn parse_opts() -> Result<Opts, String> {
+    let (mut quick, mut workers, mut txns) = (false, None, None);
+    let (mut sample, mut top, mut chrome_trace) = (4, 10, None);
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--quick" | "quick" => quick = true,
+            "--workers" => workers = Some(args.parsed(&flag)?),
+            "--txns" => txns = Some(args.parsed(&flag)?),
+            "--sample" => sample = args.parsed(&flag)?,
+            "--top" => top = args.parsed(&flag)?,
+            "--chrome-trace" => chrome_trace = Some(args.value(&flag)?),
+            "--help" | "-h" => cli::help(USAGE),
+            other => return Err(format!("unknown flag {other}")),
+        }
     }
+    Ok(Opts {
+        workers: workers.unwrap_or(if quick { 4 } else { 8 }),
+        txns: txns.unwrap_or(if quick { 2_000 } else { 20_000 }),
+        sample,
+        top,
+        chrome_trace,
+    })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::or_usage("hdd-blame", USAGE, parse_opts());
     let sample = args.sample.max(1);
     println!(
         "hdd-blame: inventory, {} workers, {} txns, sampling 1-in-{sample}",
@@ -69,17 +90,17 @@ fn main() {
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);
     println!(
-        "run: {} committed in {:.3} s ({:.1} commits/sec), {} sampled flights, {} span events \
+        "run: {} committed in {:.3} s ({:.1} commits/sec), {} sampled flights, {} events \
          ({} evicted)",
         out.stats.committed,
         out.elapsed.as_secs_f64(),
         out.throughput,
         sched.metrics().obs.flight.sampled_count(),
-        sched.metrics().obs.flight.recorded(),
-        sched.metrics().obs.flight.dropped(),
+        sched.metrics().obs.events.recorded(),
+        sched.metrics().obs.events.dropped(),
     );
 
-    let log = assemble(&sched.metrics().obs.flight.drain());
+    let log = assemble(&sched.metrics().obs.events.drain());
     if log.open > 0 {
         eprintln!("hdd-blame: WARNING — {} flights never terminated", log.open);
     }
@@ -127,16 +148,10 @@ fn main() {
 
     if let Some(path) = &args.chrome_trace {
         let trace = flight_chrome_trace(&log);
-        match validate_chrome_trace(&trace) {
-            Ok(n) => {
-                if let Err(e) = std::fs::write(path, &trace) {
-                    eprintln!("hdd-blame: could not write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("\nwrote {path}: {n} trace events (open in https://ui.perfetto.dev)");
-            }
+        match cli::write_checked(path, &trace, validate_chrome_trace) {
+            Ok(n) => println!("\nwrote {path}: {n} trace events (open in https://ui.perfetto.dev)"),
             Err(e) => {
-                eprintln!("hdd-blame: generated trace failed validation: {e}");
+                eprintln!("hdd-blame: {e}");
                 std::process::exit(1);
             }
         }

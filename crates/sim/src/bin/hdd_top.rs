@@ -22,6 +22,7 @@ use hdd::protocol::HddConfig;
 use obs::{chrome_trace, prometheus_text_full, validate_chrome_trace, validate_prometheus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim::cli::{self, Args};
 use sim::concurrent::{run_with_faults, ConcurrentConfig};
 use sim::dashboard::{Dashboard, ANSI_CLEAR};
 use sim::factory::build_hdd_with_config;
@@ -30,10 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txn_model::{Scheduler, TxnProgram};
-use workloads::banking::Banking;
-use workloads::inventory::{Inventory, InventoryConfig};
-use workloads::synthetic::{Synthetic, SyntheticConfig};
-use workloads::Workload;
 
 const USAGE: &str = "\
 hdd-top — live gauge dashboard over a running HDD scheduler
@@ -87,88 +84,28 @@ fn parse_opts() -> Result<Opts, String> {
         prom: None,
         chrome: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                o.workload = value(&args, i, "--workload")?;
-                i += 1;
-            }
-            "--workers" => {
-                o.workers = value(&args, i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                i += 1;
-            }
-            "--txns" => {
-                o.txns = value(&args, i, "--txns")?
-                    .parse()
-                    .map_err(|e| format!("--txns: {e}"))?;
-                i += 1;
-            }
-            "--duration-s" => {
-                o.duration_s = value(&args, i, "--duration-s")?
-                    .parse()
-                    .map_err(|e| format!("--duration-s: {e}"))?;
-                i += 1;
-            }
-            "--hz" => {
-                o.hz = value(&args, i, "--hz")?
-                    .parse()
-                    .map_err(|e| format!("--hz: {e}"))?;
-                i += 1;
-            }
-            "--frames" => {
-                o.frames = Some(
-                    value(&args, i, "--frames")?
-                        .parse()
-                        .map_err(|e| format!("--frames: {e}"))?,
-                );
-                i += 1;
-            }
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--workload" => o.workload = args.value(&flag)?,
+            "--workers" => o.workers = args.parsed(&flag)?,
+            "--txns" => o.txns = args.parsed(&flag)?,
+            "--duration-s" => o.duration_s = args.parsed(&flag)?,
+            "--hz" => o.hz = args.parsed(&flag)?,
+            "--frames" => o.frames = Some(args.parsed(&flag)?),
             "--once" => o.once = true,
             "--chaos" => o.chaos = true,
             "--no-clear" => o.no_clear = true,
-            "--prom" => {
-                o.prom = Some(value(&args, i, "--prom")?);
-                i += 1;
-            }
-            "--chrome-trace" => {
-                o.chrome = Some(value(&args, i, "--chrome-trace")?);
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--prom" => o.prom = Some(args.value(&flag)?),
+            "--chrome-trace" => o.chrome = Some(args.value(&flag)?),
+            "--help" | "-h" => cli::help(USAGE),
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if o.hz <= 0.0 {
         return Err("--hz must be positive".to_string());
     }
     Ok(o)
-}
-
-fn build_workload(name: &str) -> Result<Box<dyn Workload + Send>, String> {
-    match name {
-        "inventory" => Ok(Box::new(Inventory::new(InventoryConfig {
-            items: 32,
-            ..InventoryConfig::default()
-        }))),
-        "banking" => Ok(Box::new(Banking::new(16))),
-        "synthetic" => Ok(Box::new(Synthetic::new(SyntheticConfig::default()))),
-        other => Err(format!(
-            "unknown workload {other} (inventory|banking|synthetic)"
-        )),
-    }
 }
 
 /// Transaction lease under `--chaos`: a crash fault leaves a corpse in
@@ -199,20 +136,8 @@ fn drive(sched: &dyn Scheduler, programs: Vec<TxnProgram>, opts: &Opts, wave: u6
 }
 
 fn main() {
-    let opts = match parse_opts() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hdd-top: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let mut w = match build_workload(&opts.workload) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("hdd-top: {e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = cli::or_usage("hdd-top", USAGE, parse_opts());
+    let mut w = cli::or_usage("hdd-top", USAGE, cli::build_workload(&opts.workload));
     let segment_names = w.segment_names();
     let config = HddConfig {
         txn_lease: opts.chaos.then_some(CHAOS_LEASE),
@@ -322,38 +247,24 @@ fn main() {
             &sched.metrics().obs.gauges.snapshot(),
             Some(&sched.metrics().obs.drift.snapshot()),
         );
-        match validate_prometheus(&text) {
-            Ok(stats) => {
-                if let Err(e) = std::fs::write(path, &text) {
-                    eprintln!("hdd-top: could not write {path}: {e}");
-                    failed = true;
-                } else {
-                    println!(
-                        "hdd-top: wrote {path} ({} families, {} samples)",
-                        stats.families, stats.samples
-                    );
-                }
-            }
+        match cli::write_checked(path, &text, validate_prometheus) {
+            Ok(stats) => println!(
+                "hdd-top: wrote {path} ({} families, {} samples)",
+                stats.families, stats.samples
+            ),
             Err(e) => {
-                eprintln!("hdd-top: generated Prometheus text is invalid: {e}");
+                eprintln!("hdd-top: {e}");
                 failed = true;
             }
         }
     }
     if let Some(path) = &opts.chrome {
-        let events = sched.metrics().obs.trace.drain();
+        let events = sched.metrics().obs.events.drain();
         let text = chrome_trace(&events);
-        match validate_chrome_trace(&text) {
-            Ok(n) => {
-                if let Err(e) = std::fs::write(path, &text) {
-                    eprintln!("hdd-top: could not write {path}: {e}");
-                    failed = true;
-                } else {
-                    println!("hdd-top: wrote {path} ({n} trace events)");
-                }
-            }
+        match cli::write_checked(path, &text, validate_chrome_trace) {
+            Ok(n) => println!("hdd-top: wrote {path} ({n} trace events)"),
             Err(e) => {
-                eprintln!("hdd-top: generated Chrome trace is invalid: {e}");
+                eprintln!("hdd-top: {e}");
                 failed = true;
             }
         }

@@ -13,6 +13,7 @@
 
 use crate::driver::RunStats;
 use chaos::{FaultKind, FaultPlan};
+use obs::span::OpSpan;
 use obs::{SpanEvent, SpanKind, Terminal, TraceEvent, NO_CLASS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -265,7 +266,7 @@ impl Run<'_> {
         let txn = handle.id.0;
         // `admit` counts the attempt; true when it falls on the stride.
         let class = handle.class.map_or(NO_CLASS, |c| c.0);
-        let traced = self.flight_on && mobs.flight.admit(txn, class, worker);
+        let traced = self.flight_on && mobs.admit(txn, class, worker);
         // In sampled mode, unsampled transactions skip op timing too.
         let op_timer = (obs_on && (!self.flight_on || traced)).then_some(&mobs.op_service);
         // Read-only transactions have nothing to journal.
@@ -291,7 +292,7 @@ impl Run<'_> {
                 let dur_ns = mobs.flight.now_ns().saturating_sub(start_ns);
                 mobs.block_wait.record(dur_ns);
                 if traced {
-                    mobs.flight.push(SpanEvent::Wait {
+                    mobs.span(SpanEvent::Wait {
                         txn,
                         start_ns,
                         dur_ns,
@@ -376,14 +377,15 @@ impl Run<'_> {
                 Answer::Served(kind, segment, key) => {
                     close(&mut streak);
                     if let Some(start_ns) = span_start {
-                        mobs.flight.push(SpanEvent::Op {
-                            txn,
+                        let dur_ns = mobs.flight.now_ns().saturating_sub(start_ns);
+                        let op = OpSpan {
                             kind,
                             segment,
                             key,
                             start_ns,
-                            dur_ns: mobs.flight.now_ns().saturating_sub(start_ns),
-                        });
+                            dur_ns,
+                        };
+                        mobs.span(SpanEvent::Op { txn, op });
                     }
                     if step.is_none() {
                         break Ended::Committed;
@@ -430,7 +432,7 @@ impl Run<'_> {
                 Ended::GaveUp => Terminal::GaveUp,
                 Ended::Deadline => Terminal::DeadlineExceeded,
             };
-            mobs.flight.push(SpanEvent::End {
+            mobs.span(SpanEvent::End {
                 txn,
                 at_ns: mobs.flight.now_ns(),
                 terminal,
@@ -750,8 +752,9 @@ mod tests {
         assert_eq!(out.stats.committed, 60);
         let fr = &sched.metrics().obs.flight;
         assert!(fr.admitted() >= 60, "every attempt is admitted");
-        assert_eq!(fr.dropped(), 0, "small run must fit the ring");
-        let log = obs::assemble(&fr.drain());
+        let events = &sched.metrics().obs.events;
+        assert_eq!(events.dropped(), 0, "small run must fit the ring");
+        let log = obs::assemble(&events.drain());
         assert_eq!(log.open, 0, "no span leaks: every flight terminates");
         let committed: Vec<_> = log
             .flights
@@ -802,7 +805,7 @@ mod tests {
             snap.op_service.count,
             out.stats.steps
         );
-        let log = obs::assemble(&fr.drain());
+        let log = obs::assemble(&sched.metrics().obs.events.drain());
         assert_eq!(log.open, 0);
         assert_eq!(log.flights.len() as u64, fr.sampled_count());
     }
@@ -1010,7 +1013,7 @@ mod tests {
             1,
             "the streak the abort ended is a block-wait sample"
         );
-        let log = obs::assemble(&obs.flight.drain());
+        let log = obs::assemble(&obs.events.drain());
         assert_eq!(log.open, 0);
         let aborted: Vec<_> = log
             .flights
@@ -1133,10 +1136,10 @@ mod tests {
         let kinds: Vec<&str> = sched
             .metrics()
             .obs
-            .trace
+            .events
             .drain()
             .iter()
-            .map(|(_, e)| e.kind())
+            .filter_map(|(_, e)| e.decision().map(obs::TraceEvent::kind))
             .collect();
         assert!(kinds.contains(&"crash-point"));
         assert!(kinds.contains(&"watchdog-abort"));
@@ -1156,7 +1159,7 @@ mod tests {
         };
         let report = run_with_faults(&sched, programs, &plan, &cfg);
         assert_eq!(report.crashed, 2);
-        let log = obs::assemble(&sched.metrics().obs.flight.drain());
+        let log = obs::assemble(&sched.metrics().obs.events.drain());
         assert_eq!(log.open, 0, "every admitted flight must close");
         let crash_terminals = log
             .flights

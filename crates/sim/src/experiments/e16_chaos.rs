@@ -156,7 +156,7 @@ fn soak_one(seed: u64, n: usize, tally: &mut Tally) {
     // Span-lifecycle invariant: every admitted flight must have closed
     // — crashes as Abandoned (or Reaped once the watchdog catches up),
     // everything else with its driver terminal.
-    let flight_log = obs::assemble(&sched.metrics().obs.flight.drain());
+    let flight_log = obs::assemble(&sched.metrics().obs.events.drain());
     tally.open_spans += flight_log.open;
     tally.crash_spans += flight_log
         .flights

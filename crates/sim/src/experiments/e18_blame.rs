@@ -75,7 +75,7 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
             ..ConcurrentConfig::default()
         };
         let traced = run_concurrent(sched.as_ref(), programs, &cfg);
-        let log = assemble(&sched.metrics().obs.flight.drain());
+        let log = assemble(&sched.metrics().obs.events.drain());
         points.push(BlamePoint {
             workers,
             disabled_cps: disabled.throughput,

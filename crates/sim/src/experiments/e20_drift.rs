@@ -313,10 +313,10 @@ pub fn measure(quick: bool) -> DriftOutcome {
         .unwrap_or_default();
 
     let trace_has_trip_instant = obs
-        .trace
+        .events
         .drain()
         .iter()
-        .any(|(_, e)| e.kind() == "drift-trip");
+        .any(|(_, e)| matches!(e.decision(), Some(obs::TraceEvent::DriftTrip { .. })));
 
     // Overhead legs: same steady mix, fresh schedulers, obs on in both;
     // the sketch's own switch is the only difference. Best-of-3 per leg

@@ -6,6 +6,9 @@
 //! * [`concurrent`] — the multi-threaded closed-loop executor, the one
 //!   worker loop of the repository: wall-clock runs, and — handed a
 //!   `chaos::FaultPlan` — fault-injection runs;
+//! * [`cli`] — the flag cursor, workload table and usage-and-exit-2
+//!   error path shared by the `hdd-top`, `hdd-advisor` and `hdd-blame`
+//!   binaries;
 //! * [`dashboard`] — text-frame rendering for the `hdd-top` live
 //!   dashboard binary;
 //! * [`scripts`] — replay of the deterministic anomaly interleavings of
@@ -20,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod concurrent;
 pub mod dashboard;
 pub mod driver;

@@ -1,11 +1,63 @@
-//! The `hdd-top` binary under `--chaos`: the wave runs through the one
-//! concurrent driver with a generated fault plan against a scheduler
-//! that has a lease, so crashed transactions are reaped before the
-//! snapshot and the single frame's rates cover the wave, not the few
-//! hundred nanoseconds after it.
+//! The `sim` binaries as processes. All three share `sim::cli`, so one
+//! table checks that each rejects a mistyped command line instead of
+//! running its defaults; `hdd-advisor --json` keeps its machine-readable
+//! shape; and `hdd-top --chaos` runs its wave through the one concurrent
+//! driver with a generated fault plan against a scheduler that has a
+//! lease, so crashed transactions are reaped before the snapshot and the
+//! single frame's rates cover the wave, not the few hundred nanoseconds
+//! after it.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
+
+#[test]
+fn every_binary_rejects_typos_and_answers_help() {
+    let bins = [
+        ("hdd-top", env!("CARGO_BIN_EXE_hdd-top")),
+        ("hdd-advisor", env!("CARGO_BIN_EXE_hdd-advisor")),
+        ("hdd-blame", env!("CARGO_BIN_EXE_hdd-blame")),
+    ];
+    // (arguments, exit status, stream the usage text goes to)
+    let cases: [(&[&str], i32, &str); 4] = [
+        (&["--worker", "8"], 2, "stderr"),      // unknown flag
+        (&["--workers", "eight"], 2, "stderr"), // bad number
+        (&["--workers"], 2, "stderr"),          // missing value
+        (&["--help"], 0, "stdout"),
+    ];
+    for (name, exe) in bins {
+        for (args, status, stream) in cases {
+            let out = Command::new(exe).args(args).output().expect("spawns");
+            let text = match stream {
+                "stdout" => String::from_utf8_lossy(&out.stdout),
+                _ => String::from_utf8_lossy(&out.stderr),
+            };
+            assert_eq!(out.status.code(), Some(status), "{name} {args:?}: {text}");
+            assert!(text.contains("USAGE:"), "{name} {args:?}: {text}");
+            if status != 0 {
+                assert!(text.contains(args[0]), "the error names the flag: {text}");
+            }
+        }
+    }
+}
+
+#[test]
+fn advisor_json_keeps_its_machine_readable_shape() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hdd-advisor"))
+        .args(["--json", "--txns", "500", "--waves", "1"])
+        .output()
+        .expect("the hdd-advisor binary must spawn");
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{json}");
+    for key in [
+        "quality_milli",
+        "optimal",
+        "advised_labels",
+        "drift_score_milli",
+        "suggestions",
+    ] {
+        assert!(json.contains(&format!("\"{key}\"")), "lost {key}: {json}");
+    }
+}
 
 #[test]
 fn chaos_once_heals_and_reports_a_real_rate() {

@@ -1,15 +1,15 @@
 //! Oversubscribed stress legs for the observability structures: 16 and
-//! 32 threads hammering the flight recorder, trace ring, gauge board and
-//! latency recorder at once, with the accounting invariants the mc
-//! models verify exhaustively at small scale re-checked here at volume.
+//! 32 threads hammering the event log (span records and decisions),
+//! the gauge board and a latency recorder at once, with the accounting
+//! invariants the mc models verify exhaustively at small scale
+//! re-checked here at volume.
 //!
 //! Gated on [`sim::concurrent::capped_workers`] exactly like the
 //! concurrent-driver stress legs: hosts without the parallelism to make
 //! an oversubscribed leg meaningful skip it with a note.
 
 use obs::{
-    FaultCode, FlightRecorder, GaugeBoard, LatencyRecorder, SpanEvent, Terminal, TraceEvent,
-    TraceRing,
+    Event, FaultCode, GaugeBoard, LatencyRecorder, SpanEvent, Terminal, TicketRing, TraceEvent,
 };
 use sim::concurrent::capped_workers;
 
@@ -21,27 +21,26 @@ fn stress_leg(requested: usize) {
         return;
     };
     // Small per-stripe capacity so eviction paths run constantly.
-    let flight = FlightRecorder::with_capacity(64);
-    let ring = TraceRing::with_capacity(64);
+    let (log, clock) = (TicketRing::bounded(64), std::time::Instant::now());
     let gauges = GaugeBoard::new();
     let lat = LatencyRecorder::new();
 
     std::thread::scope(|scope| {
         for t in 0..threads as u64 {
-            let (flight, ring, gauges, lat) = (&flight, &ring, &gauges, &lat);
+            let (log, gauges, lat) = (&log, &gauges, &lat);
             scope.spawn(move || {
                 for i in 0..EVENTS_PER_THREAD {
                     let txn = t * EVENTS_PER_THREAD + i;
-                    flight.push(SpanEvent::End {
+                    log.push(Event::Span(SpanEvent::End {
                         txn,
-                        at_ns: flight.now_ns(),
+                        at_ns: clock.elapsed().as_nanos() as u64,
                         terminal: Terminal::Committed,
-                    });
-                    ring.push(TraceEvent::CrashPoint {
+                    }));
+                    log.push(Event::Decision(TraceEvent::CrashPoint {
                         txn,
                         op_index: i,
                         fault: FaultCode::Stall,
-                    });
+                    }));
                     gauges.set_driver_progress(txn, EVENTS_PER_THREAD * threads as u64);
                     lat.record(i % 1024);
                 }
@@ -51,27 +50,20 @@ fn stress_leg(requested: usize) {
 
     let total = EVENTS_PER_THREAD * threads as u64;
 
-    // Ring accounting balances: every pushed event was either retained
-    // or counted as dropped, and retained tickets are unique.
-    let spans = flight.drain();
-    assert_eq!(flight.recorded(), total);
+    // Ring accounting balances: every pushed event — a span record and
+    // a decision per iteration — was either retained or counted as
+    // dropped, and retained tickets are unique.
+    let events = log.drain();
+    assert_eq!(log.recorded(), 2 * total);
     assert_eq!(
-        flight.recorded() - flight.dropped(),
-        spans.len() as u64,
-        "flight accounting must balance at {threads} threads"
+        log.recorded() - log.dropped(),
+        events.len() as u64,
+        "event-log accounting must balance at {threads} threads"
     );
-    let mut tickets: Vec<u64> = spans.iter().map(|(t, _)| *t).collect();
+    let mut tickets: Vec<u64> = events.iter().map(|(t, _)| *t).collect();
     tickets.sort_unstable();
     tickets.dedup();
-    assert_eq!(tickets.len(), spans.len(), "flight tickets must be unique");
-
-    let traces = ring.drain();
-    assert_eq!(ring.recorded(), total);
-    assert_eq!(
-        ring.recorded() - ring.dropped(),
-        traces.len() as u64,
-        "trace accounting must balance at {threads} threads"
-    );
+    assert_eq!(tickets.len(), events.len(), "tickets must be unique");
 
     // The latency recorder loses nothing (per-thread stripes).
     assert_eq!(lat.count(), total);

@@ -288,7 +288,7 @@ mod tests {
                 + s.rej_watchdog_abort
         );
         assert_eq!(s.rejection_breakdown(), "w1/r1/d1/g1");
-        assert_eq!(m.obs.trace.recorded(), 5);
+        assert_eq!(m.obs.events.recorded(), 5);
         let fault_free = MetricsSnapshot {
             rej_write_too_late: 2,
             ..Default::default()

@@ -15,19 +15,18 @@
 //! # Striping
 //!
 //! The log is the one structure every worker thread appends to on every
-//! operation, so a single mutex over one `Vec` serializes the whole
-//! system. [`ScheduleLog`] instead stripes the buffer: each append draws
-//! a ticket from a global atomic sequence counter and pushes into a
-//! per-thread-affine stripe, so concurrent appenders contend only on one
-//! `fetch_add` (and, rarely, a stripe a second thread hashed into).
-//! Readers merge the stripes and sort by ticket, recovering the exact
-//! global append order — the same total order the single mutex produced.
-//! Merging is intended for quiescent moments (post-run verification); a
-//! merge concurrent with appends may miss in-flight tickets.
+//! operation, so a single mutex over one `Vec` would serialize the whole
+//! system. [`ScheduleLog`] is instead an unbounded
+//! [`obs::TicketRing`]: appends contend only on one `fetch_add`, and
+//! readers merge the stripes by ticket, recovering the exact global
+//! append order. Merging is intended for quiescent moments (post-run
+//! verification); a merge concurrent with appends may miss in-flight
+//! tickets.
 
 use crate::ids::{ClassId, GranuleId, Timestamp, TxnId};
 use crate::value::Value;
-use mc::sync::{AtomicBool, AtomicU64, Mutex, Ordering, ThreadStripe};
+use mc::sync::{AtomicBool, Ordering};
+use obs::TicketRing;
 use std::sync::Arc;
 
 /// The writer id of versions present at database-population time.
@@ -110,19 +109,10 @@ impl ScheduleEvent {
     }
 }
 
-/// Power-of-two stripe count (worker counts in this workspace are ≤ 16,
-/// so distinct threads land on distinct stripes in practice).
-const STRIPES: usize = 16;
-
-/// Allocator of stable per-thread stripe indices (round-robin on first
-/// use; deterministic model thread ids under `--cfg mc`).
-static STRIPE_OF_THREAD: ThreadStripe = ThreadStripe::new();
-
 /// Thread-safe, append-only schedule log (striped; see module docs).
 #[derive(Debug)]
 pub struct ScheduleLog {
-    stripes: Vec<Mutex<Vec<(u64, ScheduleEvent)>>>,
-    seq: AtomicU64,
+    ring: TicketRing<ScheduleEvent>,
     enabled: AtomicBool,
 }
 
@@ -136,8 +126,7 @@ impl ScheduleLog {
     /// A new, enabled log.
     pub fn new() -> Self {
         ScheduleLog {
-            stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
-            seq: AtomicU64::new(0),
+            ring: TicketRing::unbounded(),
             enabled: AtomicBool::new(true),
         }
     }
@@ -167,13 +156,7 @@ impl ScheduleLog {
     /// Append an event (no-op when disabled).
     pub fn record(&self, ev: ScheduleEvent) {
         if self.is_enabled() {
-            // ordering: Relaxed — ticket uniqueness comes from fetch_add
-            // atomicity; the event payload is published by the stripe
-            // mutex below, not by this counter.
-            let ticket = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.stripes[STRIPE_OF_THREAD.index_for_thread(STRIPES - 1)]
-                .lock()
-                .push((ticket, ev));
+            self.ring.push(ev);
         }
     }
 
@@ -190,17 +173,14 @@ impl ScheduleLog {
     /// Like [`events`](Self::events) but keeping each event's sequence
     /// ticket (tests assert ticket density/monotonicity over the merge).
     pub fn events_stamped(&self) -> Vec<(u64, ScheduleEvent)> {
-        let mut all: Vec<(u64, ScheduleEvent)> = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            all.extend(stripe.lock().iter().cloned());
-        }
-        all.sort_unstable_by_key(|&(ticket, _)| ticket);
-        all
+        self.ring.snapshot()
     }
 
-    /// Number of recorded events.
+    /// Number of recorded events: the ring is unbounded and never
+    /// drained, so every ticket drawn since the last
+    /// [`clear`](Self::clear) is retained.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.ring.recorded() as usize
     }
 
     /// True when nothing has been recorded.
@@ -208,12 +188,9 @@ impl ScheduleLog {
         self.len() == 0
     }
 
-    /// Drop all events (between experiment phases). Tickets keep
-    /// counting up, so later merges still order correctly.
+    /// Drop all events (between experiment phases); tickets restart.
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().clear();
-        }
+        self.ring.reset();
     }
 }
 

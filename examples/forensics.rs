@@ -77,7 +77,7 @@ fn main() {
     // ---- Decision-trace replay: why was a transaction rejected? ---------
     // Switch the obs sidecar on, stage a write-too-late rejection (an
     // older transaction writing after a younger one already read), then
-    // drain the trace ring and reconstruct the dependency chain behind
+    // drain the event log and reconstruct the dependency chain behind
     // the rejection from the schedule log.
     use obs::TraceEvent;
     use std::collections::HashMap;
@@ -93,7 +93,11 @@ fn main() {
     sched.abort(&ta);
     sched.commit(&tb);
 
-    let trace = sched.metrics().obs.trace.drain();
+    let events = sched.metrics().obs.events.drain();
+    let trace: Vec<(u64, TraceEvent)> = events
+        .iter()
+        .filter_map(|(ticket, ev)| Some((*ticket, *ev.decision()?)))
+        .collect();
     println!("--- obs decision trace (ticket-ordered) ---");
     for (ticket, ev) in &trace {
         println!("#{ticket:<3} {ev}");

@@ -93,13 +93,5 @@ echo "== drift smoke (release) =="
 # grouping optimal), the trip must surface as a Perfetto instant, and
 # drift-enabled throughput must hold >=90% of the obs-only baseline.
 cargo run --release -q -p sim --bin experiments -- drift-smoke
-# The advisor CLI's JSON report must keep its machine-readable shape.
-advisor_json="$(cargo run --release -q -p sim --bin hdd-advisor -- --json --txns 500 --waves 1)"
-for key in quality_milli optimal advised_labels drift_score_milli suggestions; do
-  if ! grep -q "\"$key\"" <<< "$advisor_json"; then
-    echo "hdd-advisor --json lost the \"$key\" field"
-    exit 1
-  fi
-done
 
 echo "CI OK"

@@ -70,7 +70,7 @@ fn obs_enabled_hdd_run_snapshot_is_consistent() {
     assert!(snap.trace_recorded > 0);
 
     // The drained trace comes out ticket-ordered.
-    let drained = sched.metrics().obs.trace.drain();
+    let drained = sched.metrics().obs.events.drain();
     let mut last = None;
     for (ticket, _) in &drained {
         if let Some(prev) = last {
@@ -101,7 +101,10 @@ fn shared_obs_eight_thread_hammer_loses_nothing() {
                 o.commit_latency.record(t * PER_THREAD + i + 1);
                 o.registry_scan.record(i % 17);
                 if i % 64 == 0 {
-                    o.emit(obs::TraceEvent::Backoff { nanos: i });
+                    o.emit(obs::TraceEvent::GcReclaim {
+                        watermark: i,
+                        reclaimed: 1,
+                    });
                 }
                 if i % 1024 == 0 {
                     // Mid-storm snapshot: internally consistent even
