@@ -9,8 +9,9 @@
 //! ```
 //!
 //! The exit code is 1 when any error-severity diagnostic was produced,
-//! so CI can assert both directions: `builtin` must pass, `demo` must
-//! fail.
+//! so a caller can assert both directions: `builtin` must pass, `demo`
+//! must fail (`tests/hdd_lint_cli.rs` does). Any other command line
+//! prints this usage and exits 2.
 
 use certify::lint::{lint_script, lint_specs, lint_workload, LintReport};
 use hdd::analysis::AccessSpec;
@@ -90,12 +91,12 @@ fn lint_demo() -> Vec<LintReport> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let cmd = args.iter().find(|a| !a.starts_with("--")).cloned();
-
-    let code = match cmd.as_deref() {
-        Some("builtin") => emit(&lint_builtin(), json),
-        Some("demo") => emit(&lint_demo(), json),
+    let json = args.last().is_some_and(|a| a == "--json");
+    // Exactly one command, then at most `--json`: anything else is a
+    // typo, and a typo must not lint with the defaults.
+    let code = match &args[..args.len() - usize::from(json)] {
+        [cmd] if cmd == "builtin" => emit(&lint_builtin(), json),
+        [cmd] if cmd == "demo" => emit(&lint_demo(), json),
         _ => {
             eprintln!(
                 "usage: hdd-lint <builtin|demo> [--json]\n\

@@ -27,7 +27,7 @@ use crate::activity::{ActivityFuncs, ActivityRegistry};
 use crate::analysis::Hierarchy;
 use crate::timewall::{TimeWall, TimeWallService};
 use mvstore::{MvtoReadResult, MvtoWriteResult, StorageBackend};
-use obs::{Obs, RejectReason, ServedRead, NO_CLASS};
+use obs::{Obs, RejectReason, ServedRead};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,6 +97,16 @@ impl TxnTable {
 
     fn insert(&self, id: TxnId, st: TxnState) {
         self.shard(id).lock().insert(id, st);
+    }
+
+    /// Build the state under the shard lock, insert it and return its
+    /// start: a scan of this shard sees either the state or no tick.
+    fn insert_with(&self, id: TxnId, st: impl FnOnce() -> TxnState) -> Timestamp {
+        let mut shard = self.shard(id).lock();
+        let st = st();
+        let start = st.start;
+        shard.insert(id, st);
+        start
     }
 
     fn remove(&self, id: TxnId) -> Option<TxnState> {
@@ -520,17 +530,14 @@ impl HddScheduler {
         ActivityFuncs::new(&self.hierarchy, &self.registry)
     }
 
-    /// `txn`'s operation blocked on `holder`'s pending version. The
-    /// holder's class is resolved with an O(1) shard lookup, and only
-    /// for a sampled flight — call after chain locks are released, so
-    /// the chain → txn-shard lock order is never nested.
-    fn blocked_on_txn(&self, txn: TxnId, holder: TxnId) {
+    /// `txn`'s operation on `g` blocked on `holder`'s pending version of
+    /// it. Only the class owning `g`'s segment writes `g`, so that is the
+    /// holder's class — known here even when the holder has finished by
+    /// the time the cause is recorded.
+    fn blocked_on_txn(&self, txn: TxnId, holder: TxnId, g: GranuleId) {
         Metrics::bump(&self.core.metrics.blocks);
-        self.core.metrics.obs.blocked_on_txn(txn.0, holder.0, || {
-            self.txns
-                .with(holder, |st| st.and_then(|s| s.class).map(|c| c.0))
-                .unwrap_or(NO_CLASS)
-        });
+        let class = || self.hierarchy.class_of(g.segment).0;
+        self.core.metrics.obs.blocked_on_txn(txn.0, holder.0, class);
     }
 
     /// Unregistered (Protocol A / Protocol C) read of `g`, owned by
@@ -583,7 +590,7 @@ impl HddScheduler {
                 self.core
                     .metrics
                     .reject(RejectReason::WallViolation, h.id.0, g.segment.0, g.key);
-                self.blocked_on_txn(h.id, waiting_for);
+                self.blocked_on_txn(h.id, waiting_for, g);
                 ReadOutcome::Block
             }
         }
@@ -613,7 +620,7 @@ impl HddScheduler {
                     MvtoReadResult::BlockOn(waiting_for) => {
                         // Reading one's own pending version must not block.
                         debug_assert_ne!(waiting_for, h.id);
-                        self.blocked_on_txn(h.id, waiting_for);
+                        self.blocked_on_txn(h.id, waiting_for, g);
                         ReadOutcome::Block
                     }
                 }
@@ -670,7 +677,7 @@ impl HddScheduler {
                     ReadOutcome::Value(v.value.clone())
                 });
                 if let Some(holder) = blocked_on {
-                    self.blocked_on_txn(h.id, holder);
+                    self.blocked_on_txn(h.id, holder, g);
                 }
                 out
             }
@@ -729,34 +736,47 @@ impl Scheduler for HddScheduler {
             None
         };
 
-        // Classed transactions draw their initiation timestamp *inside*
-        // the class registry lock (`begin_with`): any concurrent
-        // activity-link evaluation either runs before the tick (and its
-        // bound cannot reach the new start) or after the insert (and
-        // sees the transaction as active). Ticking outside the lock
-        // opens a window where a bound computed from the registry
-        // overshoots a ticked-but-unregistered transaction, breaking
-        // the immutability of `I_old(m)` for `m ≤ now` that Protocol
-        // A's proof rests on.
-        let start = match profile.class {
-            Some(class) => self.registry.begin_with(class, || self.core.clock.tick()),
-            None => self.core.clock.tick(),
-        };
-        self.core.log.record(ScheduleEvent::Begin {
-            txn: id,
-            start_ts: start,
-            class: profile.class,
-        });
-        self.txns.insert(
-            id,
+        // Log the begin, then build the live state: a reap can only
+        // follow the insert, so the log never holds an abort before its
+        // begin.
+        let begun = |start| {
+            self.core.log.record(ScheduleEvent::Begin {
+                txn: id,
+                start_ts: start,
+                class: profile.class,
+            });
             TxnState {
                 class: profile.class,
                 start,
                 write_set: Vec::new(),
                 ro_mode,
                 deadline: self.lease_deadline(),
-            },
-        );
+            }
+        };
+        let start = match profile.class {
+            // Classed transactions draw their initiation timestamp
+            // *inside* the class registry lock (`begin_with`): any
+            // concurrent activity-link evaluation either runs before the
+            // tick (and its bound cannot reach the new start) or after
+            // the insert (and sees the transaction as active). Ticking
+            // outside the lock opens a window where a bound computed from
+            // the registry overshoots a ticked-but-unregistered
+            // transaction, breaking the immutability of `I_old(m)` for
+            // `m ≤ now` that Protocol A's proof rests on.
+            Some(class) => {
+                let start = self.registry.begin_with(class, || self.core.clock.tick());
+                self.txns.insert(id, begun(start));
+                start
+            }
+            // A read-only transaction is known to the GC watermark only
+            // through this table, so it draws its timestamp under the
+            // shard lock the watermark's scan takes: the scan either sees
+            // it, or passed the shard before the tick — after reading a
+            // clock below the new start. Ticking outside the lock let a
+            // watermark computed in between prune the versions the
+            // reader's bounds select.
+            None => self.txns.insert_with(id, || begun(self.core.clock.tick())),
+        };
         TxnHandle {
             id,
             start_ts: start,
@@ -895,7 +915,7 @@ impl Scheduler for HddScheduler {
         match result {
             MvtoWriteResult::Blocked => {
                 match blocked_on {
-                    Some(holder) => self.blocked_on_txn(h.id, holder),
+                    Some(holder) => self.blocked_on_txn(h.id, holder, g),
                     None => Metrics::bump(&self.core.metrics.blocks),
                 }
                 WriteOutcome::Block
@@ -1035,6 +1055,7 @@ mod tests {
     use super::*;
     use crate::analysis::AccessSpec;
     use mvstore::MvStore;
+    use obs::NO_CLASS;
     use txn_model::{DependencyGraph, SegmentId};
 
     fn s(i: u32) -> SegmentId {

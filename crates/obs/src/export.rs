@@ -16,8 +16,8 @@
 //!   events.
 //!
 //! Both formats ship with tiny in-repo validators
-//! ([`validate_prometheus`], [`validate_chrome_trace`]) so `ci.sh
-//! export-smoke` can gate the output shape without network tools, and
+//! ([`validate_prometheus`], [`validate_chrome_trace`]) so a test can
+//! gate the output shape of a live run without network tools, and
 //! both are golden-tested below: the byte-exact output for a fixed
 //! input is part of the contract.
 

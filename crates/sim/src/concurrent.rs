@@ -29,7 +29,10 @@ use txn_model::{
 pub struct ConcurrentConfig {
     /// Worker threads.
     pub workers: usize,
-    /// Restart budget per program.
+    /// Restart budget per program: a program gives up when its last try
+    /// aborts after this many restarts during which no program committed.
+    /// Restarts while others commit are not charged, so the budget ends
+    /// livelocks, not contention.
     pub max_restarts: usize,
     /// Maintenance tick interval (wall release, GC, watchdog reaping).
     pub maintenance_interval: Duration,
@@ -248,6 +251,12 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
+    /// Programs committed so far, across workers.
+    fn commits(&self) -> usize {
+        // ordering: Relaxed — a progress probe; a stale read only charges one restart to the budget.
+        self.ended[Ended::Committed as usize].load(Ordering::Relaxed)
+    }
+
     /// One attempt of `program` as a fresh transaction (hence a fresh
     /// flight and redo journal). The commit is the step loop's last
     /// position, so blocking, backoff, the wait span and the fault check
@@ -468,11 +477,15 @@ impl Run<'_> {
             let mut tries = 0usize;
             let ended = loop {
                 let last_try = tries == cfg.max_restarts;
+                let commits = self.commits();
                 let ended = self.attempt(worker, program, &mut fault, deadline, last_try);
                 if ended != Ended::Aborted {
                     break ended;
                 }
-                tries += 1;
+                // Charged by work, not by attempts (see `max_restarts`).
+                if self.commits() == commits {
+                    tries += 1;
+                }
             };
             if let (Ended::Committed, Some(t)) = (ended, claimed_at) {
                 mobs.commit_latency.record(t.elapsed().as_nanos() as u64);
@@ -832,13 +845,17 @@ mod tests {
         ids: AtomicU64,
         reads: AtomicUsize,
         aborts: AtomicUsize,
-        /// The answer to the `n`th `read` call of the run.
-        read: fn(usize) -> ReadOutcome,
+        /// The answer to the `n`th `read` call of the run, given the
+        /// scheduler's metrics and the reading transaction's id.
+        read: fn(&txn_model::Metrics, u64, usize) -> ReadOutcome,
         commit: fn() -> CommitOutcome,
     }
 
     impl Scripted {
-        fn new(read: fn(usize) -> ReadOutcome, commit: fn() -> CommitOutcome) -> Self {
+        fn new(
+            read: fn(&txn_model::Metrics, u64, usize) -> ReadOutcome,
+            commit: fn() -> CommitOutcome,
+        ) -> Self {
             Scripted {
                 log: txn_model::ScheduleLog::new(),
                 metrics: txn_model::Metrics::default(),
@@ -863,9 +880,10 @@ mod tests {
                 class: profile.class,
             }
         }
-        fn read(&self, _h: &txn_model::TxnHandle, _g: txn_model::GranuleId) -> ReadOutcome {
+        fn read(&self, h: &txn_model::TxnHandle, _g: txn_model::GranuleId) -> ReadOutcome {
             // ordering: Relaxed — call ticket; uniqueness comes from fetch_add atomicity, nothing is published with it.
-            (self.read)(self.reads.fetch_add(1, Ordering::Relaxed))
+            let n = self.reads.fetch_add(1, Ordering::Relaxed);
+            (self.read)(&self.metrics, h.id.0, n)
         }
         fn write(
             &self,
@@ -903,7 +921,7 @@ mod tests {
     #[test]
     fn deadline_bounds_a_wedged_scheduler() {
         let programs = banking_programs(2, 8);
-        let sched = Scripted::new(|_| ReadOutcome::Block, commits);
+        let sched = Scripted::new(|_, _, _| ReadOutcome::Block, commits);
         let cfg = ConcurrentConfig {
             workers: 2,
             txn_deadline: Some(Duration::from_millis(5)),
@@ -958,7 +976,7 @@ mod tests {
     /// inside a worker.
     fn panicking_run(plan: &FaultPlan, cfg: &ConcurrentConfig) {
         let sched = Scripted::new(
-            |_| ReadOutcome::Value(Value::Int(0).into()),
+            |_, _, _| ReadOutcome::Value(Value::Int(0).into()),
             || panic!("commit exploded"),
         );
         run_with_faults(&sched, banking_programs(3, 6), plan, cfg);
@@ -991,7 +1009,7 @@ mod tests {
         // One worker, one program: its first read blocks twice and is
         // then aborted; the restarted attempt is served.
         let sched = Scripted::new(
-            |n| match n {
+            |_, _, n| match n {
                 0 | 1 => ReadOutcome::Block,
                 2 => ReadOutcome::Abort,
                 _ => ReadOutcome::Value(Value::Int(0).into()),
@@ -1022,6 +1040,57 @@ mod tests {
             .collect();
         assert_eq!(aborted.len(), 1);
         assert_eq!(aborted[0].waits.len(), 1, "and a wait span of its flight");
+    }
+
+    #[test]
+    fn the_restart_budget_ends_a_livelock() {
+        // Every read aborts and nothing ever commits, so every restart
+        // is charged: each program gives up once its budget is spent.
+        let sched = Scripted::new(|_, _, _| ReadOutcome::Abort, commits);
+        let cfg = ConcurrentConfig {
+            workers: 2,
+            max_restarts: 3,
+            verify: false,
+            ..ConcurrentConfig::default()
+        };
+        let out = run_concurrent(&sched, banking_programs(2, 5), &cfg);
+        let books = (out.stats.committed, out.stats.gave_up, out.stats.restarts);
+        assert_eq!(books, (0, 5, 15));
+    }
+
+    #[test]
+    fn a_cause_recorded_late_in_a_blocking_call_still_attributes_its_wait() {
+        // The first read is held up (as by preemption) before it records
+        // its cause and answers `Block`; the retry is served. The wait
+        // runs from the blocking call's start to the served answer on
+        // the flight clock, so the cause lies inside it. Measuring the
+        // wait from after the blocking call returned put the cause past
+        // the wait's end and the wait `Unattributed`.
+        let sched = Scripted::new(
+            |metrics, txn, n| {
+                if n > 0 {
+                    return ReadOutcome::Value(Value::Int(0).into());
+                }
+                std::thread::sleep(Duration::from_millis(2));
+                metrics.obs.blocked_on_txn(txn, 99, || 0);
+                ReadOutcome::Block
+            },
+            commits,
+        );
+        let cfg = ConcurrentConfig {
+            workers: 1,
+            obs: true,
+            flight_sample: 1,
+            verify: false,
+            ..ConcurrentConfig::default()
+        };
+        let out = run_concurrent(&sched, banking_programs(2, 1), &cfg);
+        assert_eq!(out.stats.committed, 1);
+        let log = obs::assemble(&sched.metrics().obs.events.drain());
+        let waits = &log.flights[0].waits;
+        assert_eq!(waits.len(), 1);
+        let cause = obs::WaitCause::TxnPending { txn: 99, class: 0 };
+        assert_eq!(waits[0].cause, cause);
     }
 
     /// Two-class chain: c0 writes s0; c1 writes s1 and reads s0.

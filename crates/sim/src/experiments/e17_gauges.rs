@@ -247,7 +247,46 @@ mod tests {
                 .any(|c| c.reader == WALL_READER),
             "synthetic workload produced no wall-reader staleness"
         );
+        // ...and the table carries Protocol A (class reader) rows too.
         let t = staleness_table(&points);
-        assert!(!t.rows.is_empty());
+        let readers: Vec<&str> = t.rows.iter().map(|r| r[2].as_str()).collect();
+        assert!(readers.iter().any(|r| r.starts_with('c')), "{readers:?}");
+    }
+
+    /// A live obs-on run over the synthetic workload (Protocol A class
+    /// readers and Protocol C wall readers both) exports a Prometheus
+    /// exposition and a Chrome trace that pass the in-repo validators,
+    /// and the exposition carries the staleness summaries.
+    #[test]
+    fn a_live_obs_run_exports_valid_prometheus_and_chrome_trace() {
+        use obs::{chrome_trace, prometheus_text, validate_chrome_trace, validate_prometheus};
+
+        let mut w = Synthetic::new(SyntheticConfig::default());
+        let mut rng = StdRng::seed_from_u64(0x00F1_7051);
+        let programs: Vec<_> = (0..1_500).map(|_| w.generate(&mut rng)).collect();
+        let (sched, _store, _hierarchy) = build_hdd_with_config(&w, HddConfig::default());
+        let cfg = ConcurrentConfig {
+            workers: 4,
+            obs: true,
+            verify: false,
+            capture_log: false,
+            ..ConcurrentConfig::default()
+        };
+        let out = run_concurrent(sched.as_ref(), programs, &cfg);
+        assert!(out.stats.committed > 0, "the live run committed nothing");
+        sched.refresh_gauges_now();
+
+        let obs = &sched.metrics().obs;
+        let counters = sched.metrics().snapshot().counter_pairs();
+        let prom = prometheus_text(&counters, &obs.snapshot(), &obs.gauges.snapshot());
+        let stats = validate_prometheus(&prom).expect("the exposition must validate");
+        assert!(stats.samples > 0);
+        assert!(
+            prom.contains("hdd_read_staleness_ticks"),
+            "no staleness summary in the exposition"
+        );
+        let trace = chrome_trace(&obs.events.drain());
+        let events = validate_chrome_trace(&trace).expect("the chrome trace must validate");
+        assert!(events > 0, "the chrome trace is empty");
     }
 }

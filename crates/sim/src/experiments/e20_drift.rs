@@ -20,9 +20,10 @@
 //!    *optimal*); before the shift the same machinery suggests the
 //!    *split* of `{D0,D1}`.
 //! 3. **Negative control**: the steady phase never trips.
-//! 4. **Overhead**: hot-path throughput with the sketch enabled must
-//!    hold ≥ 90% of the obs-only baseline (enforced in release mode by
-//!    the `drift-smoke` CI stage, reported here).
+//! 4. **Overhead**: hot-path throughput with the sketch enabled next to
+//!    the obs-only baseline — report-only: an in-process ratio of two
+//!    short runs is not a measurement, and the benchmark's obs leg runs
+//!    with the sketch off, so this row is the only drift-cost readout.
 //!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e20
@@ -228,8 +229,7 @@ pub struct DriftOutcome {
     pub obs_only_cps: f64,
     /// Steady-mix throughput, obs on + drift on.
     pub obs_drift_cps: f64,
-    /// `obs_drift_cps / obs_only_cps` (drift-smoke enforces ≥ 0.9 in
-    /// release).
+    /// `obs_drift_cps / obs_only_cps` (report-only).
     pub overhead_ratio: f64,
 }
 
@@ -320,8 +320,8 @@ pub fn measure(quick: bool) -> DriftOutcome {
 
     // Overhead legs: same steady mix, fresh schedulers, obs on in both;
     // the sketch's own switch is the only difference. Best-of-3 per leg
-    // (the repo's smoke idiom) so scheduler jitter doesn't dominate the
-    // single-digit-percent cost being measured.
+    // so scheduler jitter doesn't dominate the single-digit-percent cost
+    // being shown.
     let over_txns = if quick { 1_500 } else { 12_000 };
     let leg = |drift_on: bool, seed: u64| -> f64 {
         let mut best = 0.0f64;
@@ -430,7 +430,7 @@ pub fn table(o: &DriftOutcome) -> Table {
             f2(o.obs_only_cps),
             f2(o.overhead_ratio)
         ),
-        ">= 0.9 (release)".to_string(),
+        "report-only".to_string(),
     ]);
     t
 }
@@ -522,8 +522,8 @@ mod tests {
             "{}",
             o.offline_merge_help
         );
-        // Overhead legs ran; the ≥0.9 floor is enforced in release by
-        // drift-smoke (debug-mode ratios are too noisy to gate here).
+        // Overhead legs ran; their ratio is report-only (no clock gates
+        // a test).
         assert!(o.obs_only_cps > 0.0 && o.obs_drift_cps > 0.0);
         let t = table(&o);
         assert_eq!(t.rows.len(), 10);

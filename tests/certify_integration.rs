@@ -1,9 +1,12 @@
 //! The classical anomaly scripts (lost update, dirty read, write skew)
 //! against every baseline, checked through `depgraph::find_cycle` /
-//! `serialization_order` and the offline certifier.
+//! `serialization_order` and the offline certifier; and the certifier
+//! over real concurrent logs.
 
-use certify::certifier::certify_log;
+use certify::certifier::{attach_trace, certify_log};
 use certify::lint::lint_script;
+use sim::concurrent::{run_concurrent, ConcurrentConfig};
+use sim::experiments::e02_inventory::batch;
 use sim::factory::{build_scheduler, SchedulerKind, ALL_KINDS};
 use sim::scripts::run_script;
 use txn_model::DependencyGraph;
@@ -124,4 +127,30 @@ fn legal_scripts_lint_clean_and_write_skew_does_not() {
     assert!(lint_script(&lost_update_script(), &h).ok());
     assert!(lint_script(&dirty_read_script(), &h).ok());
     assert!(!lint_script(&write_skew_script(), &h).ok());
+}
+
+/// Real concurrent logs certify clean: hdd under the full
+/// partition-synchronization rule (obs on, its trace joined into the
+/// certificate), mvto under plain acyclicity.
+#[test]
+fn concurrent_hdd_and_mvto_logs_certify_clean() {
+    for kind in [SchedulerKind::Hdd, SchedulerKind::Mvto] {
+        let (w, programs) = batch(2_000, 0x5A7E_0CE5);
+        let (sched, _store) = build_scheduler(kind, &w);
+        let hdd = kind == SchedulerKind::Hdd;
+        let cfg = ConcurrentConfig {
+            workers: 4,
+            verify: false,
+            obs: hdd,
+            ..ConcurrentConfig::default()
+        };
+        let out = run_concurrent(sched.as_ref(), programs, &cfg);
+        assert_eq!(out.stats.committed, 2_000, "{}", kind.name());
+        let hierarchy = hdd.then(|| w.hierarchy());
+        let mut cert = certify_log(kind.name(), sched.log(), hierarchy.as_ref());
+        if hdd {
+            attach_trace(&mut cert, &sched.metrics().obs.events.drain());
+        }
+        assert!(cert.ok(), "{}", cert.render());
+    }
 }

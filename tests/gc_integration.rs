@@ -173,7 +173,17 @@ fn gc_at_the_watermark_races_unregistered_readers_cleanly() {
                 },
             );
             let ctx = format!("{} seed {seed}", w.name());
-            assert_eq!(out.stats.committed, 500, "{ctx}");
+            // Every book a program can end in, so a miss says where it went.
+            assert_eq!(
+                out.stats.committed,
+                500,
+                "{ctx}: restarts {}, gave_up {}, deadline_exceeded {}, wal_lost {}, crashed {}",
+                out.stats.restarts,
+                out.stats.gave_up,
+                out.stats.deadline_exceeded,
+                out.wal_lost,
+                out.crashed
+            );
             let cert = certify_log("hdd", sched.log(), Some(&hierarchy));
             assert!(cert.ok(), "{ctx}: {}", cert.render());
             if !has_wall_readers {
