@@ -85,10 +85,6 @@ impl Scheduler for Mvto {
                 );
                 WriteOutcome::Abort
             }
-            MvtoWriteResult::Blocked => {
-                Metrics::bump(&self.base.metrics.blocks);
-                WriteOutcome::Block
-            }
         }
     }
 

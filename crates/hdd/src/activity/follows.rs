@@ -13,8 +13,7 @@
 //! (Property 1.2); the scheduler enforces the **partition synchronization
 //! rule** — every direct dependency `t1 → t2` implies `t1 ⇒ t2` — which by
 //! Theorem 1 keeps the dependency graph acyclic. This module exists to
-//! *check* the relation in tests, property tests and the Figure 7 bench;
-//! the scheduler itself never evaluates `⇒` (that is the point of the
+//! *check* the relation in tests and property tests; the scheduler itself never evaluates `⇒` (that is the point of the
 //! algorithm: Protocols A/B enforce it implicitly).
 
 use super::funcs::ActivityFuncs;

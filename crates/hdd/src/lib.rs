@@ -79,6 +79,6 @@ pub mod recovery;
 pub mod timewall;
 
 pub use analysis::{AccessSpec, Hierarchy, HierarchyError};
-pub use protocol::{HddConfig, HddScheduler, ProtocolBMode};
+pub use protocol::{HddConfig, HddScheduler};
 pub use recovery::{resume, ResumeReport};
 pub use timewall::{TimeWall, TimeWallService};

@@ -5,9 +5,9 @@
 //!   `d ∈ D_j`, `j ≠ i` (necessarily `T_j ↑ T_i`), is served the version
 //!   with the largest write timestamp below `A_i^j(I(t))`. *No trace of
 //!   the access is registered* and the read never waits.
-//! * **Protocol B** — accesses inside the root segment use timestamp
-//!   ordering: multi-version (Reed) or basic single-version TO, selected
-//!   by [`ProtocolBMode`].
+//! * **Protocol B** — accesses inside the root segment use multi-version
+//!   timestamp ordering (Reed 78): reads never reject; writes reject when
+//!   they would invalidate a younger read.
 //! * **Protocol C** — an ad-hoc read-only transaction whose read segments
 //!   do *not* lie on one critical path reads below the newest time wall
 //!   released before its initiation. Read-only transactions whose
@@ -37,17 +37,6 @@ use txn_model::{
     ClassId, CommitOutcome, GranuleId, LogicalClock, Metrics, ReadOutcome, ScheduleEvent,
     ScheduleLog, Scheduler, Timestamp, TxnHandle, TxnId, TxnProfile, Value, WriteOutcome,
 };
-
-/// Intra-class (Protocol B) synchronization flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolBMode {
-    /// Multi-version timestamp ordering (Reed 78). Reads never reject;
-    /// writes reject when they would invalidate a younger read.
-    Mvto,
-    /// Basic timestamp ordering (Bernstein 80): reads of granules already
-    /// overwritten by younger transactions reject too.
-    BasicTo,
-}
 
 /// How a read-only transaction is synchronized.
 #[derive(Debug, Clone)]
@@ -151,8 +140,6 @@ impl TxnTable {
 /// Configuration for [`HddScheduler`].
 #[derive(Debug, Clone)]
 pub struct HddConfig {
-    /// Protocol B flavor.
-    pub protocol_b: ProtocolBMode,
     /// Release a new time wall at most once per this many maintenance
     /// calls (Section 5.2 computes walls "at certain intervals").
     pub wall_interval: u64,
@@ -176,7 +163,6 @@ pub struct HddConfig {
 impl Default for HddConfig {
     fn default() -> Self {
         HddConfig {
-            protocol_b: ProtocolBMode::Mvto,
             wall_interval: 8,
             gc_interval: 64,
             txn_lease: None,
@@ -270,13 +256,14 @@ impl HddScheduler {
         &self.hierarchy
     }
 
-    /// The activity registry (exposed for tests and the Figure 6/7
-    /// benches).
+    /// The activity registry (exposed for recovery, dynamic
+    /// restructuring and tests).
     pub fn registry(&self) -> &ActivityRegistry {
         &self.registry
     }
 
-    /// The time-wall service (exposed for the Figure 9 bench).
+    /// The time-wall service (exposed for examples, experiments and
+    /// tests).
     pub fn walls(&self) -> &TimeWallService {
         &self.walls
     }
@@ -598,88 +585,28 @@ impl HddScheduler {
 
     /// Protocol B read inside the root segment.
     fn read_root(&self, h: &TxnHandle, g: GranuleId) -> ReadOutcome {
-        match self.config.protocol_b {
-            ProtocolBMode::Mvto => {
-                let r = self.core.store.with_chain(g, |c| c.mvto_read(h.start_ts));
-                match r {
-                    MvtoReadResult::Value {
-                        value,
-                        version,
-                        writer,
-                    } => {
-                        Metrics::bump(&self.core.metrics.reads);
-                        Metrics::bump(&self.core.metrics.read_registrations);
-                        self.core.log.record(ScheduleEvent::Read {
-                            txn: h.id,
-                            granule: g,
-                            version,
-                            writer,
-                        });
-                        ReadOutcome::Value(value)
-                    }
-                    MvtoReadResult::BlockOn(waiting_for) => {
-                        // Reading one's own pending version must not block.
-                        debug_assert_ne!(waiting_for, h.id);
-                        self.blocked_on_txn(h.id, waiting_for, g);
-                        ReadOutcome::Block
-                    }
-                }
-            }
-            ProtocolBMode::BasicTo => {
-                // Captured inside the chain closure, attributed after
-                // it returns: the cause push takes the holder's txn
-                // shard lock, which must not nest inside a chain lock.
-                let mut blocked_on = None;
-                let out = self.core.store.with_chain(g, |c| {
-                    let latest = match c.latest() {
-                        Some(v) => v,
-                        None => unreachable!("chains are seeded on first touch"),
-                    };
-                    if latest.writer == h.id {
-                        // Own pending write: read it back.
-                        let (value, version, writer) =
-                            (latest.value.clone(), latest.ts, latest.writer);
-                        Metrics::bump(&self.core.metrics.reads);
-                        self.core.log.record(ScheduleEvent::Read {
-                            txn: h.id,
-                            granule: g,
-                            version,
-                            writer,
-                        });
-                        return ReadOutcome::Value(value);
-                    }
-                    if latest.ts > h.start_ts {
-                        // Overwritten by a younger transaction: reject.
-                        self.core.metrics.reject(
-                            RejectReason::ReadTooLate,
-                            h.id.0,
-                            g.segment.0,
-                            g.key,
-                        );
-                        return ReadOutcome::Abort;
-                    }
-                    if !latest.committed {
-                        blocked_on = Some(latest.writer);
-                        return ReadOutcome::Block;
-                    }
-                    if h.start_ts > c.max_rts {
-                        c.max_rts = h.start_ts;
-                    }
-                    Metrics::bump(&self.core.metrics.reads);
-                    Metrics::bump(&self.core.metrics.read_registrations);
-                    let v = c.latest().expect("checked above");
-                    self.core.log.record(ScheduleEvent::Read {
-                        txn: h.id,
-                        granule: g,
-                        version: v.ts,
-                        writer: v.writer,
-                    });
-                    ReadOutcome::Value(v.value.clone())
+        let r = self.core.store.with_chain(g, |c| c.mvto_read(h.start_ts));
+        match r {
+            MvtoReadResult::Value {
+                value,
+                version,
+                writer,
+            } => {
+                Metrics::bump(&self.core.metrics.reads);
+                Metrics::bump(&self.core.metrics.read_registrations);
+                self.core.log.record(ScheduleEvent::Read {
+                    txn: h.id,
+                    granule: g,
+                    version,
+                    writer,
                 });
-                if let Some(holder) = blocked_on {
-                    self.blocked_on_txn(h.id, holder, g);
-                }
-                out
+                ReadOutcome::Value(value)
+            }
+            MvtoReadResult::BlockOn(waiting_for) => {
+                // Reading one's own pending version must not block.
+                debug_assert_ne!(waiting_for, h.id);
+                self.blocked_on_txn(h.id, waiting_for, g);
+                ReadOutcome::Block
             }
         }
     }
@@ -877,49 +804,12 @@ impl Scheduler for HddScheduler {
         );
         // Wrap the payload once; the chain and the schedule log share it.
         let v = Arc::new(v);
-        // Captured inside the chain closure, attributed after it
-        // returns (the cause push must not nest inside a chain lock).
-        let mut blocked_on = None;
-        let result = match self.config.protocol_b {
-            ProtocolBMode::Mvto => {
-                let value = Arc::clone(&v);
-                self.core
-                    .store
-                    .with_chain(g, |c| c.mvto_write(h.start_ts, value, h.id))
-            }
-            ProtocolBMode::BasicTo => {
-                let value = Arc::clone(&v);
-                self.core.store.with_chain(g, |c| {
-                    // Re-write of own pending version.
-                    if c.version_by_writer(h.id).map(|ver| ver.ts) == Some(h.start_ts) {
-                        return c.mvto_write(h.start_ts, value, h.id);
-                    }
-                    // Basic TO write rules over the (logically
-                    // single-version) granule: reject if a younger
-                    // transaction read or wrote.
-                    if c.max_rts > h.start_ts {
-                        return MvtoWriteResult::Rejected;
-                    }
-                    match c.latest() {
-                        Some(latest) if latest.ts > h.start_ts => MvtoWriteResult::Rejected,
-                        Some(latest) if !latest.committed && latest.writer != h.id => {
-                            // Pending older write: wait for its commit bit.
-                            blocked_on = Some(latest.writer);
-                            MvtoWriteResult::Blocked
-                        }
-                        _ => c.mvto_write(h.start_ts, value, h.id),
-                    }
-                })
-            }
-        };
+        let value = Arc::clone(&v);
+        let result = self
+            .core
+            .store
+            .with_chain(g, |c| c.mvto_write(h.start_ts, value, h.id));
         match result {
-            MvtoWriteResult::Blocked => {
-                match blocked_on {
-                    Some(holder) => self.blocked_on_txn(h.id, holder, g),
-                    None => Metrics::bump(&self.core.metrics.blocks),
-                }
-                WriteOutcome::Block
-            }
             MvtoWriteResult::Installed => {
                 // Record the write in the live state (and renew the
                 // lease) *before* logging: if the watchdog reaped this
@@ -1067,7 +957,7 @@ mod tests {
     }
 
     /// Inventory chain: 2 → 1 → 0.
-    fn setup(mode: ProtocolBMode) -> HddScheduler {
+    fn setup() -> HddScheduler {
         let h = Hierarchy::build(
             3,
             &[
@@ -1085,10 +975,7 @@ mod tests {
             Arc::new(h),
             store,
             Arc::new(LogicalClock::new()),
-            HddConfig {
-                protocol_b: mode,
-                ..HddConfig::default()
-            },
+            HddConfig::default(),
         )
     }
 
@@ -1104,7 +991,7 @@ mod tests {
 
     #[test]
     fn gauge_board_records_staleness_and_refreshes_from_maintenance() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         let gauges = &sched.metrics().obs.gauges;
         assert!(gauges.is_configured(), "with_core dimensions the board");
         assert_eq!(gauges.snapshot().n_classes, 3);
@@ -1203,7 +1090,7 @@ mod tests {
 
     #[test]
     fn drift_sketch_counts_arrivals_edges_and_trips_on_a_mix_shift() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         let obs = &sched.metrics().obs;
         assert!(obs.drift.snapshot().configured, "with_core dimensions it");
         obs.set_enabled(true);
@@ -1262,7 +1149,7 @@ mod tests {
 
     #[test]
     fn simple_write_then_cross_class_read() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         // t1 writes an event record and commits.
         let t1 = sched.begin(&profile_t1());
         assert_eq!(
@@ -1287,7 +1174,7 @@ mod tests {
 
     #[test]
     fn cross_class_read_hides_active_writers_versions() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         // Active t1 writes but has not committed.
         let t1 = sched.begin(&profile_t1());
         sched.write(&t1, g(0, 1), Value::Int(99));
@@ -1304,8 +1191,8 @@ mod tests {
     }
 
     #[test]
-    fn own_segment_uses_protocol_b_registration() {
-        let sched = setup(ProtocolBMode::Mvto);
+    fn own_segment_reads_register_and_cross_class_reads_do_not() {
+        let sched = setup();
         let t3 = sched.begin(&profile_t3());
         // Read own segment: registers.
         assert!(matches!(sched.read(&t3, g(2, 1)), ReadOutcome::Value(_)));
@@ -1320,7 +1207,7 @@ mod tests {
 
     #[test]
     fn mvto_write_rejection_forces_abort() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         // Older txn t_a begins; younger t_b reads the granule (rts = I_b);
         // then t_a's write must be rejected.
         let ta = sched.begin(&profile_t1());
@@ -1339,21 +1226,8 @@ mod tests {
     }
 
     #[test]
-    fn basic_to_rejects_late_reader() {
-        let sched = setup(ProtocolBMode::BasicTo);
-        let ta = sched.begin(&profile_t1()); // older
-        let tb = sched.begin(&profile_t1()); // younger
-        assert_eq!(sched.write(&tb, g(0, 1), Value::Int(7)), WriteOutcome::Done);
-        assert!(matches!(sched.commit(&tb), CommitOutcome::Committed(_)));
-        // ta now reads a granule overwritten by the younger tb: reject.
-        assert_eq!(sched.read(&ta, g(0, 1)), ReadOutcome::Abort);
-        sched.abort(&ta);
-        assert!(DependencyGraph::from_log(sched.log()).is_serializable());
-    }
-
-    #[test]
     fn read_only_on_chain_rides_protocol_a() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         let t1 = sched.begin(&profile_t1());
         sched.write(&t1, g(0, 1), Value::Int(5));
         sched.commit(&t1);
@@ -1504,14 +1378,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "violates the hierarchy")]
     fn illegal_profile_panics() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         // Class 0 (the top) may not read segment 2 (below it).
         sched.begin(&TxnProfile::update(ClassId(0), vec![s(2)]));
     }
 
     #[test]
     fn gc_reclaims_old_versions() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         for i in 0..20 {
             let t = sched.begin(&profile_t1());
             sched.write(&t, g(0, 1), Value::Int(i));
@@ -1527,7 +1401,7 @@ mod tests {
 
     #[test]
     fn time_slice_reads_are_cut_consistent() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         // Round 1: event + derived inventory.
         let t1 = sched.begin(&profile_t1());
         sched.write(&t1, g(0, 1), Value::Int(1));
@@ -1646,7 +1520,7 @@ mod tests {
 
     #[test]
     fn maintenance_releases_walls_periodically() {
-        let sched = setup(ProtocolBMode::Mvto);
+        let sched = setup();
         for _ in 0..20 {
             sched.maintenance();
         }

@@ -61,9 +61,6 @@ pub enum MvtoWriteResult {
     /// version this write would have to be ordered after — installing
     /// would invalidate that read (Reed's rejection rule).
     Rejected,
-    /// The write must wait (basic-TO single-version mode only: an older
-    /// uncommitted write occupies the granule).
-    Blocked,
 }
 
 /// The shared `Absent` payload served for never-written granules.

@@ -63,11 +63,8 @@ pub struct FileBackendConfig {
     /// Rotate to a new segment file once the current one reaches this
     /// many bytes (a single oversized append may still exceed it).
     pub segment_bytes: u64,
-    /// `sync_data` after every commit's records reach the segment file.
-    /// Disable when an external WAL (the group-commit pipeline) is the
-    /// durability authority and segment writes may lag it.
-    pub fsync_commits: bool,
-    /// Journal committed versions to the segment files at commit time.
+    /// Journal committed versions to the segment files at commit time
+    /// (synced before the commit returns).
     /// Disable to run the backend as index-plus-checkpoint only, with
     /// the WAL carrying all redo state — the E19 soak configuration,
     /// which keeps segments from getting *ahead* of a torn WAL.
@@ -78,7 +75,6 @@ impl Default for FileBackendConfig {
     fn default() -> Self {
         FileBackendConfig {
             segment_bytes: 4 << 20,
-            fsync_commits: true,
             log_commits: true,
         }
     }
@@ -423,9 +419,8 @@ impl StorageBackend for FileBackend {
         }
         if !recs.is_empty() {
             // The trait's durability point: records hit stable storage
-            // before commit_writes returns (unless the WAL owns
-            // durability and `fsync_commits` is off).
-            self.append_version_records(&recs, self.cfg.fsync_commits);
+            // before commit_writes returns.
+            self.append_version_records(&recs, true);
         }
     }
 

@@ -1,5 +1,5 @@
 //! Wait-cause blame attribution and critical-path profiling over an
-//! assembled [`FlightLog`](crate::span::FlightLog).
+//! assembled [`FlightLog`].
 //!
 //! The flight recorder answers *who each transaction waited on*; this
 //! module turns that into the two documents a scaling investigation

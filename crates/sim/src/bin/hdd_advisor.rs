@@ -106,7 +106,6 @@ fn main() {
         workers: opts.workers,
         obs: true,
         verify: false,
-        capture_log: false,
         ..ConcurrentConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(0xAD71_50F1);

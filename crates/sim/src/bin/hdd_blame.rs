@@ -85,7 +85,6 @@ fn main() {
         obs: true,
         flight_sample: sample,
         verify: false,
-        capture_log: false,
         ..ConcurrentConfig::default()
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);

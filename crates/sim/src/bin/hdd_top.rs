@@ -129,7 +129,6 @@ fn drive(sched: &dyn Scheduler, programs: Vec<TxnProgram>, opts: &Opts, wave: u6
         workers: opts.workers,
         obs: true,
         verify: false,
-        capture_log: false,
         ..base
     };
     run_with_faults(sched, programs, &plan, &cfg);

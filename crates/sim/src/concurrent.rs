@@ -36,12 +36,11 @@ pub struct ConcurrentConfig {
     pub max_restarts: usize,
     /// Maintenance tick interval (wall release, GC, watchdog reaping).
     pub maintenance_interval: Duration,
-    /// Verify serializability afterwards.
+    /// Record the schedule and check it for serializability afterwards.
+    /// The driver sets the scheduler's log to this at the start of every
+    /// run, so `false` (pure-throughput mode) records nothing and leaves
+    /// the verdict `None`, and a later `true` run records again.
     pub verify: bool,
-    /// Record schedule events. Turning this off disables the scheduler's
-    /// log for the run (pure-throughput mode) and implies no
-    /// verification.
-    pub capture_log: bool,
     /// Enable the scheduler's observability sidecar for this run: the
     /// driver then records commit latency (claim → commit, retries
     /// included), per-operation service time, block-wait spans and
@@ -85,7 +84,6 @@ impl Default for ConcurrentConfig {
             max_restarts: 100,
             maintenance_interval: Duration::from_micros(50),
             verify: true,
-            capture_log: true,
             obs: false,
             txn_deadline: None,
             flight_sample: 0,
@@ -544,9 +542,7 @@ pub fn run_with_faults(
     cfg: &ConcurrentConfig,
 ) -> ConcurrentStats {
     let mobs = &scheduler.metrics().obs;
-    if !cfg.capture_log {
-        scheduler.log().set_enabled(false);
-    }
+    scheduler.log().set_enabled(cfg.verify);
     if cfg.obs {
         mobs.set_enabled(true);
     }
@@ -586,7 +582,8 @@ pub fn run_with_faults(
     let programs_ended = committed + wal_lost + crashed + gave_up + deadline_exceeded;
     debug_assert_eq!(programs_ended, programs.len(), "each ends exactly one way");
 
-    let cycle = (cfg.verify && cfg.capture_log)
+    let cycle = cfg
+        .verify
         .then(|| DependencyGraph::from_log(scheduler.log()).find_cycle());
     let stats = RunStats {
         committed,
@@ -957,19 +954,27 @@ mod tests {
     }
 
     #[test]
-    fn capture_log_off_records_nothing_and_skips_verify() {
+    fn verify_off_records_nothing_and_a_later_run_records_again() {
         let mut w = Banking::new(8);
         let mut rng = StdRng::seed_from_u64(5);
         let programs: Vec<_> = (0..50).map(|_| w.generate(&mut rng)).collect();
         let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
         let cfg = ConcurrentConfig {
-            capture_log: false,
+            verify: false,
             ..ConcurrentConfig::default()
         };
         let out = run_concurrent(sched.as_ref(), programs, &cfg);
         assert_eq!(out.stats.committed, 50);
         assert_eq!(out.stats.serializable, None);
         assert!(sched.log().is_empty());
+
+        // A default run on the same scheduler records its schedule and
+        // certifies it, rather than certifying a log left switched off.
+        let programs: Vec<_> = (0..50).map(|_| w.generate(&mut rng)).collect();
+        let out = run_concurrent(sched.as_ref(), programs, &ConcurrentConfig::default());
+        assert_eq!(out.stats.committed, 50);
+        assert!(!sched.log().is_empty(), "the verified run was recorded");
+        assert_eq!(out.stats.serializable, Some(true));
     }
 
     /// Commit as a panic: the fixture for a scheduler assertion firing

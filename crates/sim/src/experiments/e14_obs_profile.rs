@@ -72,7 +72,6 @@ pub fn sweep(quick: bool) -> Vec<ObsPoint> {
                 // Pure-throughput mode, like a production profile run:
                 // the schedule log is the dominant non-protocol cost.
                 verify: false,
-                capture_log: false,
                 ..ConcurrentConfig::default()
             };
             run_concurrent(sched.as_ref(), warmup, &cfg);

@@ -66,7 +66,6 @@ fn run_one<W: Workload>(mut w: W, quick: bool, seed: u64) -> GaugePoint {
         workers,
         obs: true,
         verify: false,
-        capture_log: false,
         ..ConcurrentConfig::default()
     };
     run_concurrent(sched.as_ref(), warmup, &cfg);
@@ -269,7 +268,6 @@ mod tests {
             workers: 4,
             obs: true,
             verify: false,
-            capture_log: false,
             ..ConcurrentConfig::default()
         };
         let out = run_concurrent(sched.as_ref(), programs, &cfg);

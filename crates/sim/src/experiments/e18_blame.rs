@@ -82,7 +82,6 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
         let cfg = ConcurrentConfig {
             workers,
             verify: false,
-            capture_log: false,
             ..ConcurrentConfig::default()
         };
         let disabled = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
@@ -95,7 +94,6 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
             obs: true,
             flight_sample: SAMPLE_EVERY,
             verify: false,
-            capture_log: false,
             ..ConcurrentConfig::default()
         };
         let traced = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
@@ -220,7 +218,6 @@ mod tests {
             obs: true,
             flight_sample: SAMPLE_EVERY,
             verify: false,
-            capture_log: false,
             ..ConcurrentConfig::default()
         };
         let out = run_with_faults(sched.as_ref(), programs, &plan, &cfg);

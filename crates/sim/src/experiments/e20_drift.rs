@@ -254,7 +254,6 @@ pub fn measure(quick: bool) -> DriftOutcome {
         workers,
         obs: true,
         verify: false,
-        capture_log: false,
         ..ConcurrentConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(0x0E20_0001);

@@ -125,7 +125,8 @@ pub fn build_scheduler(
     (sched, store)
 }
 
-/// Build an HDD scheduler with a custom config (bench sweeps).
+/// Build an HDD scheduler with a custom config (a lease, or swept
+/// maintenance intervals).
 pub fn build_hdd_with_config(
     workload: &dyn Workload,
     config: HddConfig,

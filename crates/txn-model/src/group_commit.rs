@@ -43,9 +43,6 @@ pub struct GroupCommitConfig {
     /// Flush when the oldest pending frame has waited this long, even if
     /// the batch is not full (bounds commit latency under low load).
     pub max_delay: Duration,
-    /// `sync_data` after each batch write. Disabling turns the pipeline
-    /// into a buffered writer (no durability — bench baselines only).
-    pub fsync: bool,
 }
 
 impl Default for GroupCommitConfig {
@@ -53,7 +50,6 @@ impl Default for GroupCommitConfig {
         GroupCommitConfig {
             max_batch_frames: 16,
             max_delay: Duration::from_millis(2),
-            fsync: true,
         }
     }
 }
@@ -333,11 +329,7 @@ impl GroupCommitWal {
         let synced = match action {
             FaultAction::Write => {
                 disk.cache.extend_from_slice(batch);
-                if self.cfg.fsync {
-                    Self::flush(&mut disk).map_err(|_| WalCrashed)?
-                } else {
-                    0
-                }
+                Self::flush(&mut disk).map_err(|_| WalCrashed)?
             }
             FaultAction::DropFsync => {
                 // Acked-but-volatile: the batch stays in the page cache.
@@ -381,19 +373,6 @@ impl GroupCommitWal {
         disk.cache.clear();
         disk.file.sync_data()?;
         Ok(n)
-    }
-
-    /// Force any cached bytes down (end-of-run flush for `fsync: false`
-    /// pipelines and `DropFsync` remnants). Errors if already crashed.
-    pub fn sync(&self) -> Result<(), WalCrashed> {
-        if self.crashed() {
-            return Err(WalCrashed);
-        }
-        let mut disk = self.disk.lock().unwrap();
-        let n = Self::flush(&mut disk).map_err(|_| WalCrashed)?;
-        drop(disk);
-        self.state.lock().unwrap().stats.synced_bytes += n as u64;
-        Ok(())
     }
 }
 
@@ -469,7 +448,6 @@ mod tests {
                 GroupCommitConfig {
                     max_batch_frames: 12,
                     max_delay: Duration::from_millis(1),
-                    fsync: true,
                 },
             )
             .unwrap(),

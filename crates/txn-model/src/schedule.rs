@@ -131,14 +131,6 @@ impl ScheduleLog {
         }
     }
 
-    /// A log that starts disabled (pure-throughput runs where event
-    /// capture would dominate).
-    pub fn disabled() -> Self {
-        let log = Self::new();
-        log.set_enabled(false);
-        log
-    }
-
     /// Disable recording (for long benchmark runs where post-hoc checking
     /// is not needed and log growth would dominate).
     pub fn set_enabled(&self, on: bool) {
@@ -256,8 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_constructor_starts_off() {
-        let log = ScheduleLog::disabled();
+    fn disabled_log_reports_off() {
+        let log = ScheduleLog::new();
+        log.set_enabled(false);
         assert!(!log.is_enabled());
         log.record(ScheduleEvent::Abort {
             txn: TxnId(1),

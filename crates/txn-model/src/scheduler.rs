@@ -2,7 +2,7 @@
 //!
 //! The HDD scheduler and all baselines expose the same five-call surface
 //! (`begin` / `read` / `write` / `commit` / `abort`), so drivers, tests,
-//! benches and examples are generic over the concurrency control.
+//! the benchmark and examples are generic over the concurrency control.
 //!
 //! Blocking is modelled by *polling*: a `read`/`write` that must wait
 //! returns [`ReadOutcome::Block`] / [`WriteOutcome::Block`] and the driver

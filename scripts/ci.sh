@@ -32,7 +32,8 @@ echo "== tests (member crates) =="
 cargo test -q --workspace --exclude hdd-repro
 
 echo "== docs =="
-cargo doc --no-deps -q --workspace
+# Warnings are errors, so a doc link to a deleted item fails the stage.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
 echo "== ordering audit =="
 # Every Ordering::Relaxed site in the workspace must carry a

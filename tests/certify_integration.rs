@@ -140,7 +140,6 @@ fn concurrent_hdd_and_mvto_logs_certify_clean() {
         let hdd = kind == SchedulerKind::Hdd;
         let cfg = ConcurrentConfig {
             workers: 4,
-            verify: false,
             obs: hdd,
             ..ConcurrentConfig::default()
         };

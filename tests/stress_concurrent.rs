@@ -36,8 +36,6 @@ fn stress(kind: SchedulerKind) {
     let cfg = ConcurrentConfig {
         workers: WORKERS,
         maintenance_interval: Duration::from_micros(50),
-        verify: true,
-        capture_log: true,
         ..ConcurrentConfig::default()
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);
