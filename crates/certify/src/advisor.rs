@@ -13,8 +13,9 @@
 //! cells that motivated the advice.
 //!
 //! The advisor is **pure observation**: it never mutates the hierarchy
-//! (Section 7.1.1's dynamic restructuring stays a human decision); it
-//! only says what the restructuring *would be*.
+//! (nothing here implements Section 7.1.1's dynamic restructuring;
+//! applying the advice means rebuilding the hierarchy and restarting
+//! the scheduler); it only says what the repartition *would be*.
 
 use crate::diag::json_escape;
 use hdd::analysis::Hierarchy;

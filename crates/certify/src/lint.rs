@@ -275,8 +275,9 @@ pub fn lint_script(script: &Script, hierarchy: &Hierarchy) -> LintReport {
                 )
                 .with_witness(v.to_string())
                 .with_help(
-                    "restructure the hierarchy dynamically (Section 7.1.1) or \
-                         re-root the transaction in the lowest class it writes",
+                    "add the shape to the access specs and re-run `hdd-lint` \
+                     (its CERT003/CERT004 help gives the Section 7.2.1 merge), \
+                     or re-root the transaction in the lowest class it writes",
                 ),
             );
         } else if profile.is_read_only() && !profile.read_segments.is_empty() {
@@ -463,5 +464,10 @@ mod tests {
             "{:?}",
             r.diagnostics[0].witness
         );
+        // The help points at a repair that exists: re-lint with the
+        // shape added (the CERT003/CERT004 merge), not Section 7.1.1.
+        let help = r.diagnostics[0].help.as_deref().unwrap_or_default();
+        assert!(help.contains("hdd-lint"), "{help}");
+        assert!(!help.contains("7.1.1"), "{help}");
     }
 }

@@ -260,11 +260,6 @@ impl ClassActivity {
         self.entries.is_empty()
     }
 
-    /// True while any transaction of the class is running.
-    pub fn has_running(&self) -> bool {
-        self.running > 0
-    }
-
     /// Intervals examined by `i_old`/`c_late` since construction.
     pub fn scan_count(&self) -> u64 {
         self.scans.get()
@@ -279,18 +274,9 @@ impl ClassActivity {
         }
     }
 
-    /// Export all intervals as `(start, end, committed)` tuples
-    /// (dynamic-restructuring registry hand-off).
-    pub fn export(&self) -> Vec<(Timestamp, Option<Timestamp>, bool)> {
-        self.entries
-            .iter()
-            .map(|e| (e.start, e.end, e.committed))
-            .collect()
-    }
-
-    /// Absorb exported intervals (keeps the start-sorted invariant; used
-    /// when classes are merged, where histories of several old classes
-    /// union into one).
+    /// Absorb `(start, end, committed)` intervals, keeping the
+    /// start-sorted invariant. `hdd::resume` uses it to rebuild a class's
+    /// history from the surviving schedule log.
     pub fn absorb(&mut self, intervals: &[(Timestamp, Option<Timestamp>, bool)]) {
         for &(start, end, committed) in intervals {
             match self.position(start) {
@@ -460,33 +446,9 @@ impl ActivityRegistry {
         self.classes[class.index()].lock().stats()
     }
 
-    /// True while any transaction of `class` is running.
-    pub fn class_has_running(&self, class: ClassId) -> bool {
-        self.classes[class.index()].lock().has_running()
-    }
-
-    /// Export one class's intervals.
-    pub fn export_class(&self, class: ClassId) -> Vec<(Timestamp, Option<Timestamp>, bool)> {
-        self.classes[class.index()].lock().export()
-    }
-
     /// Absorb intervals into `class`.
     pub fn absorb_class(&self, class: ClassId, intervals: &[(Timestamp, Option<Timestamp>, bool)]) {
         self.classes[class.index()].lock().absorb(intervals);
-    }
-
-    /// Record the end of a transaction in `class` without requiring a
-    /// prior `begin` in this registry (mirroring ends across epochs in
-    /// dynamic restructuring). Idempotent: completes a running copied
-    /// interval, inserts a completed one if absent, and leaves
-    /// already-ended intervals alone.
-    pub fn mirror_end(&self, class: ClassId, start: Timestamp, end: Timestamp, committed: bool) {
-        let mut c = self.classes[class.index()].lock();
-        match c.export().iter().find(|&&(s, _, _)| s == start) {
-            Some(&(_, None, _)) => c.end(start, end, committed),
-            Some(_) => {} // already ended
-            None => c.absorb(&[(start, Some(end), committed)]),
-        }
     }
 }
 
@@ -618,35 +580,10 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.i_old(ts(6)), ts(5));
         assert_eq!(a.i_old(ts(15)), ts(10)); // running copy at 10
-        let exported = a.export();
-        assert!(exported.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-    }
-
-    #[test]
-    fn mirror_end_completes_inserts_and_ignores() {
-        let r = ActivityRegistry::new(1);
-        let c = ClassId(0);
-        // Completes a running copied interval.
-        r.absorb_class(c, &[(ts(5), None, false)]);
-        r.mirror_end(c, ts(5), ts(9), true);
-        assert_eq!(r.c_late(c, ts(7)), CLate::Time(ts(9)));
-        // Inserts a completed interval when absent.
-        r.mirror_end(c, ts(20), ts(25), true);
-        assert_eq!(r.i_old(c, ts(22)), ts(20));
-        // Ignores an already-ended interval (no panic, no change).
-        r.mirror_end(c, ts(5), ts(99), false);
-        assert_eq!(r.c_late(c, ts(7)), CLate::Time(ts(9)));
-    }
-
-    #[test]
-    fn class_has_running_tracks_lifecycle() {
-        let r = ActivityRegistry::new(2);
-        assert!(!r.class_has_running(ClassId(0)));
-        r.begin(ClassId(0), ts(1));
-        assert!(r.class_has_running(ClassId(0)));
-        assert!(!r.class_has_running(ClassId(1)));
-        r.abort(ClassId(0), ts(1), ts(2));
-        assert!(!r.class_has_running(ClassId(0)));
+        assert!(
+            a.entries.windows(2).all(|w| w[0].start < w[1].start),
+            "sorted"
+        );
     }
 
     #[test]

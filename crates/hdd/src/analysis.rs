@@ -135,8 +135,9 @@ impl std::fmt::Display for HierarchyError {
 
 impl std::error::Error for HierarchyError {}
 
-/// Why a transaction profile is illegal under a given hierarchy. Illegal
-/// profiles are the trigger for dynamic restructuring (Section 7.1.1).
+/// Why a transaction profile is illegal under a given hierarchy. The
+/// repair is to add the shape to the access specs and rebuild the
+/// hierarchy (`hdd-lint` gives the Section 7.2.1 merge).
 ///
 /// Violations carry the human-readable segment and class *names* (as
 /// configured via [`Hierarchy::with_segment_names`], defaulting to

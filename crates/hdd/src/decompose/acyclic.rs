@@ -103,20 +103,9 @@ fn contract(g: &Digraph, uf: &mut UnionFind) -> (Digraph, Vec<usize>) {
 /// so the function also legalizes cyclic DHGs arising from granule-level
 /// clustering).
 pub fn repartition_to_tst(dhg: &Digraph) -> MergePlan {
-    repartition_to_tst_from(dhg, &[])
-}
-
-/// Like [`repartition_to_tst`], but seeded with mandatory initial merges
-/// (pairs of nodes that must share a class). Dynamic restructuring uses
-/// this to guarantee the new partition only *coarsens* the old one, so
-/// every old class maps into exactly one new class.
-pub fn repartition_to_tst_from(dhg: &Digraph, initial_merges: &[(usize, usize)]) -> MergePlan {
     let n = dhg.node_count();
     let mut uf = UnionFind::new(n);
     let mut merges = Vec::new();
-    for &(a, b) in initial_merges {
-        uf.union(a, b);
-    }
 
     loop {
         let (contracted, index_of) = contract(dhg, &mut uf);

@@ -1,11 +1,9 @@
 //! Section 7 extensions, implemented: acyclic → TST repartitioning
-//! (7.2.1), decomposition methodology via data analysis (7.2.2), and
-//! dynamic restructuring of the database decomposition (7.1.1).
+//! (7.2.1) and decomposition methodology via data analysis (7.2.2).
+//! Dynamic restructuring (7.1.1) is not implemented (DESIGN.md §14).
 
 pub mod acyclic;
 pub mod cluster;
-pub mod dynamic;
 
-pub use acyclic::{repartition_to_tst, repartition_to_tst_from, MergePlan};
+pub use acyclic::{repartition_to_tst, MergePlan};
 pub use cluster::{decompose, Decomposition, ItemAccess};
-pub use dynamic::{AdaptiveScheduler, RestructureError};

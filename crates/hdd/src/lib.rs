@@ -22,9 +22,9 @@
 //! * [`protocol`] — Sections 4.2/5.2: the [`HddScheduler`] implementing
 //!   Protocols A, B and C behind the common
 //!   [`Scheduler`](txn_model::Scheduler) interface.
-//! * [`decompose`] — Section 7 (future work, implemented here): acyclic →
-//!   TST repartitioning, granule-clustering decomposition methodology,
-//!   and dynamic restructuring for ad-hoc transactions.
+//! * [`decompose`] — Section 7.2 (future work, implemented here): acyclic
+//!   → TST repartitioning and granule-clustering decomposition
+//!   methodology.
 //!
 //! ## Quick example
 //!

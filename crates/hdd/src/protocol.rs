@@ -171,42 +171,22 @@ impl Default for HddConfig {
     }
 }
 
-/// Substrate shared by scheduler epochs (and, in dynamic restructuring,
-/// across hierarchy switches): the store, the clock, the schedule log,
-/// the metrics and the transaction-id allocator.
-#[derive(Debug, Clone)]
-pub struct SchedulerCore {
-    /// The multi-version storage tier (in-memory by default; the
-    /// log-structured file backend for the durable configuration).
-    pub store: Arc<dyn StorageBackend>,
-    /// The global logical clock.
-    pub clock: Arc<LogicalClock>,
-    /// The schedule log (serializability checking spans epochs).
-    pub log: Arc<ScheduleLog>,
-    /// Cost counters.
-    pub metrics: Arc<Metrics>,
-    /// Transaction-id allocator (ids stay unique across epochs).
-    pub txn_ids: Arc<AtomicU64>,
-}
-
-impl SchedulerCore {
-    /// A fresh core over a storage backend and clock (`Arc<MvStore>`
-    /// coerces, so existing call sites read unchanged).
-    pub fn new(store: Arc<dyn StorageBackend>, clock: Arc<LogicalClock>) -> Self {
-        SchedulerCore {
-            store,
-            clock,
-            log: Arc::new(ScheduleLog::new()),
-            metrics: Arc::new(Metrics::default()),
-            txn_ids: Arc::new(AtomicU64::new(1)),
-        }
-    }
-}
-
 /// The HDD concurrency control.
 pub struct HddScheduler {
     hierarchy: Arc<Hierarchy>,
-    core: SchedulerCore,
+    /// The multi-version storage tier (in-memory by default; the
+    /// log-structured file backend for the durable configuration).
+    store: Arc<dyn StorageBackend>,
+    clock: Arc<LogicalClock>,
+    // `log`, `metrics` and `txn_ids` stay in heap allocations of their
+    // own: every operation bumps atomics in them, and moving them inline
+    // would change which fields share a cache line with `hierarchy`,
+    // `store` and `config` — a layout change nobody has measured.
+    log: Arc<ScheduleLog>,
+    metrics: Arc<Metrics>,
+    /// Transaction-id allocator (`hdd::resume` starts it above every
+    /// pre-crash id).
+    pub(crate) txn_ids: Arc<AtomicU64>,
     registry: ActivityRegistry,
     walls: TimeWallService,
     txns: TxnTable,
@@ -223,21 +203,19 @@ impl HddScheduler {
         clock: Arc<LogicalClock>,
         config: HddConfig,
     ) -> Self {
-        Self::with_core(hierarchy, SchedulerCore::new(store, clock), config)
-    }
-
-    /// Build a scheduler over an existing core (dynamic restructuring
-    /// hands the same core to the next epoch).
-    pub fn with_core(hierarchy: Arc<Hierarchy>, core: SchedulerCore, config: HddConfig) -> Self {
         let n = hierarchy.class_count();
-        // Dimension the boards to this hierarchy (first-wins, so a
-        // restructured epoch sharing the core keeps the original shape).
-        core.metrics
+        let metrics = Arc::new(Metrics::default());
+        // Dimension the boards to this hierarchy.
+        metrics
             .obs
             .configure(n as u32, hierarchy.segment_count() as u32);
         HddScheduler {
             hierarchy,
-            core,
+            store,
+            clock,
+            log: Arc::new(ScheduleLog::new()),
+            metrics,
+            txn_ids: Arc::new(AtomicU64::new(1)),
             registry: ActivityRegistry::new(n),
             walls: TimeWallService::new(),
             txns: TxnTable::new(),
@@ -246,18 +224,12 @@ impl HddScheduler {
         }
     }
 
-    /// The shared core.
-    pub fn core(&self) -> &SchedulerCore {
-        &self.core
-    }
-
     /// The hierarchy in force.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
     }
 
-    /// The activity registry (exposed for recovery, dynamic
-    /// restructuring and tests).
+    /// The activity registry (exposed for recovery and tests).
     pub fn registry(&self) -> &ActivityRegistry {
         &self.registry
     }
@@ -272,7 +244,7 @@ impl HddScheduler {
     /// object keeps the `impl dyn StorageBackend` conveniences
     /// (`latest_value`, `with_chain`) callable on the return value.
     pub fn store(&self) -> &(dyn StorageBackend + 'static) {
-        self.core.store.as_ref()
+        self.store.as_ref()
     }
 
     /// Read `g` under a (possibly historical) time wall — Reed's
@@ -285,21 +257,20 @@ impl HddScheduler {
     /// compacted to their newest surviving version per granule.
     pub fn read_at_wall(&self, wall: &TimeWall, g: GranuleId) -> Value {
         let bound = wall.component(self.hierarchy.class_of(g.segment));
-        self.core.store.value_as_of(g, bound)
+        self.store.value_as_of(g, bound)
     }
 
     /// Attempt to release a time wall now; returns true on success.
     pub fn try_release_wall(&self) -> bool {
         let funcs = ActivityFuncs::new(&self.hierarchy, &self.registry);
-        let released =
-            self.walls
-                .try_release(&self.hierarchy, &funcs, self.core.clock.now(), || {
-                    self.core.clock.tick()
-                });
+        let released = self
+            .walls
+            .try_release(&self.hierarchy, &funcs, self.clock.now(), || {
+                self.clock.tick()
+            });
         if let Some(w) = &released {
-            Metrics::bump(&self.core.metrics.timewalls_released);
-            self.core
-                .metrics
+            Metrics::bump(&self.metrics.timewalls_released);
+            self.metrics
                 .obs
                 .wall_released(w.anchor_time.raw(), w.released_at.raw());
         }
@@ -310,13 +281,13 @@ impl HddScheduler {
     /// watermark. Returns versions reclaimed.
     pub fn run_gc(&self) -> usize {
         let wm = self.gc_watermark();
-        let reclaimed = self.core.store.prune_before(wm);
+        let reclaimed = self.store.prune_before(wm);
         self.registry.prune_ended_before(wm);
         self.walls.retire_old(4);
         if reclaimed > 0 {
-            Metrics::add(&self.core.metrics.versions_gced, reclaimed as u64);
+            Metrics::add(&self.metrics.versions_gced, reclaimed as u64);
         }
-        let obs = &self.core.metrics.obs;
+        let obs = &self.metrics.obs;
         obs.gc_ran(wm.raw(), reclaimed as u64);
         if obs.enabled() {
             // GC just rewrote the chain shape; republish the store
@@ -329,12 +300,12 @@ impl HddScheduler {
 
     /// Publish the store levels (O(shards + GC queue)) to the gauge board.
     fn publish_store_gauges(&self) {
-        let versions = self.core.store.version_count() as u64;
-        let granules = self.core.store.granule_count() as u64;
-        self.core.metrics.obs.gauges.set_store(
+        let versions = self.store.version_count() as u64;
+        let granules = self.store.granule_count() as u64;
+        self.metrics.obs.gauges.set_store(
             versions,
             granules,
-            self.core.store.max_chain_len() as u64,
+            self.store.max_chain_len() as u64,
             versions.saturating_sub(granules),
         );
     }
@@ -347,8 +318,8 @@ impl HddScheduler {
     /// paths only ever touch the board through the `obs` read hooks'
     /// staleness record (O(1) relaxed).
     fn refresh_gauges(&self, call: u64) {
-        let gauges = &self.core.metrics.obs.gauges;
-        let now = self.core.clock.now();
+        let gauges = &self.metrics.obs.gauges;
+        let now = self.clock.now();
         gauges.set_clock(now.raw());
         if !call.is_multiple_of(4) {
             return;
@@ -375,7 +346,7 @@ impl HddScheduler {
                     gauges.set_segment_wall(seg.0, w.component(class).raw());
                 }
             }
-            self.core.metrics.obs.wall_floor_held(dragger, now.raw());
+            self.metrics.obs.wall_floor_held(dragger, now.raw());
         }
         let mut active_total = 0u64;
         let mut intervals_total = 0u64;
@@ -412,7 +383,7 @@ impl HddScheduler {
     /// cadence; E20 and the advisor binary call it directly for
     /// deterministic fold boundaries.
     pub fn refresh_drift_now(&self) {
-        self.core.metrics.obs.fold_drift();
+        self.metrics.obs.fold_drift();
     }
 
     /// The GC watermark: nothing at or above it may be reclaimed.
@@ -431,7 +402,7 @@ impl HddScheduler {
     /// `I_old(m)` is immutable for `m ≤ now`), so pruning versions and
     /// activity history strictly below it is safe.
     pub fn gc_watermark(&self) -> Timestamp {
-        let mut f = self.core.clock.now();
+        let mut f = self.clock.now();
         for w in self.walls.released_all() {
             f = f.min(w.floor()).min(w.anchor_time);
         }
@@ -478,18 +449,16 @@ impl HddScheduler {
         let reaped = expired.len();
         for (id, st) in expired {
             // Chains first, then the registry (see module docs).
-            self.core.store.abort_writes(id, &st.write_set);
+            self.store.abort_writes(id, &st.write_set);
             let abort_ts = match st.class {
                 Some(class) => self
                     .registry
-                    .end_with(class, st.start, false, || self.core.clock.tick()),
-                None => self.core.clock.tick(),
+                    .end_with(class, st.start, false, || self.clock.tick()),
+                None => self.clock.tick(),
             };
-            self.core
-                .log
-                .record(ScheduleEvent::Abort { txn: id, abort_ts });
-            Metrics::bump(&self.core.metrics.aborts);
-            self.core.metrics.reject(
+            self.log.record(ScheduleEvent::Abort { txn: id, abort_ts });
+            Metrics::bump(&self.metrics.aborts);
+            self.metrics.reject(
                 RejectReason::WatchdogAbort,
                 id.0,
                 st.class.map_or(0, |c| c.0),
@@ -501,8 +470,7 @@ impl HddScheduler {
             // Also closes the sampled flight: a crashed worker never
             // reaches a driver terminal, so the reap is what guarantees
             // no span leaks (E16 invariant).
-            self.core
-                .metrics
+            self.metrics
                 .obs
                 .reaped(id.0, st.start.raw(), overdue_micros);
         }
@@ -522,9 +490,9 @@ impl HddScheduler {
     /// holder's class — known here even when the holder has finished by
     /// the time the cause is recorded.
     fn blocked_on_txn(&self, txn: TxnId, holder: TxnId, g: GranuleId) {
-        Metrics::bump(&self.core.metrics.blocks);
+        Metrics::bump(&self.metrics.blocks);
         let class = || self.hierarchy.class_of(g.segment).0;
-        self.core.metrics.obs.blocked_on_txn(txn.0, holder.0, class);
+        self.metrics.obs.blocked_on_txn(txn.0, holder.0, class);
     }
 
     /// Unregistered (Protocol A / Protocol C) read of `g`, owned by
@@ -541,7 +509,6 @@ impl HddScheduler {
         served: impl FnOnce(&Obs, ServedRead),
     ) -> ReadOutcome {
         let r = self
-            .core
             .store
             .with_chain(g, |c| c.read_before_unregistered(bound));
         match r {
@@ -550,15 +517,15 @@ impl HddScheduler {
                 version,
                 writer,
             } => {
-                Metrics::bump(&self.core.metrics.reads);
-                self.core.log.record(ScheduleEvent::Read {
+                Metrics::bump(&self.metrics.reads);
+                self.log.record(ScheduleEvent::Read {
                     txn: h.id,
                     granule: g,
                     version,
                     writer,
                 });
                 served(
-                    &self.core.metrics.obs,
+                    &self.metrics.obs,
                     ServedRead {
                         txn: h.id.0,
                         start: h.start_ts.raw(),
@@ -574,8 +541,7 @@ impl HddScheduler {
             // Unreachable by the bound proof; block defensively — and
             // count the violation loudly (`wall_violations`).
             MvtoReadResult::BlockOn(waiting_for) => {
-                self.core
-                    .metrics
+                self.metrics
                     .reject(RejectReason::WallViolation, h.id.0, g.segment.0, g.key);
                 self.blocked_on_txn(h.id, waiting_for, g);
                 ReadOutcome::Block
@@ -585,16 +551,16 @@ impl HddScheduler {
 
     /// Protocol B read inside the root segment.
     fn read_root(&self, h: &TxnHandle, g: GranuleId) -> ReadOutcome {
-        let r = self.core.store.with_chain(g, |c| c.mvto_read(h.start_ts));
+        let r = self.store.with_chain(g, |c| c.mvto_read(h.start_ts));
         match r {
             MvtoReadResult::Value {
                 value,
                 version,
                 writer,
             } => {
-                Metrics::bump(&self.core.metrics.reads);
-                Metrics::bump(&self.core.metrics.read_registrations);
-                self.core.log.record(ScheduleEvent::Read {
+                Metrics::bump(&self.metrics.reads);
+                Metrics::bump(&self.metrics.read_registrations);
+                self.log.record(ScheduleEvent::Read {
                     txn: h.id,
                     granule: g,
                     version,
@@ -621,15 +587,17 @@ impl Scheduler for HddScheduler {
         if let Err(v) = self.hierarchy.validate_profile(profile) {
             panic!(
                 "transaction profile violates the hierarchy: {v}; \
-                 use dynamic restructuring for ad-hoc update patterns"
+                 add the shape to the access specs and re-run `hdd-lint` \
+                 (its CERT003/CERT004 help gives the Section 7.2.1 merge), \
+                 or re-root the transaction in the lowest class it writes"
             );
         }
         // ordering: Relaxed — id uniqueness comes from fetch_add atomicity;
         // ids publish no memory (txn state is built after, under locks).
-        let id = TxnId(self.core.txn_ids.fetch_add(1, Ordering::Relaxed));
-        Metrics::bump(&self.core.metrics.begins);
+        let id = TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed));
+        Metrics::bump(&self.metrics.begins);
 
-        self.core.metrics.obs.began(
+        self.metrics.obs.began(
             profile.class.map_or(u32::MAX, |c| c.0),
             profile.read_segments.iter().map(|s| s.0),
             profile.write_segments.iter().map(|s| s.0),
@@ -667,7 +635,7 @@ impl Scheduler for HddScheduler {
         // follow the insert, so the log never holds an abort before its
         // begin.
         let begun = |start| {
-            self.core.log.record(ScheduleEvent::Begin {
+            self.log.record(ScheduleEvent::Begin {
                 txn: id,
                 start_ts: start,
                 class: profile.class,
@@ -691,7 +659,7 @@ impl Scheduler for HddScheduler {
             // transaction, breaking the immutability of `I_old(m)` for
             // `m ≤ now` that Protocol A's proof rests on.
             Some(class) => {
-                let start = self.registry.begin_with(class, || self.core.clock.tick());
+                let start = self.registry.begin_with(class, || self.clock.tick());
                 self.txns.insert(id, begun(start));
                 start
             }
@@ -702,7 +670,7 @@ impl Scheduler for HddScheduler {
             // clock below the new start. Ticking outside the lock let a
             // watermark computed in between prune the versions the
             // reader's bounds select.
-            None => self.txns.insert_with(id, || begun(self.core.clock.tick())),
+            None => self.txns.insert_with(id, || begun(self.clock.tick())),
         };
         TxnHandle {
             id,
@@ -735,7 +703,7 @@ impl Scheduler for HddScheduler {
                     let (bound, scanned) = self
                         .funcs()
                         .a_fn_from_below_counted(base, target, h.start_ts);
-                    Metrics::bump(&self.core.metrics.cross_class_reads);
+                    Metrics::bump(&self.metrics.cross_class_reads);
                     self.read_unregistered(h, g, target, bound, |obs, r| {
                         obs.cross_read(base.0, r, scanned);
                     })
@@ -763,8 +731,8 @@ impl Scheduler for HddScheduler {
                                     // No wall released yet at all; wait
                                     // for the service (the only wait
                                     // Protocol C has).
-                                    Metrics::bump(&self.core.metrics.blocks);
-                                    self.core.metrics.obs.blocked_on_wall(h.id.0, || {
+                                    Metrics::bump(&self.metrics.blocks);
+                                    self.metrics.obs.blocked_on_wall(h.id.0, || {
                                         self.walls.pending_anchor().map_or(0, Timestamp::raw)
                                     });
                                     return ReadOutcome::Block;
@@ -772,7 +740,7 @@ impl Scheduler for HddScheduler {
                             }
                         }
                     };
-                    Metrics::bump(&self.core.metrics.wall_reads);
+                    Metrics::bump(&self.metrics.wall_reads);
                     self.read_unregistered(h, g, target, wall.component(target), |obs, r| {
                         obs.wall_read(wall.anchor_time.raw(), r);
                     })
@@ -788,7 +756,7 @@ impl Scheduler for HddScheduler {
             // Protocol A: T_target is higher than T_class (validated at
             // begin); compute the activity-link bound.
             let (bound, scanned) = self.funcs().a_fn_counted(class, target, h.start_ts);
-            Metrics::bump(&self.core.metrics.cross_class_reads);
+            Metrics::bump(&self.metrics.cross_class_reads);
             self.read_unregistered(h, g, target, bound, |obs, r| {
                 obs.cross_read(class.0, r, scanned);
             })
@@ -806,7 +774,6 @@ impl Scheduler for HddScheduler {
         let v = Arc::new(v);
         let value = Arc::clone(&v);
         let result = self
-            .core
             .store
             .with_chain(g, |c| c.mvto_write(h.start_ts, value, h.id));
         match result {
@@ -831,12 +798,12 @@ impl Scheduler for HddScheduler {
                     None => false,
                 });
                 if !alive {
-                    self.core.store.abort_writes(h.id, &[g]);
+                    self.store.abort_writes(h.id, &[g]);
                     return WriteOutcome::Abort;
                 }
-                Metrics::bump(&self.core.metrics.writes);
-                Metrics::bump(&self.core.metrics.write_registrations);
-                self.core.log.record(ScheduleEvent::Write {
+                Metrics::bump(&self.metrics.writes);
+                Metrics::bump(&self.metrics.write_registrations);
+                self.log.record(ScheduleEvent::Write {
                     txn: h.id,
                     granule: g,
                     version: h.start_ts,
@@ -845,8 +812,7 @@ impl Scheduler for HddScheduler {
                 WriteOutcome::Done
             }
             MvtoWriteResult::Rejected => {
-                self.core
-                    .metrics
+                self.metrics
                     .reject(RejectReason::WriteTooLate, h.id.0, g.segment.0, g.key);
                 WriteOutcome::Abort
             }
@@ -865,20 +831,19 @@ impl Scheduler for HddScheduler {
         // transaction still looks active, so `I_old(m)` evaluates low
         // for one reader and high for another at the same `m` —
         // incompatible version choices, a dependency cycle.
-        self.core.store.commit_writes(h.id, &st.write_set);
+        self.store.commit_writes(h.id, &st.write_set);
         let commit_ts = match st.class {
             Some(class) => self
                 .registry
-                .end_with(class, st.start, true, || self.core.clock.tick()),
-            None => self.core.clock.tick(),
+                .end_with(class, st.start, true, || self.clock.tick()),
+            None => self.clock.tick(),
         };
-        self.core.log.record(ScheduleEvent::Commit {
+        self.log.record(ScheduleEvent::Commit {
             txn: h.id,
             commit_ts,
         });
-        Metrics::bump(&self.core.metrics.commits);
-        self.core
-            .metrics
+        Metrics::bump(&self.metrics.commits);
+        self.metrics
             .obs
             .committed(st.class.map_or(u32::MAX, |c| c.0));
         CommitOutcome::Committed(commit_ts)
@@ -887,20 +852,20 @@ impl Scheduler for HddScheduler {
     fn abort(&self, h: &TxnHandle) {
         let st = self.txns.remove(h.id);
         let Some(st) = st else { return };
-        self.core.store.abort_writes(h.id, &st.write_set);
+        self.store.abort_writes(h.id, &st.write_set);
         // Abort timestamps are drawn under the class lock for the same
         // reason as commit timestamps (see `commit` above).
         let abort_ts = match st.class {
             Some(class) => self
                 .registry
-                .end_with(class, st.start, false, || self.core.clock.tick()),
-            None => self.core.clock.tick(),
+                .end_with(class, st.start, false, || self.clock.tick()),
+            None => self.clock.tick(),
         };
-        self.core.log.record(ScheduleEvent::Abort {
+        self.log.record(ScheduleEvent::Abort {
             txn: h.id,
             abort_ts,
         });
-        Metrics::bump(&self.core.metrics.aborts);
+        Metrics::bump(&self.metrics.aborts);
     }
 
     fn maintenance(&self) {
@@ -923,7 +888,7 @@ impl Scheduler for HddScheduler {
         if due(gc_interval) {
             self.run_gc();
         }
-        if self.core.metrics.obs.enabled() {
+        if self.metrics.obs.enabled() {
             self.refresh_gauges(n);
             if due(drift_interval) {
                 self.refresh_drift_now();
@@ -932,11 +897,11 @@ impl Scheduler for HddScheduler {
     }
 
     fn log(&self) -> &ScheduleLog {
-        &self.core.log
+        &self.log
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        &self.metrics
     }
 }
 
@@ -993,7 +958,7 @@ mod tests {
     fn gauge_board_records_staleness_and_refreshes_from_maintenance() {
         let sched = setup();
         let gauges = &sched.metrics().obs.gauges;
-        assert!(gauges.is_configured(), "with_core dimensions the board");
+        assert!(gauges.is_configured(), "new dimensions the board");
         assert_eq!(gauges.snapshot().n_classes, 3);
         sched.metrics().obs.set_enabled(true);
 
@@ -1092,7 +1057,7 @@ mod tests {
     fn drift_sketch_counts_arrivals_edges_and_trips_on_a_mix_shift() {
         let sched = setup();
         let obs = &sched.metrics().obs;
-        assert!(obs.drift.snapshot().configured, "with_core dimensions it");
+        assert!(obs.drift.snapshot().configured, "new dimensions it");
         obs.set_enabled(true);
 
         // Drift board still off: hot paths must stay silent.

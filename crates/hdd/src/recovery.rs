@@ -25,13 +25,13 @@
 //! post-run certification checks.
 
 use crate::analysis::Hierarchy;
-use crate::protocol::{HddConfig, HddScheduler, SchedulerCore};
+use crate::protocol::{HddConfig, HddScheduler};
 use mvstore::{RecoveryReport, StorageBackend};
 use obs::{Event, TraceEvent};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use txn_model::{ClassId, LogicalClock, Metrics, ScheduleEvent, ScheduleLog, Timestamp, TxnId};
+use txn_model::{ClassId, LogicalClock, ScheduleEvent, Scheduler, Timestamp, TxnId};
 
 /// Summary of a [`resume`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,14 +71,10 @@ pub fn resume(
     let clock = Arc::new(LogicalClock::new());
     clock.advance_past(recovery.high_water_mark);
     let max_id = events.iter().map(|ev| ev.txn().0).max().unwrap_or(0);
-    let core = SchedulerCore {
-        store,
-        clock: Arc::clone(&clock),
-        log: Arc::new(ScheduleLog::new()),
-        metrics: Arc::new(Metrics::default()),
-        txn_ids: Arc::new(AtomicU64::new(max_id + 1)),
-    };
-    let sched = HddScheduler::with_core(hierarchy, core, config);
+    let sched = HddScheduler::new(hierarchy, store, Arc::clone(&clock), config);
+    // ordering: Relaxed — the scheduler is not shared yet; handing it to
+    // the caller publishes the store before any `begin` reads it.
+    sched.txn_ids.store(max_id + 1, Ordering::Relaxed);
 
     // Reconstruct per-class activity intervals from the log: begin gives
     // the start, commit/abort the end. Whatever never ended was in
@@ -124,7 +120,7 @@ pub fn resume(
     // Stitch: the surviving prefix first (ticket order is preserved by
     // recording sequentially), then synthetic aborts for in-flight txns.
     for ev in events {
-        sched.core().log.record(ev.clone());
+        sched.log().record(ev.clone());
     }
     let mut in_flight: Vec<(TxnId, Lifetime)> = lifetimes
         .iter()
@@ -138,8 +134,7 @@ pub fn resume(
         let abort_ts = clock.tick();
         l.end = Some((abort_ts, false));
         sched
-            .core()
-            .log
+            .log()
             .record(ScheduleEvent::Abort { txn: *id, abort_ts });
     }
     for l in lifetimes.values().filter(|l| l.end.is_some()) {
@@ -166,8 +161,7 @@ pub fn resume(
     // the recovering process sees how far redo got and whether the log
     // was pristine.
     sched
-        .core()
-        .metrics
+        .metrics()
         .obs
         .gauges
         .set_recovery_progress(events.len() as u64, recovery.anomalies.total() as u64);
@@ -181,7 +175,7 @@ pub fn resume(
         in_flight_aborted: in_flight_aborted as u64,
         high_water_mark: recovery.high_water_mark.raw(),
     };
-    let obs = &sched.core().metrics.obs;
+    let obs = &sched.metrics().obs;
     obs.events.push(Event::Decision(replay));
     let report = ResumeReport {
         recovery,
@@ -250,7 +244,7 @@ mod tests {
             WriteOutcome::Done
         );
         // Crash here: t2 never commits.
-        sched.core().log.events()
+        sched.log().events()
     }
 
     #[test]
@@ -324,7 +318,7 @@ mod tests {
             &events,
             HddConfig::default(),
         );
-        let stitched = sched.core().log.events();
+        let stitched = sched.log().events();
         assert_eq!(stitched.len(), events.len() + report.in_flight_aborted);
         let aborts = stitched
             .iter()
@@ -333,8 +327,7 @@ mod tests {
         assert_eq!(aborts, 1);
         // The replay is recorded in the event log even with obs off.
         let kinds: Vec<&str> = sched
-            .core()
-            .metrics
+            .metrics()
             .obs
             .events
             .drain()
@@ -369,7 +362,7 @@ mod tests {
         let before = sched.metrics().obs.gauges.snapshot();
         assert_eq!(before.staleness_for(1, 0).unwrap().hist.count, 2);
         assert!(before.clock_now > 0);
-        let events = sched.core().log.events();
+        let events = sched.log().events();
         drop(sched); // crash
 
         // Resume builds a fresh scheduler (fresh gauge board); one

@@ -209,8 +209,9 @@ impl DriftBoard {
         }
     }
 
-    /// Allocate the dimensioned cells. First caller wins; later calls
-    /// (other schedulers sharing the board) are no-ops.
+    /// Allocate the dimensioned cells. First caller wins and later calls
+    /// are no-ops, so a repeat call from the board's other callers
+    /// (`certify::advisor`, dashboards, tests) is harmless.
     pub fn configure(&self, n_classes: u32, n_segments: u32) {
         self.dims.get_or_init(|| Dims::new(n_classes, n_segments));
     }

@@ -118,9 +118,10 @@ impl GaugeBoard {
     }
 
     /// Allocate the per-class / per-segment cells. Idempotent and
-    /// first-wins: a second call (e.g. a rebuilt scheduler sharing the
-    /// same `Metrics`) is a no-op even with different dimensions, so
-    /// histogram references can never dangle.
+    /// first-wins: a second call is a no-op even with different
+    /// dimensions, so histogram references can never dangle and a repeat
+    /// call from the board's other callers (`certify::advisor`,
+    /// dashboards, tests) is harmless.
     pub fn configure(&self, n_classes: u32, n_segments: u32) {
         let _ = self.dims.get_or_init(|| Dims {
             n_classes,

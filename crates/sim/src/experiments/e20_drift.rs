@@ -3,7 +3,8 @@
 //!
 //! The paper's decomposition is chosen *a-priori* from declared
 //! transaction shapes (Section 3); Section 7.1.1 only sketches dynamic
-//! restructuring. This experiment closes the loop empirically: a
+//! restructuring, which this repository does not implement (DESIGN.md
+//! §14). This experiment closes the observation half empirically: a
 //! four-segment workload whose grouped hierarchy `T0={D0,D1}`,
 //! `T1={D2}`, `T2={D3}` is driven through HDD with the drift sketch
 //! ([`obs::DriftBoard`]) enabled, and mid-run the class/segment mix

@@ -1,22 +1,12 @@
 //! Section 7 in action: deriving a decomposition from item-level access
-//! data (7.2.2), legalizing an illegal DHG by merging (7.2.1), and
-//! dynamically restructuring a running system for an ad-hoc transaction
-//! shape (7.1.1).
+//! data (7.2.2) and legalizing an illegal DHG by merging (7.2.1).
 //!
 //! ```text
 //! cargo run --example decompose
 //! ```
 
-use hdd::analysis::AccessSpec;
-use hdd::decompose::{decompose, repartition_to_tst, AdaptiveScheduler, ItemAccess};
+use hdd::decompose::{decompose, repartition_to_tst, ItemAccess};
 use hdd::graph::{is_transitive_semi_tree, Digraph};
-use hdd::protocol::{HddConfig, SchedulerCore};
-use mvstore::MvStore;
-use std::sync::Arc;
-use txn_model::{
-    ClassId, DependencyGraph, GranuleId, LogicalClock, ReadOutcome, Scheduler, SegmentId,
-    TxnProfile, Value, WriteOutcome,
-};
 
 fn main() {
     // ---- 7.2.2: decomposition via data analysis -------------------------
@@ -52,76 +42,4 @@ fn main() {
         plan.n_classes
     );
     assert!(is_transitive_semi_tree(&plan.contracted));
-
-    // ---- 7.1.1: dynamic restructuring ------------------------------------
-    // A running system over the tree 3 → 1 → 0 ← 2. An ad-hoc shape
-    // that writes segment 3 while reading segment 2 turns the reduction
-    // into a diamond, so the partition must coarsen — *without* stopping
-    // the unaffected traffic.
-    let s = SegmentId;
-    let specs = vec![
-        AccessSpec::new("c0", vec![s(0)], vec![]),
-        AccessSpec::new("c1", vec![s(1)], vec![s(0)]),
-        AccessSpec::new("c2", vec![s(2)], vec![s(0)]),
-        AccessSpec::new("c3", vec![s(3)], vec![s(1), s(0)]),
-    ];
-    let store = Arc::new(MvStore::new());
-    for seg in 0..4u32 {
-        store.seed(GranuleId::new(s(seg), 1), Value::Int(0));
-    }
-    let core = SchedulerCore::new(store.clone(), Arc::new(LogicalClock::new()));
-    let adaptive = AdaptiveScheduler::new(4, specs, core, HddConfig::default()).unwrap();
-
-    // Normal traffic.
-    let t = adaptive.begin(&TxnProfile {
-        class: Some(ClassId(1)),
-        read_segments: vec![s(0)],
-        write_segments: vec![s(1)],
-    });
-    assert!(matches!(
-        adaptive.read(&t, GranuleId::new(s(0), 1)),
-        ReadOutcome::Value(_)
-    ));
-    assert_eq!(
-        adaptive.write(&t, GranuleId::new(s(1), 1), Value::Int(7)),
-        WriteOutcome::Done
-    );
-
-    // The ad-hoc shape arrives while t is still running.
-    let needs_restructure = adaptive
-        .submit_shape(AccessSpec::new(
-            "cross-branch",
-            vec![s(3)],
-            vec![s(2), s(1), s(0)],
-        ))
-        .unwrap();
-    println!("ad-hoc shape accepted, restructure needed: {needs_restructure}");
-    assert!(needs_restructure);
-    assert!(!adaptive.try_switch(), "affected classes still running");
-
-    // The in-flight transaction finishes; the switch goes through on the
-    // next maintenance tick.
-    adaptive.commit(&t);
-    adaptive.maintenance();
-    let h = adaptive.current_hierarchy();
-    println!("switched: {} classes now (was 4)", h.class_count());
-    assert!(h.class_count() < 4);
-
-    // The ad-hoc shape now runs.
-    let adhoc = adaptive.begin(&TxnProfile {
-        class: Some(h.class_of(s(3))),
-        read_segments: vec![s(2), s(1), s(0)],
-        write_segments: vec![s(3)],
-    });
-    assert!(matches!(
-        adaptive.read(&adhoc, GranuleId::new(s(2), 1)),
-        ReadOutcome::Value(_)
-    ));
-    assert_eq!(
-        adaptive.write(&adhoc, GranuleId::new(s(3), 1), Value::Int(1)),
-        WriteOutcome::Done
-    );
-    adaptive.commit(&adhoc);
-    assert!(DependencyGraph::from_log(adaptive.log()).is_serializable());
-    println!("ad-hoc transaction committed; combined schedule serializable");
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, the benchmark
-# smoke, docs, the ordering audit and the model checker. Every
+# Local CI gate: formatting, lints, the full test suite, the examples,
+# the benchmark smoke, docs, the ordering audit and the model checker. Every
 # correctness invariant is a `cargo test`; no stage runs an experiment.
 # Run from the repository root:
 #
@@ -19,6 +19,13 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== tests (tier 1) =="
 cargo build --release -q
 cargo test -q
+
+echo "== examples =="
+# `cargo test` and clippy only compile the examples; run each so an
+# `assert!` inside one cannot fail unseen. The exit code is the gate.
+for ex in quickstart anomalies timewall decompose forensics inventory; do
+    cargo run -q --example "$ex" > /dev/null
+done
 
 echo "== benchmark smoke (release, ~30s) =="
 # Every leg and correctness gate of all four benchmark workloads at

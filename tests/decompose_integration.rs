@@ -1,17 +1,16 @@
 //! Section 7 algorithms, end to end: data-analysis decomposition feeding
-//! a live scheduler, and dynamic restructuring under traffic.
+//! a live scheduler, and acyclic → TST repartitioning.
 
-use hdd::analysis::AccessSpec;
-use hdd::decompose::{decompose, repartition_to_tst, AdaptiveScheduler, ItemAccess};
+use hdd::decompose::{decompose, repartition_to_tst, ItemAccess};
 use hdd::graph::{is_transitive_semi_tree, Digraph};
-use hdd::protocol::{HddConfig, HddScheduler, SchedulerCore};
+use hdd::protocol::{HddConfig, HddScheduler};
 use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use txn_model::{
-    ClassId, CommitOutcome, DependencyGraph, GranuleId, LogicalClock, ReadOutcome, Scheduler,
-    SegmentId, TxnProfile, Value, WriteOutcome,
+    CommitOutcome, DependencyGraph, LogicalClock, ReadOutcome, Scheduler, SegmentId, TxnProfile,
+    Value, WriteOutcome,
 };
 
 #[test]
@@ -93,124 +92,4 @@ fn repartition_always_yields_runnable_hierarchies() {
             assert!(plan.group_of.iter().any(|x| x.index() == c));
         }
     }
-}
-
-#[test]
-fn adaptive_restructure_under_concurrent_traffic() {
-    // Tree 3 → 1 → 0 ← 2; run traffic, inject the diamond-forcing
-    // shape mid-stream, keep running, then verify the combined log.
-    let s = SegmentId;
-    let specs = vec![
-        AccessSpec::new("c0", vec![s(0)], vec![]),
-        AccessSpec::new("c1", vec![s(1)], vec![s(0)]),
-        AccessSpec::new("c2", vec![s(2)], vec![s(0)]),
-        AccessSpec::new("c3", vec![s(3)], vec![s(1), s(0)]),
-    ];
-    let store = Arc::new(MvStore::new());
-    for seg in 0..4u32 {
-        for key in 0..4u64 {
-            store.seed(GranuleId::new(s(seg), key), Value::Int(0));
-        }
-    }
-    let core = SchedulerCore::new(store.clone(), Arc::new(LogicalClock::new()));
-    let a = AdaptiveScheduler::new(4, specs, core, HddConfig::default()).unwrap();
-
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut run_update = |a: &AdaptiveScheduler, seg: u32, reads: Vec<u32>| {
-        let profile = TxnProfile {
-            class: Some(ClassId(seg)),
-            read_segments: reads.iter().map(|&r| s(r)).collect(),
-            write_segments: vec![s(seg)],
-        };
-        let t = a.begin(&profile);
-        let mut done = false;
-        for _ in 0..200 {
-            let mut progressed = true;
-            for &r in &reads {
-                let g = GranuleId::new(s(r), rng.gen_range(0..4));
-                match a.read(&t, g) {
-                    ReadOutcome::Value(_) => {}
-                    ReadOutcome::Block => {
-                        progressed = false;
-                        a.maintenance();
-                        break;
-                    }
-                    ReadOutcome::Abort => {
-                        a.abort(&t);
-                        return false;
-                    }
-                }
-            }
-            if !progressed {
-                continue;
-            }
-            match a.write(
-                &t,
-                GranuleId::new(s(seg), rng.gen_range(0..4)),
-                Value::Int(1),
-            ) {
-                WriteOutcome::Done => {}
-                WriteOutcome::Block => {
-                    a.maintenance();
-                    continue;
-                }
-                WriteOutcome::Abort => {
-                    a.abort(&t);
-                    return false;
-                }
-            }
-            match a.commit(&t) {
-                CommitOutcome::Committed(_) => {
-                    done = true;
-                    break;
-                }
-                CommitOutcome::Block => a.maintenance(),
-                CommitOutcome::Aborted => return false,
-            }
-        }
-        assert!(done, "transaction did not finish");
-        true
-    };
-
-    // Phase 1: normal traffic.
-    for _ in 0..5 {
-        run_update(&a, 1, vec![0]);
-        run_update(&a, 2, vec![0]);
-        run_update(&a, 3, vec![1, 0]);
-    }
-    // Phase 2: inject the ad-hoc shape.
-    assert_eq!(
-        a.submit_shape(AccessSpec::new("cross", vec![s(3)], vec![s(2), s(1), s(0)])),
-        Ok(true)
-    );
-    // Phase 3: unaffected traffic only? The whole tree is one component
-    // here, so everything is affected — traffic in class 0 parks until
-    // the (immediate, nothing-running) switch.
-    a.maintenance(); // switch
-    assert!(!a.is_restructuring() || a.try_switch() || a.is_restructuring());
-    // Phase 4: traffic under the new partition, including the ad-hoc
-    // shape.
-    let h = a.current_hierarchy();
-    for _ in 0..5 {
-        let t = a.begin(&TxnProfile {
-            class: Some(h.class_of(s(3))),
-            read_segments: vec![s(2), s(1), s(0)],
-            write_segments: vec![s(3)],
-        });
-        for seg in [2u32, 1, 0] {
-            assert!(matches!(
-                a.read(&t, GranuleId::new(s(seg), 0)),
-                ReadOutcome::Value(_)
-            ));
-        }
-        assert_eq!(
-            a.write(&t, GranuleId::new(s(3), 0), Value::Int(9)),
-            WriteOutcome::Done
-        );
-        assert!(matches!(a.commit(&t), CommitOutcome::Committed(_)));
-    }
-    assert!(
-        DependencyGraph::from_log(a.log()).is_serializable(),
-        "combined pre/post-switch schedule must be serializable"
-    );
 }
