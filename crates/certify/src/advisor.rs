@@ -383,7 +383,7 @@ impl AdvisorReport {
 mod tests {
     use super::*;
     use hdd::analysis::AccessSpec;
-    use obs::DriftBoard;
+    use obs::Obs;
     use txn_model::ClassId;
 
     fn s(i: u32) -> SegmentId {
@@ -401,14 +401,15 @@ mod tests {
         Hierarchy::build(3, &specs).unwrap()
     }
 
-    /// Drift board pre-fed with the given edges `count` times each.
-    fn board(n_classes: u32, n_segments: u32, edges: &[(u32, u32)], count: u64) -> DriftBoard {
-        let b = DriftBoard::new();
+    /// Sidecar whose drift board is pre-fed with the given edges `count`
+    /// times each.
+    fn board(n_classes: u32, n_segments: u32, edges: &[(u32, u32)], count: u64) -> Obs {
+        let b = Obs::new();
         b.configure(n_classes, n_segments);
-        b.set_enabled(true);
+        b.drift.set_enabled(true);
         for _ in 0..count {
             for &(f, t) in edges {
-                b.record_edge(f, t);
+                b.drift.record_edge(f, t);
             }
         }
         b
@@ -427,7 +428,7 @@ mod tests {
         // Observed workload matches the declared chain: acyclic DHG,
         // identity repartition.
         let b = board(3, 3, &[(0, 0), (1, 1), (1, 0), (2, 2), (2, 0), (2, 1)], 8);
-        let r = advise(&h, &b.snapshot(), DEFAULT_MIN_EDGE);
+        let r = advise(&h, &b.snapshot().drift, DEFAULT_MIN_EDGE);
         assert!(r.hierarchy_is_optimal(), "{}", r.render());
         assert_eq!(r.quality_milli, 1000);
         assert_eq!(r.current_labels, r.advised_labels);
@@ -444,7 +445,7 @@ mod tests {
         // The live mix grew a back-arc D0 → D1 (writers of D0 now also
         // read D1), closing a 2-cycle with the declared D1 → D0.
         let b = board(3, 3, &[(0, 0), (0, 1), (1, 1), (1, 0), (2, 2), (2, 0)], 8);
-        let snap = b.snapshot();
+        let snap = b.snapshot().drift;
         let r = advise(&h, &snap, DEFAULT_MIN_EDGE);
         assert!(!r.hierarchy_is_optimal());
         assert_eq!(r.suggestions, vec![Advice::Merge { a: 0, b: 1 }]);
@@ -478,7 +479,7 @@ mod tests {
         let h = Hierarchy::build_grouped(3, &specs, vec![ClassId(0), ClassId(0), ClassId(1)], 2)
             .unwrap();
         let b = board(2, 3, &[(0, 0), (1, 1), (2, 2), (2, 0)], 8);
-        let r = advise(&h, &b.snapshot(), DEFAULT_MIN_EDGE);
+        let r = advise(&h, &b.snapshot().drift, DEFAULT_MIN_EDGE);
         assert_eq!(r.suggestions, vec![Advice::Split { a: 0, b: 1 }]);
         assert!(r
             .advice_text(&r.suggestions[0])
@@ -493,11 +494,11 @@ mod tests {
         let thin = board(3, 3, &[(0, 1)], 2);
         let strong = board(3, 3, &[(1, 0), (2, 0)], 8);
         // Merge both sketches' views by advising on each.
-        let r = advise(&h, &thin.snapshot(), DEFAULT_MIN_EDGE);
+        let r = advise(&h, &thin.snapshot().drift, DEFAULT_MIN_EDGE);
         assert_eq!(r.observed_arcs, 0);
         assert_eq!(r.dropped_arcs, 1);
         assert!(r.hierarchy_is_optimal(), "noise must not drive advice");
-        let r = advise(&h, &strong.snapshot(), DEFAULT_MIN_EDGE);
+        let r = advise(&h, &strong.snapshot().drift, DEFAULT_MIN_EDGE);
         assert_eq!(r.observed_arcs, 2);
         assert_eq!(r.dropped_arcs, 0);
 
@@ -516,14 +517,15 @@ mod tests {
     fn provenance_names_most_drifted_rows_after_a_shift() {
         let h = chain_hierarchy();
         let b = board(3, 3, &[(1, 1), (1, 0)], 16);
-        assert!(b.fold().is_none(), "seed fold must not trip");
+        b.fold_drift();
+        assert!(!b.drift.tripped(), "seed fold must not trip");
         // Shifted interval: a brand-new edge family dominates.
         for _ in 0..32 {
-            b.record_edge(2, 2);
-            b.record_edge(2, 0);
+            b.drift.record_edge(2, 2);
+            b.drift.record_edge(2, 0);
         }
-        let _ = b.fold();
-        let snap = b.snapshot();
+        b.fold_drift();
+        let snap = b.snapshot().drift;
         let r = advise(&h, &snap, DEFAULT_MIN_EDGE);
         assert!(
             r.provenance.iter().any(|p| p.contains("co-access D2")),

@@ -35,7 +35,6 @@
 //! could flunk partition synchronization (see the
 //! `exact_abort_time_avoids_false_sync_alarm` regression test).
 
-use crate::diag::json_escape;
 use crate::shrink::ddmin;
 use hdd::activity::{topologically_follows, ActivityFuncs, ActivityRegistry, TxnCoord};
 use hdd::analysis::Hierarchy;
@@ -152,51 +151,6 @@ impl Certificate {
             out.push_str(&format!("  trace: {line}\n"));
         }
         out
-    }
-
-    /// Hand-rolled JSON object.
-    pub fn to_json(&self) -> String {
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                let cycle: Vec<String> = v.cycle.iter().map(|t| format!("\"{t}\"")).collect();
-                let edge = match v.edge {
-                    Some((a, b)) => format!("[\"{a}\", \"{b}\"]"),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"rule\": \"{}\", \"message\": \"{}\", \"cycle\": [{}], \"edge\": {}}}",
-                    v.rule.name(),
-                    json_escape(&v.message),
-                    cycle.join(", "),
-                    edge,
-                )
-            })
-            .collect();
-        let counterexample = match &self.counterexample {
-            Some(cx) => format!(
-                "{{\"rule\": \"{}\", \"original_events\": {}, \"events\": {}, \"report\": \"{}\"}}",
-                cx.rule.name(),
-                cx.original_events,
-                cx.events.len(),
-                json_escape(&cx.report),
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"scheduler\": \"{}\", \"ok\": {}, \"events\": {}, \"txns\": {}, \
-             \"arcs\": {}, \"sync_edges_checked\": {}, \"violations\": [{}], \
-             \"counterexample\": {}}}",
-            json_escape(&self.scheduler),
-            self.ok(),
-            self.events,
-            self.txns,
-            self.arcs,
-            self.sync_edges_checked,
-            violations.join(", "),
-            counterexample,
-        )
     }
 }
 
@@ -574,7 +528,6 @@ mod tests {
         let cert = certify_events("demo", &evs, None);
         assert!(cert.ok(), "{}", cert.render());
         assert_eq!(cert.txns, 2);
-        assert!(cert.to_json().contains("\"ok\": true"));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! high in practice (the optimal minimum-merge partition is not required
 //! by the paper and is combinatorial).
 
-use crate::graph::{check_semi_tree, Digraph, SemiTreeViolation};
+use crate::graph::{check_semi_tree, Digraph, SemiTreeViolation, UnionFind};
 use txn_model::ClassId;
 
 /// A segment-grouping produced by repartitioning.
@@ -43,33 +43,6 @@ impl MergePlan {
     /// True if no merging was needed (already a TST).
     pub fn is_identity(&self) -> bool {
         self.merges.is_empty()
-    }
-}
-
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
     }
 }
 

@@ -22,7 +22,7 @@
 
 use super::acyclic::repartition_to_tst;
 use crate::analysis::{AccessSpec, Hierarchy, HierarchyError};
-use crate::graph::Digraph;
+use crate::graph::{Digraph, UnionFind};
 use std::collections::HashMap;
 use txn_model::{ClassId, GranuleId, SegmentId};
 
@@ -71,71 +71,41 @@ impl Decomposition {
     }
 }
 
-struct UnionFind {
-    parent: HashMap<u64, u64>,
-}
-
-impl UnionFind {
-    fn new() -> Self {
-        UnionFind {
-            parent: HashMap::new(),
-        }
-    }
-
-    fn find(&mut self, x: u64) -> u64 {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let r = self.find(p);
-        self.parent.insert(x, r);
-        r
-    }
-
-    fn union(&mut self, a: u64, b: u64) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-}
-
 /// Derive a legal TST-hierarchical partition from item-level access
 /// observations.
 ///
 /// Errors only if some shape writes nothing (pass read-only shapes to the
 /// scheduler as read-only transactions instead).
 pub fn decompose(accesses: &[ItemAccess]) -> Result<Decomposition, HierarchyError> {
-    // 1. Union co-written items.
-    let mut uf = UnionFind::new();
+    if let Some(a) = accesses.iter().find(|a| a.writes.is_empty()) {
+        return Err(HierarchyError::SpecWritesNothing {
+            spec: a.name.clone(),
+        });
+    }
+    // 1. Union co-written items, by their index in the sorted item list
+    //    (reads are listed too, so read-only items get segments).
+    let mut items: Vec<u64> = accesses
+        .iter()
+        .flat_map(|a| a.writes.iter().chain(&a.reads))
+        .copied()
+        .collect();
+    items.sort_unstable();
+    items.dedup();
+    let index = |item: &u64| items.binary_search(item).expect("listed above");
+    let mut uf = UnionFind::new(items.len());
     for a in accesses {
-        if a.writes.is_empty() {
-            return Err(HierarchyError::SpecWritesNothing {
-                spec: a.name.clone(),
-            });
-        }
-        uf.find(a.writes[0]);
         for w in &a.writes[1..] {
-            uf.union(a.writes[0], *w);
-        }
-        // Touch reads so read-only items get segments too.
-        for r in &a.reads {
-            uf.find(*r);
+            uf.union(index(&a.writes[0]), index(w));
         }
     }
 
-    // 2. Dense preliminary segment ids per union-find root.
-    let items: Vec<u64> = {
-        let mut v: Vec<u64> = uf.parent.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    let mut seg_of_root: HashMap<u64, u32> = HashMap::new();
+    // 2. Dense preliminary segment ids per union-find root, numbered in
+    //    sorted item order.
+    let mut seg_of_root: HashMap<usize, u32> = HashMap::new();
     let mut prelim: HashMap<u64, SegmentId> = HashMap::new();
-    for &item in &items {
-        let root = uf.find(item);
+    for (i, &item) in items.iter().enumerate() {
         let next = seg_of_root.len() as u32;
-        let seg = *seg_of_root.entry(root).or_insert(next);
+        let seg = *seg_of_root.entry(uf.find(i)).or_insert(next);
         prelim.insert(item, SegmentId(seg));
     }
     let n_prelim = seg_of_root.len();

@@ -8,6 +8,7 @@ pub mod semitree;
 
 pub use digraph::Digraph;
 pub use paths::PathTables;
+pub(crate) use semitree::UnionFind;
 pub use semitree::{
     check_semi_tree, check_transitive_semi_tree, is_semi_tree, is_transitive_semi_tree,
     SemiTreeViolation,

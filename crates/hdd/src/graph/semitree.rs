@@ -28,19 +28,21 @@ pub enum SemiTreeViolation {
     },
 }
 
-/// Union-find over node indices.
-struct UnionFind {
+/// Union-find over dense indices `0..n` (path halving, no ranks): the
+/// semi-tree test, the repartitioner's contraction and the item
+/// clusterer all use it.
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -49,7 +51,7 @@ impl UnionFind {
     }
 
     /// Union; returns false if already in the same component.
-    fn union(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;

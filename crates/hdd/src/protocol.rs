@@ -1057,14 +1057,14 @@ mod tests {
     fn drift_sketch_counts_arrivals_edges_and_trips_on_a_mix_shift() {
         let sched = setup();
         let obs = &sched.metrics().obs;
-        assert!(obs.drift.snapshot().configured, "new dimensions it");
+        assert!(obs.snapshot().drift.configured, "new dimensions it");
         obs.set_enabled(true);
 
         // Drift board still off: hot paths must stay silent.
         let t = sched.begin(&profile_t1());
         sched.write(&t, g(0, 1), Value::Int(1));
         assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
-        assert!(obs.drift.snapshot().edges.is_empty());
+        assert!(obs.snapshot().drift.edges.is_empty());
 
         obs.drift.set_enabled(true);
         // Seed phase: 16 class-0 writers — edge mass all on the (0,0)
@@ -1075,7 +1075,7 @@ mod tests {
             assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
         }
         sched.refresh_drift_now();
-        let s = obs.drift.snapshot();
+        let s = obs.snapshot().drift;
         assert_eq!(s.folds, 1);
         assert_eq!(s.score_milli, 0, "first fold seeds, never alarms");
         assert_eq!(s.classes[0].begun, 16);
@@ -1092,7 +1092,7 @@ mod tests {
             assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
         }
         sched.refresh_drift_now();
-        let s = obs.drift.snapshot();
+        let s = obs.snapshot().drift;
         assert!(s.tripped, "mix shift must trip: {s:?}");
         assert_eq!(s.trips, 1);
         assert!(s.cells.iter().any(|c| c.reader == 1 && c.segment == 0));
@@ -1105,7 +1105,7 @@ mod tests {
         for _ in 0..32 {
             sched.maintenance();
         }
-        let s = obs.drift.snapshot();
+        let s = obs.snapshot().drift;
         assert!(s.drag_class.is_some(), "a released wall names a dragger");
         let blamed: u64 = s.classes.iter().map(|c| c.drag_blame).sum();
         assert!(blamed >= 1);
@@ -1298,7 +1298,7 @@ mod tests {
         assert_eq!((m.cross_class_reads, m.wall_reads), (16, 8));
         let staleness = obs.gauges.snapshot().staleness;
         assert_eq!(staleness.iter().map(|c| c.hist.count).sum::<u64>(), facts);
-        let cells = obs.drift.snapshot().cells;
+        let cells = obs.snapshot().drift.cells;
         assert_eq!(cells.iter().map(|c| c.count).sum::<u64>(), facts);
         let kinds = decision_kinds(obs);
         let of = |kind| kinds.iter().filter(|k| **k == kind).count() as u64;

@@ -336,59 +336,4 @@ mod tests {
             .collect();
         assert!(kinds.contains(&"recovery-replay"));
     }
-
-    #[test]
-    fn gauge_delta_saturates_across_a_crash_resume_cycle() {
-        // Mirror of `MetricsSnapshot::delta`'s resume coverage for the
-        // gauge board: an interval gate holding a pre-crash snapshot
-        // and subtracting a post-`resume` one (fresh board, lower
-        // counts) must clamp to zero, never wrap a u64.
-        let hierarchy = chain_hierarchy();
-        let store = seeded_store();
-        let sched = HddScheduler::new(
-            Arc::clone(&hierarchy),
-            Arc::clone(&store) as Arc<dyn StorageBackend>,
-            Arc::new(LogicalClock::new()),
-            HddConfig::default(),
-        );
-        sched.metrics().obs.set_enabled(true);
-        // Two cross-class reads populate the (c1, D0) staleness cell.
-        for _ in 0..2 {
-            let t = sched.begin(&TxnProfile::update(ClassId(1), vec![s(0)]));
-            assert!(matches!(sched.read(&t, g(0, 1)), ReadOutcome::Value(_)));
-            assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
-        }
-        sched.refresh_gauges_now();
-        let before = sched.metrics().obs.gauges.snapshot();
-        assert_eq!(before.staleness_for(1, 0).unwrap().hist.count, 2);
-        assert!(before.clock_now > 0);
-        let events = sched.log().events();
-        drop(sched); // crash
-
-        // Resume builds a fresh scheduler (fresh gauge board); one
-        // post-crash cross-read leaves the new cell at count 1 < 2.
-        let (resumed, _) = resume(hierarchy, seeded_store(), &events, HddConfig::default());
-        resumed.metrics().obs.set_enabled(true);
-        let t = resumed.begin(&TxnProfile::update(ClassId(1), vec![s(0)]));
-        assert!(matches!(resumed.read(&t, g(0, 1)), ReadOutcome::Value(_)));
-        assert!(matches!(resumed.commit(&t), CommitOutcome::Committed(_)));
-        resumed.refresh_gauges_now();
-        let after = resumed.metrics().obs.gauges.snapshot();
-        assert_eq!(after.staleness_for(1, 0).unwrap().hist.count, 1);
-
-        let d = after.delta(&before);
-        let cell = d.staleness_for(1, 0).expect("cell survives the delta");
-        // The later board counts 1 where the earlier counted 2: a
-        // plain subtraction would wrap to ~u64::MAX. The per-bucket
-        // delta must saturate instead — the interval can never report
-        // more samples than the post-resume board actually recorded.
-        assert!(cell.hist.count <= 1, "clamped, not wrapped: {cell:?}");
-        assert!(cell.hist.sum <= after.staleness_for(1, 0).unwrap().hist.sum);
-        assert!(cell.hist.count < u64::MAX / 2, "no u64 wrap-around");
-        // Levels pass through as the later snapshot's values — the
-        // recovered clock sits above the pre-crash one, so the delta's
-        // clock is the live reading, not a subtraction.
-        assert_eq!(d.clock_now, after.clock_now);
-        assert!(d.clock_now >= before.clock_now);
-    }
 }

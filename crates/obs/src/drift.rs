@@ -6,12 +6,14 @@
 //! traffic still the traffic the hierarchy was *built* for?" — the
 //! sensing half of online repartitioning (DESIGN.md §14). It keeps
 //! three sketches, all O(1) relaxed-atomic bumps on paths the gauges
-//! already instrument:
+//! already instrument (the first *is* the gauges' bump):
 //!
 //! * **access cells** — per `(reader class, source segment)` counts of
-//!   Protocol A / Protocol C cross-reads, the same coordinates as the
-//!   staleness histograms (wall readers get the synthetic
-//!   [`crate::gauges::WALL_READER`] row);
+//!   Protocol A / Protocol C cross-reads. The board keeps no counts of
+//!   its own: they are the sample counts of the gauge board's staleness
+//!   matrix (same coordinates, same synthetic
+//!   [`crate::gauges::WALL_READER`] row), which [`crate::Obs`] passes to
+//!   every fold and snapshot;
 //! * **co-access edges** — per `(writer segment, accessed segment)`
 //!   counts folded from each admitted transaction's declared profile at
 //!   `begin`; this is exactly the arc-generation rule of the data
@@ -21,7 +23,7 @@
 //!   row), so rate shifts between classes are visible even when the
 //!   per-segment mix is stable.
 //!
-//! A periodic **fold** (maintenance cadence, [`DriftBoard::fold`])
+//! A periodic **fold** (maintenance cadence, [`crate::Obs::fold_drift`])
 //! turns the interval since the previous fold into share vectors,
 //! scores them against EWMA baselines by total-variation distance
 //! (`½·Σ|p_i − b_i|`, in milli-units so `0..=1000`), then absorbs the
@@ -69,10 +71,9 @@ const NO_DRAGGER: u64 = u64::MAX;
 struct Dims {
     n_classes: u32,
     n_segments: u32,
-    /// Cumulative cross-read counts, `(n_classes + 1) × n_segments`;
-    /// the last row is the wall-reader row.
-    access: Vec<AtomicU64>,
-    /// `access` as of the previous fold (interval deltas).
+    /// The staleness matrix's counts as of the previous fold (interval
+    /// deltas), `(n_classes + 1) × n_segments`; the last row is the
+    /// wall-reader row.
     access_prev: Vec<AtomicU64>,
     /// EWMA baseline share per access cell, milli-units.
     access_base: Vec<AtomicU64>,
@@ -104,7 +105,6 @@ impl Dims {
         Dims {
             n_classes,
             n_segments,
-            access: cells(n_access),
             access_prev: cells(n_access),
             access_base: cells(n_access),
             access_share: cells(n_access),
@@ -115,17 +115,6 @@ impl Dims {
             begun: cells(n_classes as usize + 1),
             committed: cells(n_classes as usize + 1),
             drag_blame: cells(n_classes as usize),
-        }
-    }
-
-    /// Row index for a reader id (class, or the wall-reader row).
-    fn reader_row(&self, reader: u32) -> Option<usize> {
-        if reader == WALL_READER {
-            Some(self.n_classes as usize)
-        } else if reader < self.n_classes {
-            Some(reader as usize)
-        } else {
-            None
         }
     }
 
@@ -140,8 +129,8 @@ impl Dims {
     }
 }
 
-/// A threshold crossing returned by [`DriftBoard::fold`]: the score
-/// rose from below the trip threshold to at or above it.
+/// A threshold crossing found by a fold ([`crate::Obs::fold_drift`]):
+/// the score rose from below the trip threshold to at or above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftTrip {
     /// Fold ordinal (1-based) at which the trip fired.
@@ -267,24 +256,6 @@ impl DriftBoard {
         }
     }
 
-    /// Record one cross-class read by `reader` (class id, or
-    /// [`WALL_READER`]) from `segment`. Drops silently when
-    /// unconfigured or out of range.
-    // ordering: Relaxed — independent monotone counter on the read hot
-    // path; no ordering with the data read itself is needed.
-    #[inline]
-    pub fn record_access(&self, reader: u32, segment: u32) {
-        if let Some(d) = self.dims.get() {
-            if segment >= d.n_segments {
-                return;
-            }
-            if let Some(row) = d.reader_row(reader) {
-                d.access[row * d.n_segments as usize + segment as usize]
-                    .fetch_add(1, Ordering::Relaxed); // ordering: see fn-top note
-            }
-        }
-    }
-
     /// Record one declared co-access `writer segment → accessed
     /// segment` edge from an admitted profile (the DHG arc-generation
     /// rule; `from == to` records the diagonal so write-only traffic
@@ -337,28 +308,26 @@ impl DriftBoard {
     // thread only; hot-path bumps racing the delta computation shift
     // at most a handful of samples into the next interval.
     fn fold_family(
-        cur: &[AtomicU64],
+        cur: &[u64],
         prev: &[AtomicU64],
         base: &[AtomicU64],
         share_out: &[AtomicU64],
         seeded: &AtomicBool,
         interval_total: &AtomicU64,
     ) -> u64 {
-        let mut delta = vec![0u64; cur.len()];
-        let mut total = 0u64;
-        for (i, c) in cur.iter().enumerate() {
-            let now = c.load(Ordering::Relaxed); // ordering: see fn-top note
-            let before = prev[i].load(Ordering::Relaxed); // ordering: see fn-top note
-            delta[i] = now.saturating_sub(before);
-            total += delta[i];
-        }
+        let delta: Vec<u64> = prev
+            .iter()
+            .zip(cur)
+            .map(|(before, now)| now.saturating_sub(before.load(Ordering::Relaxed))) // ordering: see fn-top note
+            .collect();
+        let total: u64 = delta.iter().sum();
         if total < MIN_FOLD_SAMPLES {
             // Thin interval: keep the baseline, report calm.
             interval_total.store(total, Ordering::Relaxed); // ordering: see fn-top note
             return 0;
         }
-        for (i, c) in cur.iter().enumerate() {
-            prev[i].store(c.load(Ordering::Relaxed), Ordering::Relaxed); // ordering: see fn-top note
+        for (p, &c) in prev.iter().zip(cur) {
+            p.store(c, Ordering::Relaxed); // ordering: see fn-top note
         }
         interval_total.store(total, Ordering::Relaxed); // ordering: see fn-top note
         let first = !seeded.swap(true, Ordering::Relaxed); // ordering: see fn-top note
@@ -379,16 +348,18 @@ impl DriftBoard {
     }
 
     /// Fold the interval since the previous fold: score both sketch
-    /// families, update the EWMA baselines, and detect an
-    /// edge-triggered threshold crossing. Returns `Some` exactly when
-    /// this fold newly trips the board. Call at maintenance cadence.
+    /// families (`access` is the staleness matrix's per-cell counts),
+    /// update the EWMA baselines, and detect an edge-triggered threshold
+    /// crossing. Returns `Some` exactly when this fold newly trips the
+    /// board. Called at maintenance cadence through `Obs::fold_drift`.
     // ordering: Relaxed — single folder (maintenance thread); see
     // `fold_family` for the race budget with hot-path bumps.
-    pub fn fold(&self) -> Option<DriftTrip> {
+    pub(crate) fn fold(&self, access: &[u64]) -> Option<DriftTrip> {
         let d = self.dims.get()?;
         let fold_n = self.folds.fetch_add(1, Ordering::Relaxed) + 1; // ordering: see fn-top note
+        let edges: Vec<u64> = d.edges.iter().map(|e| e.load(Ordering::Relaxed)).collect(); // ordering: see fn-top note
         let access_score = Self::fold_family(
-            &d.access,
+            access,
             &d.access_prev,
             &d.access_base,
             &d.access_share,
@@ -396,7 +367,7 @@ impl DriftBoard {
             &self.access_interval_total,
         );
         let edge_score = Self::fold_family(
-            &d.edges,
+            &edges,
             &d.edges_prev,
             &d.edges_base,
             &d.edges_share,
@@ -444,11 +415,13 @@ impl DriftBoard {
         self.tripped.load(Ordering::Relaxed) // ordering: see fn-top note
     }
 
-    /// Point-in-time copy of the whole sketch.
+    /// Point-in-time copy of the whole sketch, its access cells counted
+    /// off `access` (the staleness matrix's counts, as for
+    /// [`DriftBoard::fold`]); `Obs::snapshot` is the public read.
     // ordering: Relaxed — advisory snapshot; cells are independent
     // counters, so tearing across cells is acceptable by design.
     #[must_use]
-    pub fn snapshot(&self) -> DriftSnapshot {
+    pub(crate) fn snapshot(&self, access: &[u64]) -> DriftSnapshot {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed); // ordering: see fn-top note
         let mut snap = DriftSnapshot {
             configured: false,
@@ -501,7 +474,7 @@ impl DriftBoard {
         for row in 0..=d.n_classes as usize {
             for seg in 0..d.n_segments as usize {
                 let i = row * d.n_segments as usize + seg;
-                let count = ld(&d.access[i]);
+                let count = access.get(i).copied().unwrap_or(0);
                 if count == 0 {
                     continue;
                 }
@@ -549,7 +522,6 @@ impl DriftBoard {
             }
         };
         if let Some(d) = self.dims.get() {
-            zero(&d.access);
             zero(&d.access_prev);
             zero(&d.access_base);
             zero(&d.access_share);
@@ -763,32 +735,42 @@ impl DriftSnapshot {
 mod tests {
     use super::*;
 
-    fn seeded_board() -> DriftBoard {
-        let b = DriftBoard::new();
-        b.configure(2, 3);
-        b.set_enabled(true);
-        b
+    use crate::Obs;
+
+    /// A drift board inside the sidecar that feeds it its access counts.
+    fn seeded_board() -> Obs {
+        let o = Obs::new();
+        o.configure(2, 3);
+        o.drift.set_enabled(true);
+        o
     }
 
-    /// Bump cells to a given per-cell count vector (access family).
-    fn feed_access(b: &DriftBoard, counts: &[(u32, u32, u64)]) {
+    /// Bump cells to a given per-cell count vector (access family: one
+    /// staleness sample per read).
+    fn feed_access(b: &Obs, counts: &[(u32, u32, u64)]) {
         for &(reader, seg, n) in counts {
             for _ in 0..n {
-                b.record_access(reader, seg);
+                b.gauges.record_staleness(reader, seg, 1);
             }
         }
     }
 
+    /// One fold over the sidecar's staleness counts.
+    fn fold(b: &Obs) -> Option<DriftTrip> {
+        b.drift.fold(&b.gauges.staleness_counts())
+    }
+
     #[test]
     fn unconfigured_board_drops_everything_silently() {
-        let b = DriftBoard::new();
-        b.record_access(0, 0);
-        b.record_edge(0, 1);
-        b.note_begin(0);
-        b.note_commit(0);
-        b.note_wall_floor(Some(0), 5);
-        assert_eq!(b.fold(), None);
-        let s = b.snapshot();
+        let b = Obs::new();
+        b.gauges.configure(2, 3);
+        b.gauges.record_staleness(0, 0, 1);
+        b.drift.record_edge(0, 1);
+        b.drift.note_begin(0);
+        b.drift.note_commit(0);
+        b.drift.note_wall_floor(Some(0), 5);
+        assert_eq!(fold(&b), None);
+        let s = b.snapshot().drift;
         assert!(!s.configured);
         assert!(s.cells.is_empty() && s.edges.is_empty() && s.classes.is_empty());
     }
@@ -797,9 +779,9 @@ mod tests {
     fn first_adequate_fold_seeds_baseline_and_scores_zero() {
         let b = seeded_board();
         feed_access(&b, &[(0, 0, 20), (1, 2, 20)]);
-        assert_eq!(b.fold(), None);
-        assert_eq!(b.score_milli(), 0);
-        let s = b.snapshot();
+        assert_eq!(fold(&b), None);
+        assert_eq!(b.drift.score_milli(), 0);
+        let s = b.snapshot().drift;
         assert_eq!(s.folds, 1);
         // Baseline seeded at the observed shares (500‰ each).
         let cell = s.cells.iter().find(|c| c.reader == 0).unwrap();
@@ -811,65 +793,68 @@ mod tests {
     fn shifted_mix_trips_once_and_rearms_after_hysteresis() {
         let b = seeded_board();
         feed_access(&b, &[(0, 0, 50), (1, 2, 50)]);
-        b.fold();
+        fold(&b);
         // Same mix again: calm.
         feed_access(&b, &[(0, 0, 50), (1, 2, 50)]);
-        assert_eq!(b.fold(), None);
-        assert!(b.score_milli() < 50, "steady mix must score low");
+        assert_eq!(fold(&b), None);
+        assert!(b.drift.score_milli() < 50, "steady mix must score low");
         // Shift everything onto one cell: TV = 500‰ > threshold.
         feed_access(&b, &[(0, 1, 100)]);
-        let trip = b.fold().expect("shift must trip");
+        let trip = fold(&b).expect("shift must trip");
         assert!(trip.score_milli >= DEFAULT_DRIFT_THRESHOLD_MILLI);
-        assert!(b.tripped());
+        assert!(b.drift.tripped());
         // Still shifted: tripped stays latched, no second trip event.
         feed_access(&b, &[(0, 1, 100)]);
-        assert_eq!(b.fold(), None);
-        assert_eq!(b.snapshot().trips, 1);
+        assert_eq!(fold(&b), None);
+        assert_eq!(b.snapshot().drift.trips, 1);
         // Hold the new mix until the EWMA converges and the latch
         // releases (score < 80% of threshold), then shift back: a new
         // trip fires.
         for _ in 0..12 {
             feed_access(&b, &[(0, 1, 100)]);
-            b.fold();
+            fold(&b);
         }
-        assert!(!b.tripped(), "EWMA must converge and release the latch");
+        assert!(
+            !b.drift.tripped(),
+            "EWMA must converge and release the latch"
+        );
         feed_access(&b, &[(0, 0, 50), (1, 2, 50)]);
-        assert!(b.fold().is_some(), "shift back must re-trip");
-        assert_eq!(b.snapshot().trips, 2);
+        assert!(fold(&b).is_some(), "shift back must re-trip");
+        assert_eq!(b.snapshot().drift.trips, 2);
     }
 
     #[test]
     fn thin_intervals_neither_score_nor_move_the_baseline() {
         let b = seeded_board();
         feed_access(&b, &[(0, 0, 100)]);
-        b.fold();
+        fold(&b);
         // 5 samples on a *different* cell: under MIN_FOLD_SAMPLES, so
         // no trip and the baseline stays put.
         feed_access(&b, &[(1, 2, 5)]);
-        assert_eq!(b.fold(), None);
-        assert_eq!(b.score_milli(), 0);
-        let s = b.snapshot();
+        assert_eq!(fold(&b), None);
+        assert_eq!(b.drift.score_milli(), 0);
+        let s = b.snapshot().drift;
         let cell = s.cells.iter().find(|c| c.reader == 0).unwrap();
         assert_eq!(cell.baseline_milli, 1000);
         // The thin samples are not lost: they score with the next
         // adequate interval.
         feed_access(&b, &[(1, 2, 95)]);
-        assert!(b.fold().is_some(), "accumulated shift must trip");
+        assert!(fold(&b).is_some(), "accumulated shift must trip");
     }
 
     #[test]
     fn edge_family_scores_independently_of_access_family() {
         let b = seeded_board();
         for _ in 0..30 {
-            b.record_edge(0, 1);
+            b.drift.record_edge(0, 1);
         }
-        b.fold();
+        fold(&b);
         for _ in 0..30 {
-            b.record_edge(2, 0);
+            b.drift.record_edge(2, 0);
         }
-        let trip = b.fold().expect("edge-mix shift must trip");
+        let trip = fold(&b).expect("edge-mix shift must trip");
         assert!(trip.score_milli >= DEFAULT_DRIFT_THRESHOLD_MILLI);
-        let s = b.snapshot();
+        let s = b.snapshot().drift;
         assert_eq!(s.access_score_milli, 0);
         assert!(s.edge_score_milli >= DEFAULT_DRIFT_THRESHOLD_MILLI);
         assert_eq!(s.edges.len(), 2);
@@ -878,11 +863,11 @@ mod tests {
     #[test]
     fn wall_drag_blames_the_floor_holder_and_histograms_handoffs() {
         let b = seeded_board();
-        b.note_wall_floor(Some(0), 10);
-        b.note_wall_floor(Some(0), 20);
-        b.note_wall_floor(Some(1), 35);
-        b.note_wall_floor(None, 40);
-        let s = b.snapshot();
+        b.drift.note_wall_floor(Some(0), 10);
+        b.drift.note_wall_floor(Some(0), 20);
+        b.drift.note_wall_floor(Some(1), 35);
+        b.drift.note_wall_floor(None, 40);
+        let s = b.snapshot().drift;
         let blame: Vec<u64> = s.classes.iter().map(|c| c.drag_blame).collect();
         assert_eq!(blame, vec![2, 1, 0]);
         // Two completed holds: class 0 for 25 ticks, class 1 for 5.
@@ -894,11 +879,11 @@ mod tests {
     #[test]
     fn begin_commit_rows_route_read_only_to_the_adhoc_row() {
         let b = seeded_board();
-        b.note_begin(0);
-        b.note_begin(1);
-        b.note_begin(u32::MAX);
-        b.note_commit(u32::MAX);
-        let s = b.snapshot();
+        b.drift.note_begin(0);
+        b.drift.note_begin(1);
+        b.drift.note_begin(u32::MAX);
+        b.drift.note_commit(u32::MAX);
+        let s = b.snapshot().drift;
         assert_eq!(s.classes.len(), 3);
         assert_eq!(s.classes[2].class, WALL_READER);
         assert_eq!(s.classes[2].begun, 1);
@@ -908,12 +893,12 @@ mod tests {
     #[test]
     fn reset_clears_counts_but_keeps_configuration_and_threshold() {
         let b = seeded_board();
-        b.set_threshold_milli(400);
+        b.drift.set_threshold_milli(400);
         feed_access(&b, &[(0, 0, 50)]);
-        b.record_edge(0, 1);
-        b.fold();
+        b.drift.record_edge(0, 1);
+        fold(&b);
         b.reset();
-        let s = b.snapshot();
+        let s = b.snapshot().drift;
         assert!(s.configured && s.enabled);
         assert_eq!(s.threshold_milli, 400);
         assert_eq!(s.folds, 0);
@@ -922,20 +907,20 @@ mod tests {
         // Post-reset the baseline reseeds rather than comparing
         // against the pre-reset mix.
         feed_access(&b, &[(1, 2, 50)]);
-        assert_eq!(b.fold(), None);
-        assert_eq!(b.score_milli(), 0);
+        assert_eq!(fold(&b), None);
+        assert_eq!(b.drift.score_milli(), 0);
     }
 
     #[test]
     fn snapshot_json_is_shaped_and_threshold_clamps() {
         let b = seeded_board();
-        b.set_threshold_milli(5000);
-        assert_eq!(b.threshold_milli(), 1000);
-        b.set_threshold_milli(0);
-        assert_eq!(b.threshold_milli(), 1);
+        b.drift.set_threshold_milli(5000);
+        assert_eq!(b.drift.threshold_milli(), 1000);
+        b.drift.set_threshold_milli(0);
+        assert_eq!(b.drift.threshold_milli(), 1);
         feed_access(&b, &[(0, 0, 20), (WALL_READER, 1, 4)]);
-        b.note_wall_floor(Some(1), 9);
-        let j = b.snapshot().to_json();
+        b.drift.note_wall_floor(Some(1), 9);
+        let j = b.snapshot().drift.to_json();
         for key in [
             "\"score_milli\"",
             "\"tripped\": false",

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::drift::DriftSnapshot;
-use crate::gauges::{GaugeSnapshot, WALL_READER};
+use crate::gauges::{Level, WALL_READER};
 use crate::hist::HistogramSnapshot;
 use crate::span::{FlightLog, Terminal, WaitCause, NO_CLASS};
 use crate::trace::TraceEvent;
@@ -61,31 +61,27 @@ fn metric_fragment(raw: &str) -> String {
         .collect()
 }
 
-/// Render a full scrape: `counters` (name, cumulative value) pairs as
-/// `hdd_<name>_total` counter families, the [`ObsSnapshot`] latency
-/// histograms as summaries, and the gauge board as gauge families
-/// (per-class/per-segment via labels, cross-read staleness as a
-/// labelled summary). Zero-dependency; output passes
-/// [`validate_prometheus`] by construction.
-pub fn prometheus_text(
-    counters: &[(&str, u64)],
-    obs: &ObsSnapshot,
-    gauges: &GaugeSnapshot,
-) -> String {
-    prometheus_text_full(counters, obs, gauges, None)
+/// Append one group of gauge-board levels: its counters, then its
+/// gauges, each a one-sample family.
+fn push_levels(out: &mut String, levels: &[Level]) {
+    for kind in ["counter", "gauge"] {
+        for l in levels.iter().filter(|l| l.kind == kind) {
+            let _ = writeln!(out, "# TYPE {} {kind}\n{} {}", l.family, l.family, l.value);
+        }
+    }
 }
 
-/// [`prometheus_text`] plus the drift-observatory families
-/// (`hdd_drift_*`, `hdd_wall_drag_*`) when a configured
-/// [`DriftSnapshot`] is supplied; with `None` (or an unconfigured
-/// sketch) the output is byte-identical to [`prometheus_text`], so the
-/// golden contract on the drift-free exposition is unchanged.
-pub fn prometheus_text_full(
-    counters: &[(&str, u64)],
-    obs: &ObsSnapshot,
-    gauges: &GaugeSnapshot,
-    drift: Option<&DriftSnapshot>,
-) -> String {
+/// Render a full scrape: `counters` (name, cumulative value) pairs as
+/// `hdd_<name>_total` counter families, the [`ObsSnapshot`] latency
+/// histograms as summaries, its gauge board as gauge families
+/// (per-class/per-segment via labels, cross-read staleness as a
+/// labelled summary), and — only while its drift sketch is configured
+/// and enabled — the drift-observatory families (`hdd_drift_*`,
+/// `hdd_wall_drag_*`) as a suffix, so the drift-free exposition keeps
+/// its golden tail. Zero-dependency; output passes
+/// [`validate_prometheus`] by construction.
+pub fn prometheus_text(counters: &[(&str, u64)], obs: &ObsSnapshot) -> String {
+    let gauges = &obs.gauges;
     let mut out = String::new();
     for (name, v) in counters {
         let n = format!("hdd_{}_total", metric_fragment(name));
@@ -113,36 +109,11 @@ pub fn prometheus_text_full(
     let _ = writeln!(out, "hdd_trace_recorded_total {}", obs.trace_recorded);
     let _ = writeln!(out, "# TYPE hdd_trace_dropped_total counter");
     let _ = writeln!(out, "hdd_trace_dropped_total {}", obs.trace_dropped);
-    for (name, h) in [
-        ("hdd_commit_latency_ns", &obs.commit_latency),
-        ("hdd_op_service_ns", &obs.op_service),
-        ("hdd_block_wait_ns", &obs.block_wait),
-        ("hdd_backoff_sleep_ns", &obs.backoff_sleep),
-        ("hdd_registry_scan_len", &obs.registry_scan),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} summary");
-        push_summary(&mut out, name, "", h);
+    for (key, h) in obs.recorders() {
+        let _ = writeln!(out, "# TYPE hdd_{key} summary");
+        push_summary(&mut out, &format!("hdd_{key}"), "", h);
     }
-    for (name, v) in [
-        ("hdd_clock_now", gauges.clock_now),
-        ("hdd_wall_anchor", gauges.wall_anchor),
-        ("hdd_wall_released_at", gauges.wall_released_at),
-        ("hdd_wall_floor", gauges.wall_floor),
-        ("hdd_wall_lag", gauges.wall_lag),
-        ("hdd_active_txns", gauges.active_txns),
-        ("hdd_registry_intervals", gauges.registry_intervals),
-        ("hdd_registry_settled_lag", gauges.registry_settled_lag),
-        ("hdd_store_versions", gauges.store_versions),
-        ("hdd_store_granules", gauges.store_granules),
-        ("hdd_store_max_chain", gauges.store_max_chain),
-        ("hdd_gc_watermark", gauges.gc_watermark),
-        ("hdd_gc_backlog", gauges.gc_backlog),
-        ("hdd_driver_claimed", gauges.driver_claimed),
-        ("hdd_driver_offered", gauges.driver_offered),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    }
+    push_levels(&mut out, &gauges.control());
     if !gauges.classes.is_empty() {
         for (name, get) in [
             ("hdd_class_i_old", 0usize),
@@ -184,27 +155,11 @@ pub fn prometheus_text_full(
         }
     }
     // Durability families last (stable suffix: the golden test pins it).
-    let _ = writeln!(out, "# TYPE hdd_wal_fsync_batches_total counter");
-    let _ = writeln!(out, "hdd_wal_fsync_batches_total {}", gauges.wal_batches);
-    let _ = writeln!(out, "# TYPE hdd_recovery_anomalies_total counter");
-    let _ = writeln!(
-        out,
-        "hdd_recovery_anomalies_total {}",
-        gauges.recovery_anomalies
-    );
-    for (name, v) in [
-        ("hdd_wal_frames", gauges.wal_frames),
-        ("hdd_wal_bytes", gauges.wal_bytes),
-        ("hdd_recovery_replayed", gauges.recovery_replayed),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    }
+    push_levels(&mut out, &gauges.durability());
     let _ = writeln!(out, "# TYPE hdd_wal_fsync_ns summary");
     push_summary(&mut out, "hdd_wal_fsync_ns", "", &gauges.fsync_ns);
-    // Drift-observatory families, appended only when the sketch is
-    // configured so the drift-free exposition keeps its golden tail.
-    if let Some(d) = drift.filter(|d| d.configured) {
+    let d = &obs.drift;
+    if d.configured && d.enabled {
         for (name, v) in [
             ("hdd_drift_score", d.score_milli),
             ("hdd_drift_access_score", d.access_score_milli),
@@ -430,7 +385,7 @@ fn event_args(ev: &TraceEvent) -> String {
             read.start,
             read.bound,
             read.version,
-            read.start.saturating_sub(read.version)
+            read.staleness()
         ),
         TraceEvent::WallRead { anchor, read } => format!(
             "{{\"txn\":{},\"target_class\":{},\"segment\":{},\"key\":{},\
@@ -441,7 +396,7 @@ fn event_args(ev: &TraceEvent) -> String {
             read.key,
             read.bound,
             read.version,
-            read.bound.saturating_sub(read.version)
+            read.staleness()
         ),
         TraceEvent::Reject {
             txn,
@@ -764,7 +719,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gauges::{GaugeBoard, WALL_READER};
+    use crate::gauges::WALL_READER;
     use crate::span::SpanEvent;
     use crate::trace::{FaultCode, RejectReason, ServedRead};
 
@@ -778,9 +733,7 @@ mod tests {
     fn prometheus_golden_minimal() {
         // Byte-exact output for a fixed minimal input is part of the
         // contract: exporters must not drift silently.
-        let obs = ObsSnapshot::default();
-        let gauges = GaugeSnapshot::default();
-        let text = prometheus_text(&[("committed", 7)], &obs, &gauges);
+        let text = prometheus_text(&[("committed", 7)], &ObsSnapshot::default());
         let expected_head = "# TYPE hdd_committed_total counter\n\
                              hdd_committed_total 7\n\
                              # TYPE hdd_trace_recorded_total counter\n\
@@ -824,24 +777,17 @@ mod tests {
 
     #[test]
     fn prometheus_full_board_round_trips_through_validator() {
-        let board = GaugeBoard::new();
+        let o = crate::Obs::new();
+        let board = &o.gauges;
         board.configure(2, 3);
         board.set_class(0, 3, 1, 0);
         board.set_wall(90, 95, 88, 12);
         board.set_segment_wall(2, 88);
         board.record_staleness(1, 0, 17);
         board.record_staleness(WALL_READER, 2, 40);
-        let obs = {
-            let o = crate::Obs::new();
-            o.commit_latency.record(1_000);
-            o.commit_latency.record(2_000);
-            o.snapshot()
-        };
-        let text = prometheus_text(
-            &[("offered", 100), ("committed", 96)],
-            &obs,
-            &board.snapshot(),
-        );
+        o.commit_latency.record(1_000);
+        o.commit_latency.record(2_000);
+        let text = prometheus_text(&[("offered", 100), ("committed", 96)], &o.snapshot());
         let stats = validate_prometheus(&text).expect("validates");
         assert!(stats.families >= 30, "{stats:?}");
         assert!(text.contains("hdd_class_i_old{class=\"0\"} 3"));
@@ -986,7 +932,7 @@ mod tests {
         assert!(text.contains("\"name\":\"class 2 readers (protocol A)\""));
         assert!(text.contains("\"name\":\"wall readers (protocol C)\""));
         assert!(text.contains("\"staleness\":5")); // 10 - 5
-        assert!(text.contains("\"staleness\":9")); // 18 - 9
+        assert!(text.contains("\"staleness\":16")); // start 25 - version 9
         assert!(text.contains("\"ph\":\"X\",\"ts\":3,\"dur\":1500"));
         assert!(text.contains("\"fault\":\"stall\""));
     }
@@ -994,7 +940,6 @@ mod tests {
     #[test]
     fn prometheus_rejection_breakdown_renders_labelled_family() {
         let obs = ObsSnapshot::default();
-        let gauges = GaugeSnapshot::default();
         let counters = [
             ("committed", 90u64),
             ("rej_write_too_late", 5),
@@ -1002,7 +947,7 @@ mod tests {
             ("rej_deadlock_victim", 0),
             ("rej_watchdog_abort", 3),
         ];
-        let text = prometheus_text(&counters, &obs, &gauges);
+        let text = prometheus_text(&counters, &obs);
         let expected_block = "# TYPE hdd_rejections_by_reason_total counter\n\
              hdd_rejections_by_reason_total{reason=\"write-too-late\"} 5\n\
              hdd_rejections_by_reason_total{reason=\"read-too-late\"} 2\n\
@@ -1018,7 +963,7 @@ mod tests {
         assert_eq!(stats.families, 5 + 1 + 2 + 5 + 15 + 6);
         // Without rej_* counters the family must not appear (golden
         // minimal output is unchanged).
-        let bare = prometheus_text(&[("committed", 7)], &obs, &gauges);
+        let bare = prometheus_text(&[("committed", 7)], &obs);
         assert!(!bare.contains("hdd_rejections_by_reason_total"));
     }
 
@@ -1101,31 +1046,31 @@ mod tests {
 
     #[test]
     fn prometheus_drift_families_render_only_when_configured() {
-        use crate::drift::DriftBoard;
-        let obs = ObsSnapshot::default();
-        let gauges = GaugeSnapshot::default();
-        // Unconfigured sketch: byte-identical to the drift-free text.
-        let bare = DriftBoard::new();
-        assert_eq!(
-            prometheus_text_full(&[("committed", 7)], &obs, &gauges, Some(&bare.snapshot())),
-            prometheus_text(&[("committed", 7)], &obs, &gauges)
-        );
-        // Configured sketch: drift + wall-drag families appear and the
+        let o = crate::Obs::new();
+        let bare = prometheus_text(&[("committed", 7)], &ObsSnapshot::default());
+        // Unconfigured, then configured but off: byte-identical to the
+        // drift-free text.
+        let drift_only = |o: &crate::Obs| ObsSnapshot {
+            drift: o.snapshot().drift,
+            ..ObsSnapshot::default()
+        };
+        assert_eq!(prometheus_text(&[("committed", 7)], &drift_only(&o)), bare);
+        o.configure(2, 3);
+        assert_eq!(prometheus_text(&[("committed", 7)], &drift_only(&o)), bare);
+        // Configured and on: drift + wall-drag families appear and the
         // whole exposition still self-validates.
-        let board = DriftBoard::new();
-        board.configure(2, 3);
+        let board = &o.drift;
         board.set_enabled(true);
         for _ in 0..20 {
-            board.record_access(0, 1);
+            o.gauges.record_staleness(0, 1, 1);
             board.record_edge(1, 0);
         }
         board.note_begin(0);
         board.note_commit(0);
         board.note_wall_floor(Some(1), 10);
         board.note_wall_floor(Some(0), 25);
-        board.fold();
-        let d = board.snapshot();
-        let text = prometheus_text_full(&[("committed", 7)], &obs, &gauges, Some(&d));
+        o.fold_drift();
+        let text = prometheus_text(&[("committed", 7)], &drift_only(&o));
         let stats = validate_prometheus(&text).expect("self-validates");
         // Drift-free families + 4 drift gauges + 2 drift counters + 2
         // per-class counters + blame counter + drag summary.

@@ -77,38 +77,137 @@ impl Dims {
     }
 }
 
-/// The live gauge board (see module docs).
-///
-/// All writes are `Relaxed` stores/`fetch_add`s; readers get a
-/// tear-free value per cell but no cross-cell consistency — exactly
-/// what a ~4 Hz dashboard needs and nothing a proof should lean on.
-#[derive(Debug, Default)]
-pub struct GaugeBoard {
-    // --- global cells (always available) ---
-    clock_now: AtomicU64,
-    wall_anchor: AtomicU64,
-    wall_released_at: AtomicU64,
-    wall_floor: AtomicU64,
-    wall_lag: AtomicU64,
-    active_txns: AtomicU64,
-    registry_intervals: AtomicU64,
-    registry_settled_lag: AtomicU64,
-    store_versions: AtomicU64,
-    store_granules: AtomicU64,
-    store_max_chain: AtomicU64,
-    gc_watermark: AtomicU64,
-    gc_backlog: AtomicU64,
-    driver_claimed: AtomicU64,
-    driver_offered: AtomicU64,
-    // --- durability cells (always available, like driver progress) ---
-    wal_batches: AtomicU64,
-    wal_frames: AtomicU64,
-    wal_bytes: AtomicU64,
-    recovery_replayed: AtomicU64,
-    recovery_anomalies: AtomicU64,
-    fsync_ns: Histogram,
-    // --- dimensioned cells ---
-    dims: OnceLock<Dims>,
+/// One scalar cell as the exporters see it.
+pub(crate) struct Level {
+    /// JSON key: the field name.
+    pub key: &'static str,
+    /// Prometheus family.
+    pub family: &'static str,
+    /// Prometheus type, `counter` or `gauge`.
+    pub kind: &'static str,
+    /// The value.
+    pub value: u64,
+}
+
+/// Declares each scalar cell of the board once, with its Prometheus
+/// family and type, in JSON order. The one list yields the live
+/// [`GaugeBoard`] fields, the [`GaugeSnapshot`] fields, the copy, the
+/// reset, and one exporter-row method per group.
+macro_rules! levels {
+    ($($(#[doc = $gdoc:literal])* $group:ident {
+        $($(#[doc = $doc:literal])+ $name:ident: $family:literal $kind:ident,)+
+    })+) => {
+        /// The live gauge board (see module docs).
+        ///
+        /// All writes are `Relaxed` stores/`fetch_add`s; readers get a
+        /// tear-free value per cell but no cross-cell consistency — exactly
+        /// what a ~4 Hz dashboard needs and nothing a proof should lean on.
+        #[derive(Debug, Default)]
+        pub struct GaugeBoard {
+            $($($name: AtomicU64,)+)+
+            fsync_ns: Histogram,
+            dims: OnceLock<Dims>,
+        }
+
+        /// A point-in-time copy of the whole [`GaugeBoard`].
+        #[derive(Debug, Clone, Default)]
+        pub struct GaugeSnapshot {
+            /// Whether the dimensioned cells were allocated.
+            pub configured: bool,
+            /// Hierarchy class count (0 when unconfigured).
+            pub n_classes: u32,
+            /// Segment count (0 when unconfigured).
+            pub n_segments: u32,
+            $($($(#[doc = $doc])+ pub $name: u64,)+)+
+            /// Distribution of per-batch write+fsync latency (nanoseconds).
+            pub fsync_ns: HistogramSnapshot,
+            /// Per-class rows (empty when unconfigured).
+            pub classes: Vec<ClassGauges>,
+            /// Latest wall timestamp per segment (empty when unconfigured).
+            pub segment_walls: Vec<u64>,
+            /// Non-empty staleness cells.
+            pub staleness: Vec<StalenessCell>,
+        }
+
+        impl GaugeBoard {
+            /// The scalar cells, copied; everything else at its default.
+            fn levels(&self) -> GaugeSnapshot {
+                GaugeSnapshot {
+                    $($($name: self.$name.load(Ordering::Relaxed),)+)+ // ordering: per-cell tear-free copy (struct docs)
+                    ..GaugeSnapshot::default()
+                }
+            }
+
+            /// Zero the scalar cells.
+            fn reset_levels(&self) {
+                $($(self.$name.store(0, Ordering::Relaxed);)+)+ // ordering: phase reset; racing setters land on either side
+            }
+        }
+
+        impl GaugeSnapshot {
+            $(
+                $(#[doc = $gdoc])*
+                pub(crate) fn $group(&self) -> Vec<Level> {
+                    vec![$(Level {
+                        key: stringify!($name),
+                        family: $family,
+                        kind: stringify!($kind),
+                        value: self.$name,
+                    },)+]
+                }
+            )+
+        }
+    };
+}
+
+levels! {
+    /// The control-state levels, always writable.
+    control {
+        /// Scheduler clock at the last maintenance refresh.
+        clock_now: "hdd_clock_now" gauge,
+        /// Latest released wall's anchor timestamp.
+        wall_anchor: "hdd_wall_anchor" gauge,
+        /// Tick at which the latest wall was released.
+        wall_released_at: "hdd_wall_released_at" gauge,
+        /// Minimum wall component (the conservative read floor).
+        wall_floor: "hdd_wall_floor" gauge,
+        /// `clock_now − wall_floor`: how stale the freshest conservative
+        /// wall read would be.
+        wall_lag: "hdd_wall_lag" gauge,
+        /// Running registered transactions, all classes.
+        active_txns: "hdd_active_txns" gauge,
+        /// Live activity-registry intervals, all classes.
+        registry_intervals: "hdd_registry_intervals" gauge,
+        /// Total settled-cursor lag, all classes.
+        registry_settled_lag: "hdd_registry_settled_lag" gauge,
+        /// Live versions in the MV store.
+        store_versions: "hdd_store_versions" gauge,
+        /// Granules in the MV store.
+        store_granules: "hdd_store_granules" gauge,
+        /// Deepest version chain.
+        store_max_chain: "hdd_store_max_chain" gauge,
+        /// Last GC prune watermark.
+        gc_watermark: "hdd_gc_watermark" gauge,
+        /// Versions above one-per-granule (reclaimable upper bound).
+        gc_backlog: "hdd_gc_backlog" gauge,
+        /// Programs claimed by driver workers.
+        driver_claimed: "hdd_driver_claimed" gauge,
+        /// Programs offered to the driver.
+        driver_offered: "hdd_driver_offered" gauge,
+    }
+    /// The durability cells, always writable like driver progress.
+    durability {
+        /// Durable group-commit batches written.
+        wal_batches: "hdd_wal_fsync_batches_total" counter,
+        /// Frames carried by those batches (occupancy = frames / batches).
+        wal_frames: "hdd_wal_frames" gauge,
+        /// Bytes carried by those batches.
+        wal_bytes: "hdd_wal_bytes" gauge,
+        /// Log frames replayed by the last recovery pass.
+        recovery_replayed: "hdd_recovery_replayed" gauge,
+        /// Malformed frames the last recovery pass skipped.
+        recovery_anomalies: "hdd_recovery_anomalies_total" counter,
+    }
 }
 
 impl GaugeBoard {
@@ -280,33 +379,8 @@ impl GaugeBoard {
         // on its own, cross-cell skew is documented and acceptable.
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut snap = GaugeSnapshot {
-            configured: false,
-            n_classes: 0,
-            n_segments: 0,
-            clock_now: g(&self.clock_now),
-            wall_anchor: g(&self.wall_anchor),
-            wall_released_at: g(&self.wall_released_at),
-            wall_floor: g(&self.wall_floor),
-            wall_lag: g(&self.wall_lag),
-            active_txns: g(&self.active_txns),
-            registry_intervals: g(&self.registry_intervals),
-            registry_settled_lag: g(&self.registry_settled_lag),
-            store_versions: g(&self.store_versions),
-            store_granules: g(&self.store_granules),
-            store_max_chain: g(&self.store_max_chain),
-            gc_watermark: g(&self.gc_watermark),
-            gc_backlog: g(&self.gc_backlog),
-            driver_claimed: g(&self.driver_claimed),
-            driver_offered: g(&self.driver_offered),
-            wal_batches: g(&self.wal_batches),
-            wal_frames: g(&self.wal_frames),
-            wal_bytes: g(&self.wal_bytes),
-            recovery_replayed: g(&self.recovery_replayed),
-            recovery_anomalies: g(&self.recovery_anomalies),
             fsync_ns: self.fsync_ns.snapshot(),
-            classes: Vec::new(),
-            segment_walls: Vec::new(),
-            staleness: Vec::new(),
+            ..self.levels()
         };
         if let Some(d) = self.dims.get() {
             snap.configured = true;
@@ -338,45 +412,29 @@ impl GaugeBoard {
         snap
     }
 
+    /// Per-cell sample counts of the staleness matrix, row-major with
+    /// the [`WALL_READER`] row last (empty when unconfigured): one count
+    /// per served Protocol A/C read, the drift sketch's access family.
+    pub(crate) fn staleness_counts(&self) -> Vec<u64> {
+        self.dims.get().map_or_else(Vec::new, |d| {
+            d.staleness.iter().map(Histogram::count).collect()
+        })
+    }
+
     /// Zero every cell (staleness histograms included); the board stays
     /// configured.
     pub fn reset(&self) {
-        for c in [
-            &self.clock_now,
-            &self.wall_anchor,
-            &self.wall_released_at,
-            &self.wall_floor,
-            &self.wall_lag,
-            &self.active_txns,
-            &self.registry_intervals,
-            &self.registry_settled_lag,
-            &self.store_versions,
-            &self.store_granules,
-            &self.store_max_chain,
-            &self.gc_watermark,
-            &self.gc_backlog,
-            &self.driver_claimed,
-            &self.driver_offered,
-            &self.wal_batches,
-            &self.wal_frames,
-            &self.wal_bytes,
-            &self.recovery_replayed,
-            &self.recovery_anomalies,
-        ] {
-            // ordering: Relaxed — gauge reset between phases; racing
-            // setters land on either side, both acceptable.
-            c.store(0, Ordering::Relaxed);
-        }
+        self.reset_levels();
         self.fsync_ns.reset();
         if let Some(d) = self.dims.get() {
             for v in [&d.i_old, &d.active, &d.settled_lag, &d.wall_component] {
                 for c in v {
-                    // ordering: Relaxed — gauge reset, see above.
+                    // ordering: Relaxed — gauge reset between phases.
                     c.store(0, Ordering::Relaxed);
                 }
             }
             for c in &d.segment_wall {
-                // ordering: Relaxed — gauge reset, see above.
+                // ordering: Relaxed — gauge reset between phases.
                 c.store(0, Ordering::Relaxed);
             }
             for h in &d.staleness {
@@ -423,98 +481,7 @@ impl StalenessCell {
     }
 }
 
-/// A point-in-time copy of the whole [`GaugeBoard`].
-#[derive(Debug, Clone, Default)]
-pub struct GaugeSnapshot {
-    /// Whether the dimensioned cells were allocated.
-    pub configured: bool,
-    /// Hierarchy class count (0 when unconfigured).
-    pub n_classes: u32,
-    /// Segment count (0 when unconfigured).
-    pub n_segments: u32,
-    /// Scheduler clock at the last maintenance refresh.
-    pub clock_now: u64,
-    /// Latest released wall's anchor timestamp.
-    pub wall_anchor: u64,
-    /// Tick at which the latest wall was released.
-    pub wall_released_at: u64,
-    /// Minimum wall component (the conservative read floor).
-    pub wall_floor: u64,
-    /// `clock_now − wall_floor`: how stale the freshest conservative
-    /// wall read would be.
-    pub wall_lag: u64,
-    /// Running registered transactions, all classes.
-    pub active_txns: u64,
-    /// Live activity-registry intervals, all classes.
-    pub registry_intervals: u64,
-    /// Total settled-cursor lag, all classes.
-    pub registry_settled_lag: u64,
-    /// Live versions in the MV store.
-    pub store_versions: u64,
-    /// Granules in the MV store.
-    pub store_granules: u64,
-    /// Deepest version chain.
-    pub store_max_chain: u64,
-    /// Last GC prune watermark.
-    pub gc_watermark: u64,
-    /// Versions above one-per-granule (reclaimable upper bound).
-    pub gc_backlog: u64,
-    /// Programs claimed by driver workers.
-    pub driver_claimed: u64,
-    /// Programs offered to the driver.
-    pub driver_offered: u64,
-    /// Durable group-commit batches written.
-    pub wal_batches: u64,
-    /// Frames carried by those batches (occupancy = frames / batches).
-    pub wal_frames: u64,
-    /// Bytes carried by those batches.
-    pub wal_bytes: u64,
-    /// Log frames replayed by the last recovery pass.
-    pub recovery_replayed: u64,
-    /// Malformed frames the last recovery pass skipped.
-    pub recovery_anomalies: u64,
-    /// Distribution of per-batch write+fsync latency (nanoseconds).
-    pub fsync_ns: HistogramSnapshot,
-    /// Per-class rows (empty when unconfigured).
-    pub classes: Vec<ClassGauges>,
-    /// Latest wall timestamp per segment (empty when unconfigured).
-    pub segment_walls: Vec<u64>,
-    /// Non-empty staleness cells.
-    pub staleness: Vec<StalenessCell>,
-}
-
 impl GaugeSnapshot {
-    /// Interval view against an `earlier` snapshot of the same board:
-    /// instantaneous gauges keep their current values (they are levels,
-    /// not counters), while each staleness cell becomes the saturating
-    /// [`HistogramSnapshot::delta`] of its counterpart — cells absent
-    /// from `earlier` pass through unchanged, and cells whose delta is
-    /// empty are dropped. Like `MetricsSnapshot::delta`, this never
-    /// wraps across a reset/resume.
-    pub fn delta(&self, earlier: &GaugeSnapshot) -> GaugeSnapshot {
-        let mut d = self.clone();
-        d.staleness = self
-            .staleness
-            .iter()
-            .filter_map(|cell| {
-                let prev = earlier
-                    .staleness
-                    .iter()
-                    .find(|p| p.reader == cell.reader && p.segment == cell.segment);
-                let hist = match prev {
-                    Some(p) => cell.hist.delta(&p.hist),
-                    None => cell.hist.clone(),
-                };
-                (!hist.is_empty()).then_some(StalenessCell {
-                    reader: cell.reader,
-                    segment: cell.segment,
-                    hist,
-                })
-            })
-            .collect();
-        d
-    }
-
     /// The staleness cell for `(reader, segment)` if it recorded
     /// anything.
     pub fn staleness_for(&self, reader: u32, segment: u32) -> Option<&StalenessCell> {
@@ -525,44 +492,14 @@ impl GaugeSnapshot {
 
     /// Hand-rolled JSON object (no serde in the offline build).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"configured\": {}, \"n_classes\": {}, \"n_segments\": {}, \
-             \"clock_now\": {}, \"wall_anchor\": {}, \"wall_released_at\": {}, \
-             \"wall_floor\": {}, \"wall_lag\": {}, \"active_txns\": {}, \
-             \"registry_intervals\": {}, \"registry_settled_lag\": {}, \
-             \"store_versions\": {}, \"store_granules\": {}, \"store_max_chain\": {}, \
-             \"gc_watermark\": {}, \"gc_backlog\": {}, \"driver_claimed\": {}, \
-             \"driver_offered\": {}",
-            self.configured,
-            self.n_classes,
-            self.n_segments,
-            self.clock_now,
-            self.wall_anchor,
-            self.wall_released_at,
-            self.wall_floor,
-            self.wall_lag,
-            self.active_txns,
-            self.registry_intervals,
-            self.registry_settled_lag,
-            self.store_versions,
-            self.store_granules,
-            self.store_max_chain,
-            self.gc_watermark,
-            self.gc_backlog,
-            self.driver_claimed,
-            self.driver_offered,
-        ));
-        s.push_str(&format!(
-            ", \"wal_batches\": {}, \"wal_frames\": {}, \"wal_bytes\": {}, \
-             \"recovery_replayed\": {}, \"recovery_anomalies\": {}, \"fsync_ns\": {}",
-            self.wal_batches,
-            self.wal_frames,
-            self.wal_bytes,
-            self.recovery_replayed,
-            self.recovery_anomalies,
-            self.fsync_ns.to_json(),
-        ));
+        let mut s = format!(
+            "{{\"configured\": {}, \"n_classes\": {}, \"n_segments\": {}",
+            self.configured, self.n_classes, self.n_segments
+        );
+        for l in self.control().into_iter().chain(self.durability()) {
+            s.push_str(&format!(", \"{}\": {}", l.key, l.value));
+        }
+        s.push_str(&format!(", \"fsync_ns\": {}", self.fsync_ns.to_json()));
         s.push_str(", \"classes\": [");
         for (i, c) in self.classes.iter().enumerate() {
             if i > 0 {
@@ -680,22 +617,6 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"wall_floor\": 95"));
         assert!(json.contains("\"segment_walls\": [95, 102]"));
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_staleness_and_keeps_levels() {
-        let g = GaugeBoard::new();
-        g.configure(1, 2);
-        g.record_staleness(0, 0, 10);
-        g.record_staleness(0, 1, 30);
-        let before = g.snapshot();
-        g.record_staleness(0, 0, 20);
-        g.set_wall(50, 55, 48, 7);
-        let d = g.snapshot().delta(&before);
-        assert_eq!(d.wall_lag, 7, "levels pass through");
-        let cell = d.staleness_for(0, 0).expect("delta cell");
-        assert_eq!(cell.hist.count, 1, "only the new sample");
-        assert!(d.staleness_for(0, 1).is_none(), "unchanged cell dropped");
     }
 
     #[test]

@@ -198,44 +198,6 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Interval view: the values recorded *after* `earlier` was taken,
-    /// assuming both are snapshots of the same histogram's life.
-    ///
-    /// Contract (what `hdd-top` relies on to never print wrapped
-    /// `u64`s): every subtraction **saturates**. If the histogram was
-    /// reset between the two snapshots — a crash/recovery resume, or an
-    /// explicit `Obs::reset` — some buckets in `self` are *smaller*
-    /// than in `earlier`; those clamp to zero instead of wrapping, so
-    /// the delta degrades to "what this incarnation recorded" rather
-    /// than garbage. `count` is re-derived from the delta buckets (the
-    /// stored counts may disagree across a reset), and `min`/`max` are
-    /// re-derived at bucket resolution from the surviving delta buckets
-    /// (the exact interval extrema are not recoverable from two
-    /// endpoint snapshots); an empty delta reports the canonical empty
-    /// extrema (`min == u64::MAX`, `max == 0`).
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        let count: u64 = buckets.iter().sum();
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        HistogramSnapshot {
-            count,
-            sum: if count == 0 {
-                0
-            } else {
-                self.sum.saturating_sub(earlier.sum)
-            },
-            min: first.map_or(u64::MAX, bucket_low),
-            max: last.map_or(0, |i| bucket_high(i).min(self.max)),
-            buckets,
-        }
-    }
-
     /// Mean of recorded values (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -493,53 +455,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), u64::MAX);
         // `sum` is modular by contract: MAX + (MAX-1) + 0 wraps.
         assert_eq!(s.sum, u64::MAX.wrapping_add(u64::MAX - 1));
-    }
-
-    #[test]
-    fn delta_is_the_interval_view() {
-        let h = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let before = h.snapshot();
-        for v in [100u64, 200] {
-            h.record(v);
-        }
-        let d = h.snapshot().delta(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 300);
-        // Bucket-resolution extrema bracket the true interval extrema.
-        assert!(d.min <= 100 && 100 <= bucket_high(bucket_index(d.min)));
-        assert_eq!(d.max, 200, "clamped to the lifetime max");
-        assert!(d.quantile(0.5) >= 100);
-    }
-
-    #[test]
-    fn delta_saturates_across_reset_instead_of_wrapping() {
-        // A recovery/resume resets the histogram mid-interval; the
-        // delta against the pre-reset snapshot must clamp, not wrap.
-        let h = Histogram::new();
-        for v in [5u64, 6, 7, 8, 9, 1000] {
-            h.record(v);
-        }
-        let before = h.snapshot();
-        h.reset();
-        h.record(42);
-        let d = h.snapshot().delta(&before);
-        assert_eq!(d.count, 1, "only the post-reset value survives");
-        assert!(d.sum <= 42, "sum clamps to the new incarnation");
-        assert!(d.min <= 42 && d.max >= 42 && d.max < 1000);
-        for &c in &d.buckets {
-            assert!(c <= 1, "no wrapped bucket counts");
-        }
-        // Fully-empty delta (snapshot taken right after reset).
-        h.reset();
-        let empty = h.snapshot().delta(&before);
-        assert!(empty.is_empty());
-        assert_eq!(empty.min, u64::MAX);
-        assert_eq!(empty.max, 0);
-        assert_eq!(empty.sum, 0);
-        assert_eq!(empty.quantile(0.99), 0);
     }
 
     #[test]

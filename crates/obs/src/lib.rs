@@ -39,12 +39,10 @@ pub mod trace;
 
 pub use blame::{critical_chain, BlameReport, CauseBucket, ChainHop, PhaseBreakdown};
 pub use drift::{
-    ClassDrift, DriftBoard, DriftCell, DriftEdge, DriftSnapshot, DriftTrip,
-    DEFAULT_DRIFT_THRESHOLD_MILLI,
+    ClassDrift, DriftBoard, DriftCell, DriftEdge, DriftSnapshot, DEFAULT_DRIFT_THRESHOLD_MILLI,
 };
 pub use export::{
-    chrome_trace, flight_chrome_trace, prometheus_text, prometheus_text_full,
-    validate_chrome_trace, validate_prometheus,
+    chrome_trace, flight_chrome_trace, prometheus_text, validate_chrome_trace, validate_prometheus,
 };
 pub use gauges::{ClassGauges, GaugeBoard, GaugeSnapshot, StalenessCell, WALL_READER};
 pub use hist::{Histogram, HistogramSnapshot};
@@ -77,47 +75,107 @@ impl Event {
     }
 }
 
-/// The observability sidecar carried by every scheduler's `Metrics`.
-///
-/// All recording dimensions share the [`Obs::enabled`] flag; every hook
-/// checks it first (one relaxed load) and skips clock reads and
-/// recording entirely when tracing is off, which is what keeps the
-/// disabled-mode overhead under the 5% budget.
-#[derive(Debug, Default)]
-pub struct Obs {
-    enabled: AtomicBool,
+/// Declares each latency recorder once, with its export key. The one
+/// list yields the [`Obs`] and [`ObsSnapshot`] fields, the copy, the
+/// reset and the rows JSON and Prometheus iterate over.
+macro_rules! recorders {
+    ($($(#[doc = $doc:literal])+ $name:ident: $key:literal,)+) => {
+        /// The observability sidecar carried by every scheduler's `Metrics`.
+        ///
+        /// All recording dimensions share the [`Obs::enabled`] flag; every hook
+        /// checks it first (one relaxed load) and skips clock reads and
+        /// recording entirely when tracing is off, which is what keeps the
+        /// disabled-mode overhead under the 5% budget.
+        #[derive(Debug, Default)]
+        pub struct Obs {
+            enabled: AtomicBool,
+            $($(#[doc = $doc])+ pub $name: LatencyRecorder,)+
+            /// The one event log: protocol decisions and flight-recorder span
+            /// records in one ticket order, bounded per stripe. [`assemble`],
+            /// [`chrome_trace`] and `certify::attach_trace` all read the same
+            /// drained slice and skip what is not theirs.
+            pub events: TicketRing<Event>,
+            /// Live gauge board: time-wall/staleness/registry/store levels,
+            /// refreshed by the scheduler's maintenance tick (see
+            /// [`gauges::GaugeBoard`]).
+            pub gauges: GaugeBoard,
+            /// Flight-recorder stride, counters and span clock (see [`span`]).
+            /// Inert until both [`Obs::enabled`] and a sampling stride are set.
+            pub flight: FlightRecorder,
+            /// Workload-drift sketch: co-access counters, EWMA baselines over
+            /// them and over the staleness matrix's counts, drift scores and
+            /// wall-drag blame (see [`drift`]). Inert until both
+            /// [`Obs::enabled`] and its own enable flag are set, so drift
+            /// overhead is measurable against an obs-on baseline.
+            pub drift: DriftBoard,
+        }
+
+        /// A point-in-time copy of every [`Obs`] dimension.
+        #[derive(Debug, Clone, Default)]
+        pub struct ObsSnapshot {
+            $(#[doc = concat!("See [`Obs::", stringify!($name), "`].")] pub $name: HistogramSnapshot,)+
+            /// Events recorded over the run — decisions *and* span records: the
+            /// event log is one ring, so this is its one total.
+            pub trace_recorded: u64,
+            /// Events evicted by wrap-around of the event log. An evicted
+            /// `BlockCause` turns a wait `Unattributed`; this is where it shows.
+            pub trace_dropped: u64,
+            /// The gauge board.
+            pub gauges: GaugeSnapshot,
+            /// The drift sketch, its access cells counted off `gauges`'
+            /// staleness matrix.
+            pub drift: DriftSnapshot,
+        }
+
+        impl Obs {
+            /// Copy every dimension: the one read every exporter takes.
+            pub fn snapshot(&self) -> ObsSnapshot {
+                ObsSnapshot {
+                    $($name: self.$name.snapshot(),)+
+                    trace_recorded: self.events.recorded(),
+                    trace_dropped: self.events.dropped(),
+                    gauges: self.gauges.snapshot(),
+                    drift: self.drift.snapshot(&self.gauges.staleness_counts()),
+                }
+            }
+
+            /// Clear every histogram, the event log, the gauge board, the
+            /// flight counters and the drift sketch (the enable flags, board
+            /// configurations and the sampling stride are left as-is).
+            pub fn reset(&self) {
+                $(self.$name.reset();)+
+                self.events.reset();
+                self.gauges.reset();
+                self.flight.reset();
+                self.drift.reset();
+            }
+        }
+
+        impl ObsSnapshot {
+            /// `(export key, histogram)` per recorder, in declaration order.
+            pub(crate) fn recorders(&self) -> Vec<(&'static str, &HistogramSnapshot)> {
+                vec![$(($key, &self.$name),)+]
+            }
+        }
+    };
+}
+
+recorders! {
     /// Transaction commit latency in nanoseconds: work-claim to commit,
     /// including restarts and backoff (recorded by the driver).
-    pub commit_latency: LatencyRecorder,
+    commit_latency: "commit_latency_ns",
     /// Per-operation service time in nanoseconds: one scheduler
     /// `read`/`write`/`commit` call (recorded by the driver).
-    pub op_service: LatencyRecorder,
+    op_service: "op_service_ns",
     /// Blocked-operation wait in nanoseconds: first `Block` outcome to
     /// eventual grant of the same step (recorded by the driver).
-    pub block_wait: LatencyRecorder,
+    block_wait: "block_wait_ns",
     /// Actual driver backoff sleep lengths in nanoseconds.
-    pub backoff_sleep: LatencyRecorder,
+    backoff_sleep: "backoff_sleep_ns",
     /// Activity-registry intervals examined per Protocol A bound
     /// evaluation (a length, not a latency; the O(active) claim, as a
     /// distribution).
-    pub registry_scan: LatencyRecorder,
-    /// The one event log: protocol decisions and flight-recorder span
-    /// records in one ticket order, bounded per stripe. [`assemble`],
-    /// [`chrome_trace`] and `certify::attach_trace` all read the same
-    /// drained slice and skip what is not theirs.
-    pub events: TicketRing<Event>,
-    /// Live gauge board: time-wall/staleness/registry/store levels,
-    /// refreshed by the scheduler's maintenance tick (see
-    /// [`gauges::GaugeBoard`]).
-    pub gauges: GaugeBoard,
-    /// Flight-recorder stride, counters and span clock (see [`span`]).
-    /// Inert until both [`Obs::enabled`] and a sampling stride are set.
-    pub flight: FlightRecorder,
-    /// Workload-drift sketch: access-frequency/co-access counters with
-    /// EWMA baselines, drift scores and wall-drag blame (see [`drift`]).
-    /// Inert until both [`Obs::enabled`] and its own enable flag are
-    /// set, so drift overhead is measurable against an obs-on baseline.
-    pub drift: DriftBoard,
+    registry_scan: "registry_scan_len",
 }
 
 impl Obs {
@@ -204,28 +262,22 @@ impl Obs {
         }
     }
 
-    /// The sinks both unregistered-read facts share; `true` when the
-    /// read is also decision-traced. Drift counts every read (sampling
-    /// would skew the share vector); staleness and the decision follow
-    /// the flight stride, so unsampled transactions stay counter-only.
+    /// The sinks both unregistered-read facts share (plus the registry
+    /// scan, Protocol A only); `true` when the read is also
+    /// decision-traced. Every aggregate counts every read — staleness is
+    /// also the drift sketch's access count — and the flight stride
+    /// thins only the event log.
     #[inline]
-    fn read_served(&self, reader_row: u32, r: &ServedRead) -> bool {
+    fn read_served(&self, reader_row: u32, r: &ServedRead, scanned: Option<u64>) -> bool {
         if !self.enabled() {
             return false;
         }
-        if self.drift.enabled() {
-            self.drift.record_access(reader_row, r.segment);
-        }
-        if !self.flight.trace_txn(r.txn) {
-            return false;
-        }
-        // How far behind the reader's logical present the version is:
-        // strictly positive on Protocol A rows; wall rows saturate to 0
-        // when a reader predates the wall it adopted (DESIGN.md §10).
-        let staleness = r.start.saturating_sub(r.version);
         self.gauges
-            .record_staleness(reader_row, r.segment, staleness);
-        true
+            .record_staleness(reader_row, r.segment, r.staleness());
+        if let Some(n) = scanned {
+            self.registry_scan.record(n);
+        }
+        self.flight.trace_txn(r.txn)
     }
 
     /// Protocol A served `read` to a transaction of (or a read-only one
@@ -233,8 +285,7 @@ impl Obs {
     /// scanned `scanned` registry intervals.
     #[inline]
     pub fn cross_read(&self, reader_class: u32, read: ServedRead, scanned: u64) {
-        if self.read_served(reader_class, &read) {
-            self.registry_scan.record(scanned);
+        if self.read_served(reader_class, &read, Some(scanned)) {
             let ev = TraceEvent::CrossRead { reader_class, read };
             self.events.push(Event::Decision(ev));
         }
@@ -243,7 +294,7 @@ impl Obs {
     /// Protocol C served `read` below the wall anchored at `anchor`.
     #[inline]
     pub fn wall_read(&self, anchor: u64, read: ServedRead) {
-        if self.read_served(WALL_READER, &read) {
+        if self.read_served(WALL_READER, &read, None) {
             let ev = TraceEvent::WallRead { anchor, read };
             self.events.push(Event::Decision(ev));
         }
@@ -350,7 +401,7 @@ impl Obs {
         if !self.drift.enabled() {
             return;
         }
-        if let Some(trip) = self.drift.fold() {
+        if let Some(trip) = self.drift.fold(&self.gauges.staleness_counts()) {
             self.emit(TraceEvent::DriftTrip {
                 fold: trip.fold,
                 score_milli: trip.score_milli,
@@ -359,91 +410,19 @@ impl Obs {
             });
         }
     }
-
-    /// Copy every dimension.
-    pub fn snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            commit_latency: self.commit_latency.snapshot(),
-            op_service: self.op_service.snapshot(),
-            block_wait: self.block_wait.snapshot(),
-            backoff_sleep: self.backoff_sleep.snapshot(),
-            registry_scan: self.registry_scan.snapshot(),
-            trace_recorded: self.events.recorded(),
-            trace_dropped: self.events.dropped(),
-        }
-    }
-
-    /// Clear every histogram, the event log, the gauge board, the
-    /// flight counters and the drift sketch (the enable flags, board
-    /// configurations and the sampling stride are left as-is).
-    pub fn reset(&self) {
-        self.commit_latency.reset();
-        self.op_service.reset();
-        self.block_wait.reset();
-        self.backoff_sleep.reset();
-        self.registry_scan.reset();
-        self.events.reset();
-        self.gauges.reset();
-        self.flight.reset();
-        self.drift.reset();
-    }
-}
-
-/// A point-in-time copy of every [`Obs`] dimension.
-#[derive(Debug, Clone, Default)]
-pub struct ObsSnapshot {
-    /// See [`Obs::commit_latency`].
-    pub commit_latency: HistogramSnapshot,
-    /// See [`Obs::op_service`].
-    pub op_service: HistogramSnapshot,
-    /// See [`Obs::block_wait`].
-    pub block_wait: HistogramSnapshot,
-    /// See [`Obs::backoff_sleep`].
-    pub backoff_sleep: HistogramSnapshot,
-    /// See [`Obs::registry_scan`].
-    pub registry_scan: HistogramSnapshot,
-    /// Events recorded over the run — decisions *and* span records: the
-    /// event log is one ring, so this is its one total.
-    pub trace_recorded: u64,
-    /// Events evicted by wrap-around of the event log. An evicted
-    /// `BlockCause` turns a wait `Unattributed`; this is where it shows.
-    pub trace_dropped: u64,
 }
 
 impl ObsSnapshot {
-    /// Interval view against an `earlier` snapshot of the same sidecar:
-    /// each histogram becomes its saturating
-    /// [`HistogramSnapshot::delta`] and the trace counters subtract
-    /// saturating, so a reset (or crash/recovery resume) between the
-    /// snapshots clamps to zero instead of wrapping — the same contract
-    /// as `MetricsSnapshot::delta`.
-    pub fn delta(&self, earlier: &ObsSnapshot) -> ObsSnapshot {
-        ObsSnapshot {
-            commit_latency: self.commit_latency.delta(&earlier.commit_latency),
-            op_service: self.op_service.delta(&earlier.op_service),
-            block_wait: self.block_wait.delta(&earlier.block_wait),
-            backoff_sleep: self.backoff_sleep.delta(&earlier.backoff_sleep),
-            registry_scan: self.registry_scan.delta(&earlier.registry_scan),
-            trace_recorded: self.trace_recorded.saturating_sub(earlier.trace_recorded),
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
-        }
-    }
-
     /// Hand-rolled JSON object over every dimension (no serde in the
     /// offline build).
     pub fn to_json(&self) -> String {
+        let mut s = String::from("{");
+        for (key, h) in self.recorders() {
+            s.push_str(&format!("\n      \"{key}\": {},", h.to_json()));
+        }
         format!(
-            "{{\n      \"commit_latency_ns\": {},\n      \"op_service_ns\": {},\n      \
-             \"block_wait_ns\": {},\n      \"backoff_sleep_ns\": {},\n      \
-             \"registry_scan_len\": {},\n      \"trace_recorded\": {},\n      \
-             \"trace_dropped\": {}\n    }}",
-            self.commit_latency.to_json(),
-            self.op_service.to_json(),
-            self.block_wait.to_json(),
-            self.backoff_sleep.to_json(),
-            self.registry_scan.to_json(),
-            self.trace_recorded,
-            self.trace_dropped,
+            "{s}\n      \"trace_recorded\": {},\n      \"trace_dropped\": {}\n    }}",
+            self.trace_recorded, self.trace_dropped
         )
     }
 }
@@ -469,21 +448,6 @@ mod tests {
         o.set_enabled(false);
         o.emit(GC);
         assert_eq!(o.events.recorded(), 1);
-    }
-
-    #[test]
-    fn obs_delta_saturates_across_reset() {
-        let o = Obs::new();
-        o.set_enabled(true);
-        o.commit_latency.record(100);
-        o.emit(GC);
-        let before = o.snapshot();
-        o.reset(); // recovery/resume mid-interval
-        o.commit_latency.record(50);
-        let d = o.snapshot().delta(&before);
-        assert_eq!(d.commit_latency.count, 1);
-        assert_eq!(d.trace_recorded, 0, "clamped, not wrapped");
-        assert_eq!(d.trace_dropped, 0);
     }
 
     #[test]
@@ -537,9 +501,158 @@ mod tests {
         let s = o.snapshot();
         assert_eq!(s.trace_recorded, 3);
         assert_eq!(s.trace_dropped, 2, "span evictions are counted");
-        let text = prometheus_text(&[], &s, &o.gauges.snapshot());
+        let text = prometheus_text(&[], &s);
         assert!(text.contains("hdd_trace_recorded_total 3\n"), "{text}");
         assert!(text.contains("hdd_trace_dropped_total 2\n"), "{text}");
+    }
+
+    /// A fully populated sidecar: every gauge level non-zero, class
+    /// rows, segment walls, two staleness cells, every recorder, and
+    /// drift cells and edges after a fold.
+    fn populated() -> Obs {
+        let o = Obs::new();
+        o.configure(2, 3);
+        o.set_enabled(true);
+        o.drift.set_enabled(true);
+        let g = &o.gauges;
+        g.set_clock(120);
+        g.set_wall(100, 104, 96, 24);
+        g.set_class(0, 3, 2, 1);
+        g.set_class(1, 5, 1, 2);
+        g.set_wall_component(0, 96);
+        g.set_wall_component(1, 101);
+        for (seg, ts) in [(0, 96), (1, 101), (2, 101)] {
+            g.set_segment_wall(seg, ts);
+        }
+        g.set_activity(3, 17, 3);
+        g.set_store(640, 320, 4, 12);
+        g.set_driver_progress(250, 1000);
+        g.record_wal_batch(6, 768, 2_000);
+        g.set_recovery_progress(40, 1);
+        o.gc_ran(90, 7);
+        for txn in 0..16u64 {
+            let read = ServedRead {
+                txn,
+                start: 50 + txn % 4,
+                target_class: 0,
+                segment: 0,
+                key: 1,
+                bound: 48,
+                version: 40,
+            };
+            o.cross_read(1, read, 2);
+            if txn % 2 == 0 {
+                let read = ServedRead {
+                    segment: 2,
+                    target_class: 1,
+                    version: 52,
+                    bound: 58,
+                    start: 60,
+                    ..read
+                };
+                o.wall_read(100, read);
+            }
+            o.began(1, [0u32].into_iter(), [1u32].into_iter());
+            o.committed(1);
+        }
+        o.wall_floor_held(Some(0), 110);
+        o.wall_floor_held(Some(1), 118);
+        o.fold_drift();
+        o.commit_latency.record(1_500);
+        o.op_service.record(200);
+        o.block_wait.record(80);
+        o.backoff_sleep.record(1_000);
+        o
+    }
+
+    const GAUGES_GOLDEN: &str = "{\"configured\": true, \"n_classes\": 2, \"n_segments\": 3, \
+        \"clock_now\": 120, \"wall_anchor\": 100, \"wall_released_at\": 104, \
+        \"wall_floor\": 96, \"wall_lag\": 24, \"active_txns\": 3, \"registry_intervals\": 17, \
+        \"registry_settled_lag\": 3, \"store_versions\": 640, \"store_granules\": 320, \
+        \"store_max_chain\": 4, \"gc_watermark\": 90, \"gc_backlog\": 12, \
+        \"driver_claimed\": 250, \"driver_offered\": 1000, \"wal_batches\": 1, \
+        \"wal_frames\": 6, \"wal_bytes\": 768, \"recovery_replayed\": 40, \
+        \"recovery_anomalies\": 1, \"fsync_ns\": {\"count\": 1, \"sum\": 2000, \
+        \"min\": 2000, \"max\": 2000, \"mean\": 2000.0, \"p50\": 2000, \"p95\": 2000, \
+        \"p99\": 2000, \"buckets\": [[127, 1984, 1]]}, \"classes\": [{\"class\": 0, \
+        \"i_old\": 3, \"active\": 2, \"settled_lag\": 1, \"wall_component\": 96}, \
+        {\"class\": 1, \"i_old\": 5, \"active\": 1, \"settled_lag\": 2, \
+        \"wall_component\": 101}], \"segment_walls\": [96, 101, 101], \"staleness\": \
+        [{\"reader\": \"c1\", \"segment\": 0, \"hist\": {\"count\": 16, \"sum\": 184, \
+        \"min\": 10, \"max\": 13, \"mean\": 11.5, \"p50\": 11, \"p95\": 13, \"p99\": 13, \
+        \"buckets\": [[10, 10, 4], [11, 11, 4], [12, 12, 4], [13, 13, 4]]}}, \
+        {\"reader\": \"wall\", \"segment\": 2, \"hist\": {\"count\": 8, \"sum\": 64, \
+        \"min\": 8, \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8, \
+        \"buckets\": [[8, 8, 8]]}}]}";
+
+    const DRIFT_GOLDEN: &str = "{\"configured\": true, \"enabled\": true, \"n_classes\": 2, \
+        \"n_segments\": 3, \"threshold_milli\": 250, \"score_milli\": 0, \
+        \"access_score_milli\": 0, \"edge_score_milli\": 0, \"access_interval_total\": 24, \
+        \"edge_interval_total\": 32, \"tripped\": false, \"folds\": 1, \"trips\": 0, \
+        \"classes\": [{\"class\": \"c0\", \"begun\": 0, \"committed\": 0, \"drag_blame\": 1}, \
+        {\"class\": \"c1\", \"begun\": 16, \"committed\": 16, \"drag_blame\": 1}, \
+        {\"class\": \"wall\", \"begun\": 0, \"committed\": 0, \"drag_blame\": 0}], \
+        \"cells\": [{\"reader\": \"c1\", \"segment\": 0, \"count\": 16, \
+        \"share_milli\": 666, \"baseline_milli\": 666}, {\"reader\": \"wall\", \
+        \"segment\": 2, \"count\": 8, \"share_milli\": 333, \"baseline_milli\": 333}], \
+        \"edges\": [{\"from\": 1, \"to\": 0, \"count\": 16, \"share_milli\": 500, \
+        \"baseline_milli\": 500}, {\"from\": 1, \"to\": 1, \"count\": 16, \
+        \"share_milli\": 500, \"baseline_milli\": 500}], \"drag_class\": 1, \
+        \"drag_held_ticks\": 0, \"drag_hist\": {\"count\": 1, \"sum\": 8, \"min\": 8, \
+        \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8, \
+        \"buckets\": [[8, 8, 1]]}}";
+
+    const OBS_GOLDEN: &str = "{\n      \"commit_latency_ns\": {\"count\": 1, \"sum\": 1500, \
+        \"min\": 1500, \"max\": 1500, \"mean\": 1500.0, \"p50\": 1500, \"p95\": 1500, \
+        \"p99\": 1500, \"buckets\": [[119, 1472, 1]]},\n      \"op_service_ns\": \
+        {\"count\": 1, \"sum\": 200, \"min\": 200, \"max\": 200, \"mean\": 200.0, \
+        \"p50\": 200, \"p95\": 200, \"p99\": 200, \"buckets\": [[73, 200, 1]]},\n      \
+        \"block_wait_ns\": {\"count\": 1, \"sum\": 80, \"min\": 80, \"max\": 80, \
+        \"mean\": 80.0, \"p50\": 80, \"p95\": 80, \"p99\": 80, \
+        \"buckets\": [[52, 80, 1]]},\n      \"backoff_sleep_ns\": {\"count\": 1, \
+        \"sum\": 1000, \"min\": 1000, \"max\": 1000, \"mean\": 1000.0, \"p50\": 1000, \
+        \"p95\": 1000, \"p99\": 1000, \"buckets\": [[111, 992, 1]]},\n      \
+        \"registry_scan_len\": {\"count\": 16, \"sum\": 32, \"min\": 2, \"max\": 2, \
+        \"mean\": 2.0, \"p50\": 2, \"p95\": 2, \"p99\": 2, \"buckets\": [[2, 2, 16]]},\n      \
+        \"trace_recorded\": 25,\n      \"trace_dropped\": 0\n    }";
+
+    #[test]
+    fn json_goldens_on_a_fully_populated_sidecar() {
+        // Byte-exact: the three snapshot documents `hdd-top --once`
+        // prints are part of the contract.
+        let s = populated().snapshot();
+        assert_eq!(s.gauges.to_json(), GAUGES_GOLDEN);
+        assert_eq!(s.drift.to_json(), DRIFT_GOLDEN);
+        assert_eq!(s.to_json(), OBS_GOLDEN);
+    }
+
+    #[test]
+    fn at_stride_3_every_aggregate_counts_every_read_and_the_log_one() {
+        let o = Obs::new();
+        o.configure(2, 2);
+        o.set_enabled(true);
+        o.drift.set_enabled(true);
+        o.flight.set_sample_every(3);
+        for txn in [3u64, 4, 5] {
+            let read = ServedRead {
+                txn,
+                start: 10,
+                target_class: 0,
+                segment: 0,
+                key: 1,
+                bound: 8,
+                version: 5,
+            };
+            o.cross_read(1, read, 2);
+        }
+        let s = o.snapshot();
+        let staleness: u64 = s.gauges.staleness.iter().map(|c| c.hist.count).sum();
+        assert_eq!(staleness, 3, "staleness counts unsampled reads too");
+        assert_eq!(s.registry_scan.count, 3);
+        assert_eq!(s.drift.cells.iter().map(|c| c.count).sum::<u64>(), 3);
+        let events = o.events.drain();
+        assert_eq!(events.len(), 1, "only the sampled txn's decision");
+        assert_eq!(events[0].1.decision().and_then(TraceEvent::txn), Some(3));
     }
 
     #[test]
@@ -572,8 +685,8 @@ mod tests {
         fire();
         assert_eq!(o.events.recorded(), 0);
         assert_eq!(o.registry_scan.count(), 0);
-        assert!(o.gauges.snapshot().staleness.is_empty());
-        assert_eq!(o.drift.snapshot().cells.len(), 0);
+        assert!(o.snapshot().gauges.staleness.is_empty());
+        assert_eq!(o.snapshot().drift.cells.len(), 0);
 
         o.set_enabled(true);
         fire();
@@ -602,24 +715,23 @@ mod tests {
             .map(|c| c.hist.count)
             .sum();
         assert_eq!(staleness, 2);
-        let drift = o.drift.snapshot();
+        let drift = o.snapshot().drift;
         assert_eq!(drift.cells.iter().map(|c| c.count).sum::<u64>(), 2);
         assert_eq!(o.gauges.snapshot().gc_watermark, 5);
 
-        // Sampled mode: an off-stride transaction stays counter-only
-        // (drift still counts it), an on-stride block gets its cause.
+        // Sampled mode: an off-stride transaction reaches every
+        // aggregate but not the event log; an on-stride block gets its
+        // cause.
         o.flight.set_sample_every(3);
         o.cross_read(1, read, 3); // txn 4: off stride
         assert_eq!(o.events.recorded(), 5);
+        let s = o.snapshot();
         assert_eq!(
-            o.drift
-                .snapshot()
-                .cells
-                .iter()
-                .map(|c| c.count)
-                .sum::<u64>(),
+            s.gauges.staleness.iter().map(|c| c.hist.count).sum::<u64>(),
             3
         );
+        assert_eq!(s.registry_scan.count, 2);
+        assert_eq!(s.drift.cells.iter().map(|c| c.count).sum::<u64>(), 3);
         o.blocked_on_txn(6, 2, || 1);
         o.blocked_on_wall(6, || 9);
         assert_eq!(o.events.recorded(), 7);

@@ -103,6 +103,16 @@ pub struct ServedRead {
     pub version: u64,
 }
 
+impl ServedRead {
+    /// How far behind the reader's logical present the version is,
+    /// `start − version` (DESIGN.md §10): strictly positive on Protocol A
+    /// reads; a wall reader that predates the wall it adopted saturates
+    /// to 0.
+    pub fn staleness(&self) -> u64 {
+        self.start.saturating_sub(self.version)
+    }
+}
+
 /// One structured protocol decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {

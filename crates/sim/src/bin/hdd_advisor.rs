@@ -121,7 +121,7 @@ fn main() {
         wave += 1;
         let one_shot_done = !opts.watch && wave >= opts.waves;
         if opts.watch || one_shot_done {
-            let mut report = advise(&hierarchy, &obs.drift.snapshot(), opts.min_edge);
+            let mut report = advise(&hierarchy, &obs.snapshot().drift, opts.min_edge);
             report.target = format!("workload {} (wave {wave})", opts.workload);
             if opts.json {
                 println!("{}", report.to_json());

@@ -19,7 +19,7 @@
 
 use chaos::{ChaosConfig, FaultPlan};
 use hdd::protocol::HddConfig;
-use obs::{chrome_trace, prometheus_text_full, validate_chrome_trace, validate_prometheus};
+use obs::{chrome_trace, prometheus_text, validate_chrome_trace, validate_prometheus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::cli::{self, Args};
@@ -169,6 +169,7 @@ fn main() {
         sched.refresh_drift_now();
         eprint!("{}", dash.frame(sched.metrics()));
         let m = sched.metrics().snapshot();
+        let obs = sched.metrics().obs.snapshot();
         println!(
             "{{\"workload\": \"{}\", \"commits\": {}, \"aborts\": {}, \"rejections\": {}, \
              \"gauges\": {}, \"drift\": {}, \"obs\": {}}}",
@@ -176,9 +177,9 @@ fn main() {
             m.commits,
             m.aborts,
             m.rejections,
-            sched.metrics().obs.gauges.snapshot().to_json(),
-            sched.metrics().obs.drift.snapshot().to_json(),
-            sched.metrics().obs.snapshot().to_json(),
+            obs.gauges.to_json(),
+            obs.drift.to_json(),
+            obs.to_json(),
         );
         return;
     }
@@ -240,12 +241,7 @@ fn main() {
     sched.refresh_gauges_now();
     if let Some(path) = &opts.prom {
         let counters = sched.metrics().snapshot().counter_pairs();
-        let text = prometheus_text_full(
-            &counters,
-            &sched.metrics().obs.snapshot(),
-            &sched.metrics().obs.gauges.snapshot(),
-            Some(&sched.metrics().obs.drift.snapshot()),
-        );
+        let text = prometheus_text(&counters, &sched.metrics().obs.snapshot());
         match cli::write_checked(path, &text, validate_prometheus) {
             Ok(stats) => println!(
                 "hdd-top: wrote {path} ({} families, {} samples)",

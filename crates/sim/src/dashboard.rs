@@ -242,9 +242,8 @@ impl Dashboard {
     pub fn frame(&mut self, metrics: &Metrics) -> String {
         let now = Instant::now();
         let totals = metrics.snapshot();
-        let gauges = metrics.obs.gauges.snapshot();
-        let drift = metrics.obs.drift.snapshot();
-        let advice = self.advice_line(&drift);
+        let obs = metrics.obs.snapshot();
+        let advice = self.advice_line(&obs.drift);
         let (since, baseline) = match self.prev {
             Some((t, s)) => (now.duration_since(t), s),
             None => (now.duration_since(self.started), MetricsSnapshot::default()),
@@ -257,8 +256,8 @@ impl Dashboard {
             interval_secs: since.as_secs_f64(),
             totals: &totals,
             delta: &delta,
-            gauges: &gauges,
-            drift: &drift,
+            gauges: &obs.gauges,
+            drift: &obs.drift,
             advice: advice.as_deref(),
             segment_names: &self.segment_names,
         })
@@ -382,17 +381,17 @@ mod tests {
 
     #[test]
     fn drift_panel_shows_scores_drag_blame_and_advice() {
-        let board = obs::DriftBoard::new();
-        board.configure(2, 3);
-        board.set_enabled(true);
+        let o = obs::Obs::new();
+        o.configure(2, 3);
+        o.drift.set_enabled(true);
         for _ in 0..20 {
-            board.record_edge(1, 0);
-            board.record_access(0, 1);
+            o.drift.record_edge(1, 0);
+            o.gauges.record_staleness(0, 1, 1);
         }
-        board.note_wall_floor(Some(1), 10);
-        board.note_wall_floor(Some(1), 14);
-        let _ = board.fold();
-        let drift = board.snapshot();
+        o.drift.note_wall_floor(Some(1), 10);
+        o.drift.note_wall_floor(Some(1), 14);
+        o.fold_drift();
+        let drift = o.snapshot().drift;
         let zero = MetricsSnapshot::default();
         let text = render(&Frame {
             title: "drifty",
@@ -422,7 +421,7 @@ mod tests {
         ];
         let h = Arc::new(Hierarchy::build(2, &specs).unwrap());
         let m = Metrics::default();
-        m.obs.drift.configure(2, 2);
+        m.obs.configure(2, 2);
         m.obs.drift.set_enabled(true);
         let mut d = Dashboard::new("live", vec![]).with_hierarchy(h);
         // No folds yet: panel renders, advice line does not.
@@ -434,7 +433,7 @@ mod tests {
             m.obs.drift.record_edge(0, 1);
             m.obs.drift.record_edge(1, 0);
         }
-        let _ = m.obs.drift.fold();
+        m.obs.fold_drift();
         let text = d.frame(&m);
         assert!(
             text.contains("advice    quality 0/1000: merge segments D0+D1"),

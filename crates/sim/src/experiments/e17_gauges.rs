@@ -276,7 +276,7 @@ mod tests {
 
         let obs = &sched.metrics().obs;
         let counters = sched.metrics().snapshot().counter_pairs();
-        let prom = prometheus_text(&counters, &obs.snapshot(), &obs.gauges.snapshot());
+        let prom = prometheus_text(&counters, &obs.snapshot());
         let stats = validate_prometheus(&prom).expect("the exposition must validate");
         assert!(stats.samples > 0);
         assert!(

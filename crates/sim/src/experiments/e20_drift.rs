@@ -275,7 +275,7 @@ pub fn measure(quick: bool) -> DriftOutcome {
         }
     }
     let steady_tripped = obs.drift.tripped();
-    let phase_a = advise(&hierarchy, &obs.drift.snapshot(), DEFAULT_MIN_EDGE);
+    let phase_a = advise(&hierarchy, &obs.snapshot().drift, DEFAULT_MIN_EDGE);
 
     // Shift: the b-heavy mix. Fold after every sub-batch until the
     // board trips (budget: 6 folds).
@@ -293,7 +293,7 @@ pub fn measure(quick: bool) -> DriftOutcome {
             break;
         }
     }
-    let post_snap = obs.drift.snapshot();
+    let post_snap = obs.snapshot().drift;
     let post = advise(&hierarchy, &post_snap, DEFAULT_MIN_EDGE);
 
     // Offline ground truth for the post-shift workload.

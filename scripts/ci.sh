@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, the examples,
+# Local CI gate: lock files, formatting, lints, the full test suite, the examples,
 # the benchmark smoke, docs, the ordering audit and the model checker. Every
 # correctness invariant is a `cargo test`; no stage runs an experiment.
 # Run from the repository root:
@@ -9,6 +9,13 @@
 # Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== lockfiles =="
+# Both workspaces must resolve from their committed Cargo.lock as is: a
+# manifest edit that would rewrite either lock file (the benchmark's
+# included) fails here, offline, in well under a second.
+cargo metadata --format-version 1 --locked --offline > /dev/null
+cargo metadata --format-version 1 --locked --offline --manifest-path benchmark/Cargo.toml > /dev/null
 
 echo "== fmt =="
 cargo fmt --all --check
