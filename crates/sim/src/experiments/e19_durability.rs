@@ -5,9 +5,10 @@
 //!
 //! 1. **Throughput vs fsync batch size.** The inventory workload on HDD
 //!    with the group-commit WAL at `max_batch_frames` 1/4/16/64, plus a
-//!    no-WAL baseline. Batch 1 fsyncs once per commit; larger batches
-//!    amortize the sync across concurrent committers (the *group-commit
-//!    ack rule*: a commit counts only once its batch is durable).
+//!    no-WAL baseline. Batch 1 fsyncs once per journaled commit; larger
+//!    caps let the commits that queue during one fsync share the next
+//!    (the *group-commit ack rule*: a commit counts only once its batch
+//!    is durable).
 //! 2. **Backend parity.** The same run over the log-structured
 //!    [`FileBackend`] instead of the in-memory
 //!    store — what durable reads/writes cost without any WAL batching.
@@ -72,6 +73,8 @@ pub struct DurabilityPoint {
     pub commits_per_sec: f64,
     /// Fsync batches the WAL wrote (0 = no WAL).
     pub fsync_batches: u64,
+    /// Update commits journaled through the WAL (0 = no WAL).
+    pub journaled: usize,
 }
 
 /// One recovery-cost cell.
@@ -119,6 +122,7 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             committed: out.stats.committed,
             commits_per_sec: out.throughput,
             fsync_batches: 0,
+            journaled: 0,
         });
     }
 
@@ -130,7 +134,6 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
                 &dir.join("run.wal"),
                 GroupCommitConfig {
                     max_batch_frames: batch_frames,
-                    ..GroupCommitConfig::default()
                 },
             )
             .expect("create WAL"),
@@ -150,6 +153,7 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             committed: out.stats.committed,
             commits_per_sec: out.throughput,
             fsync_batches: wal.stats().batches,
+            journaled: out.journaled,
         });
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -175,6 +179,7 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
             committed: out.stats.committed,
             commits_per_sec: out.throughput,
             fsync_batches: 0,
+            journaled: 0,
         });
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -325,7 +330,6 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
             &wal_path,
             GroupCommitConfig {
                 max_batch_frames: 4,
-                ..GroupCommitConfig::default()
             },
             Some(Box::new(disk_fault)),
         )
@@ -441,7 +445,7 @@ pub fn run(quick: bool) -> Table {
             format!("batch={}", p.batch_frames),
             format!("committed={}", p.committed),
             format!("cps={}", f2(p.commits_per_sec)),
-            format!("fsyncs={}", p.fsync_batches),
+            format!("fsyncs={} journaled={}", p.fsync_batches, p.journaled),
         ]);
     }
     for p in &recovery {
@@ -489,9 +493,10 @@ mod tests {
             assert!(p.commits_per_sec > 0.0, "{p:?}");
         }
         let b1 = points.iter().find(|p| p.batch_frames == 1).unwrap();
-        assert!(
-            b1.fsync_batches as usize >= b1.committed / 2,
-            "batch=1 can only merge frames racing the same leader window: {b1:?}"
+        assert!(b1.journaled > 0, "{b1:?}");
+        assert_eq!(
+            b1.fsync_batches as usize, b1.journaled,
+            "batch=1 fsyncs once per journaled commit: {b1:?}"
         );
     }
 

@@ -2,16 +2,18 @@
 //! concurrent workers and fsyncs once per batch.
 //!
 //! The fsync is the expensive step of a durable commit — paying it per
-//! transaction serializes every committer behind the disk. DGCC-style
-//! batch execution (see PAPERS.md) amortizes it: workers *submit* their
-//! redo frames into a shared pending buffer; the first submitter whose
-//! batch is open becomes the **leader**, waits until the batch is full
-//! ([`GroupCommitConfig::max_batch_frames`]) or aged
-//! ([`GroupCommitConfig::max_delay`]), writes the whole batch with one
-//! `write` + one `fsync`, and wakes every follower. A submit returns
-//! only once its batch is durable — the **ack rule**: no commit is
-//! acknowledged (and no driver counts it) before its batch reached
-//! stable storage.
+//! transaction serializes every committer behind the disk. Workers
+//! *submit* their redo frames to a FIFO queue. The oldest submission
+//! that is not yet durable **leads**: as soon as no write is in flight,
+//! its submitter takes its own submission plus the whole submissions
+//! queued behind it, up to [`GroupCommitConfig::max_batch_frames`],
+//! writes them with one `write` + one `fsync`, and wakes everyone.
+//! Nobody lingers for company: batching comes from the fsync itself,
+//! since whoever arrives while a batch is being written queues up for
+//! the next one (pipelined group commit, as PostgreSQL with
+//! `commit_delay = 0`). A submit returns only once its submission is
+//! durable — the **ack rule**: no commit is acknowledged (and no driver
+//! counts it) before its batch reached stable storage.
 //!
 //! # Crash and fault emulation
 //!
@@ -28,6 +30,7 @@
 
 use crate::schedule::ScheduleEvent;
 use crate::wal::{encode_events, WAL_MAGIC, WAL_VERSION};
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -37,19 +40,17 @@ use std::time::{Duration, Instant};
 /// Batching policy for the commit pipeline.
 #[derive(Debug, Clone)]
 pub struct GroupCommitConfig {
-    /// Flush when this many frames are pending (1 = no batching: every
-    /// submit pays its own fsync — the comparison point E19 measures).
+    /// Most frames one batch carries; a batch always carries at least
+    /// one whole submission, so a submission larger than the cap goes
+    /// alone (1 = no batching: every submit pays its own fsync — the
+    /// comparison point E19 measures).
     pub max_batch_frames: usize,
-    /// Flush when the oldest pending frame has waited this long, even if
-    /// the batch is not full (bounds commit latency under low load).
-    pub max_delay: Duration,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> Self {
         GroupCommitConfig {
             max_batch_frames: 16,
-            max_delay: Duration::from_millis(2),
         }
     }
 }
@@ -128,18 +129,15 @@ pub struct GroupCommitStats {
 /// Shared batching state (under the state mutex).
 #[derive(Debug)]
 struct State {
-    /// Encoded frames waiting for the next batch.
-    pending: Vec<u8>,
-    /// Frame count in `pending`.
-    pending_frames: usize,
-    /// When the oldest pending frame arrived.
-    batch_open_at: Option<Instant>,
-    /// A leader is filling/writing a batch.
-    leader: bool,
-    /// 1-based id of the batch currently accumulating.
-    next_batch: u64,
-    /// Highest batch id acked durable.
-    durable_batch: u64,
+    /// Submissions no batch has taken yet, oldest first: encoded frames
+    /// and frame count.
+    queue: VecDeque<(Vec<u8>, usize)>,
+    /// 1-based ordinal the next submission gets.
+    next_seq: u64,
+    /// Every submission with ordinal ≤ this is on disk.
+    durable: u64,
+    /// A leader is writing a batch.
+    writing: bool,
     /// A fault or I/O error killed the WAL.
     crashed: bool,
     stats: GroupCommitStats,
@@ -191,12 +189,10 @@ impl GroupCommitWal {
             cfg,
             path: path.to_path_buf(),
             state: Mutex::new(State {
-                pending: Vec::new(),
-                pending_frames: 0,
-                batch_open_at: None,
-                leader: false,
-                next_batch: 1,
-                durable_batch: 0,
+                queue: VecDeque::new(),
+                next_seq: 1,
+                durable: 0,
+                writing: false,
                 crashed: false,
                 stats: GroupCommitStats::default(),
             }),
@@ -225,11 +221,11 @@ impl GroupCommitWal {
         self.state.lock().unwrap().stats
     }
 
-    /// Submit a transaction's redo frames and block until their batch is
+    /// Submit a transaction's redo frames and block until they are
     /// durable (the ack rule). Returns `Some(BatchAck)` when this call
-    /// led the batch (so the caller can record fsync latency), `None`
-    /// when it rode as a follower. `Err(WalCrashed)` means the frames
-    /// did **not** become durable.
+    /// led the batch — its submission came first in it — so the caller
+    /// can record fsync latency, `None` when it rode as a follower.
+    /// `Err(WalCrashed)` means the frames did **not** become durable.
     pub fn submit(&self, events: &[ScheduleEvent]) -> Result<Option<BatchAck>, WalCrashed> {
         if events.is_empty() {
             return Ok(None);
@@ -239,87 +235,71 @@ impl GroupCommitWal {
         if st.crashed {
             return Err(WalCrashed);
         }
-        if st.pending_frames == 0 {
-            st.batch_open_at = Some(Instant::now());
-        }
-        st.pending.extend_from_slice(&frames);
-        st.pending_frames += events.len();
-        let my_batch = st.next_batch;
-        if st.pending_frames >= self.cfg.max_batch_frames {
-            // Wake a leader stuck in its fill window.
-            self.wakeup.notify_all();
-        }
-        let mut ack = None;
-        while st.durable_batch < my_batch {
+        let me = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push_back((frames, events.len()));
+        loop {
+            if st.durable >= me {
+                return Ok(None);
+            }
             if st.crashed {
                 return Err(WalCrashed);
             }
-            if st.leader {
-                // A leader is filling or writing; wait for its ack (the
-                // timeout only guards against missed wakeups).
-                st = self
-                    .wakeup
-                    .wait_timeout(st, Duration::from_millis(5))
-                    .unwrap()
-                    .0;
-                continue;
+            // Lead once this submission heads the queue and the disk is
+            // free.
+            if !st.writing && st.durable + 1 == me {
+                break;
             }
-            // Become the leader of the currently accumulating batch.
-            st.leader = true;
-            loop {
-                if st.crashed {
-                    st.leader = false;
-                    self.wakeup.notify_all();
-                    return Err(WalCrashed);
-                }
-                if st.pending_frames >= self.cfg.max_batch_frames {
-                    break;
-                }
-                let open_for = st.batch_open_at.map_or(Duration::ZERO, |t| t.elapsed());
-                let Some(left) = self
-                    .cfg
-                    .max_delay
-                    .checked_sub(open_for)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                st = self.wakeup.wait_timeout(st, left).unwrap().0;
-            }
-            let batch = std::mem::take(&mut st.pending);
-            let batch_frames = std::mem::take(&mut st.pending_frames);
-            let batch_id = st.next_batch;
-            st.next_batch += 1;
-            st.batch_open_at = None;
-            drop(st);
-            let res = self.write_batch(batch_id, &batch, batch_frames);
-            st = self.state.lock().unwrap();
-            st.leader = false;
-            match res {
-                Ok(a) => {
-                    st.durable_batch = batch_id;
-                    st.stats.batches += 1;
-                    st.stats.frames += a.frames as u64;
-                    st.stats.bytes += a.bytes as u64;
-                    if batch_id == my_batch {
-                        ack = Some(a);
-                    }
-                }
-                Err(WalCrashed) => st.crashed = true,
-            }
-            self.wakeup.notify_all();
+            // The timeout only guards against missed wakeups.
+            st = self
+                .wakeup
+                .wait_timeout(st, Duration::from_millis(5))
+                .unwrap()
+                .0;
         }
-        Ok(ack)
+        // Take whole submissions, own first, while they fit the cap.
+        let (mut batch, mut batch_frames) = st.queue.pop_front().expect("own submission");
+        let mut taken = 1;
+        let cap = self.cfg.max_batch_frames;
+        while st
+            .queue
+            .front()
+            .is_some_and(|(_, n)| batch_frames + n <= cap)
+        {
+            let (bytes, n) = st.queue.pop_front().expect("front exists");
+            batch.extend_from_slice(&bytes);
+            batch_frames += n;
+            taken += 1;
+        }
+        st.writing = true;
+        // One write at a time and none after a crash: ids run 1, 2, ...
+        let batch_id = st.stats.batches + 1;
+        drop(st);
+        let res = self.write_batch(batch_id, &batch, batch_frames);
+        st = self.state.lock().unwrap();
+        st.writing = false;
+        match res {
+            Ok((ack, synced)) => {
+                st.durable += taken;
+                st.stats.batches += 1;
+                st.stats.frames += ack.frames as u64;
+                st.stats.bytes += ack.bytes as u64;
+                st.stats.synced_bytes += synced as u64;
+            }
+            Err(WalCrashed) => st.crashed = true,
+        }
+        self.wakeup.notify_all();
+        res.map(|(ack, _)| Some(ack))
     }
 
     /// Write one batch through the emulated page cache, applying the
-    /// fault hook. Returns the ack or the crash.
+    /// fault hook. Returns the ack and the bytes synced, or the crash.
     fn write_batch(
         &self,
         batch_id: u64,
         batch: &[u8],
         frames: usize,
-    ) -> Result<BatchAck, WalCrashed> {
+    ) -> Result<(BatchAck, usize), WalCrashed> {
         let mut disk = self.disk.lock().unwrap();
         let action = self
             .fault
@@ -352,17 +332,13 @@ impl GroupCommitWal {
                 return Err(WalCrashed);
             }
         };
-        let fsync_ns = start.elapsed().as_nanos() as u64;
-        drop(disk);
-        let mut st = self.state.lock().unwrap();
-        st.stats.synced_bytes += synced as u64;
-        drop(st);
-        Ok(BatchAck {
+        let ack = BatchAck {
             batch: batch_id,
             frames,
             bytes: batch.len(),
-            fsync_ns,
-        })
+            fsync_ns: start.elapsed().as_nanos() as u64,
+        };
+        Ok((ack, synced))
     }
 
     /// Move the emulated page cache into the real file and force it to
@@ -383,7 +359,7 @@ mod tests {
     use crate::value::Value;
     use crate::wal::decode_wal;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     fn temp_wal(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -420,7 +396,6 @@ mod tests {
             &path,
             GroupCommitConfig {
                 max_batch_frames: 1,
-                ..GroupCommitConfig::default()
             },
         )
         .unwrap();
@@ -439,39 +414,38 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn concurrent_submitters_batch_and_all_frames_land() {
-        let path = temp_wal("many");
-        let wal = Arc::new(
-            GroupCommitWal::create(
-                &path,
-                GroupCommitConfig {
-                    max_batch_frames: 12,
-                    max_delay: Duration::from_millis(1),
-                },
-            )
-            .unwrap(),
-        );
-        let n_threads = 4u64;
-        let per_thread = 25u64;
-        std::thread::scope(|s| {
-            for t in 0..n_threads {
-                let wal = Arc::clone(&wal);
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        wal.submit(&txn_events(1 + t * per_thread + i)).unwrap();
-                    }
-                });
-            }
+    /// Run `per_thread` submits on each of 4 threads against a WAL
+    /// capped at `cap` frames. Checks that every frame landed and each
+    /// submission stayed whole; returns the stats and every ack.
+    fn hammer(tag: &str, cap: usize, per_thread: u64) -> (GroupCommitStats, Vec<BatchAck>) {
+        let path = temp_wal(tag);
+        let wal = GroupCommitWal::create(
+            &path,
+            GroupCommitConfig {
+                max_batch_frames: cap,
+            },
+        )
+        .unwrap();
+        let acks: Vec<BatchAck> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let wal = &wal;
+                    s.spawn(move || {
+                        (0..per_thread)
+                            .filter_map(|i| {
+                                wal.submit(&txn_events(1 + t * per_thread + i)).unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
         let stats = wal.stats();
-        assert_eq!(stats.frames, n_threads * per_thread * 3);
-        assert!(
-            stats.batches < stats.frames,
-            "batching must amortize: {} batches for {} frames",
-            stats.batches,
-            stats.frames
-        );
+        assert_eq!(stats.frames, 4 * per_thread * 3);
         let (events, report) = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
         assert!(!report.torn());
         assert_eq!(events.len() as u64, stats.frames);
@@ -486,6 +460,119 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
+        (stats, acks)
+    }
+
+    #[test]
+    fn concurrent_submitters_batch_and_each_batch_is_acked_once() {
+        let (stats, acks) = hammer("many", 12, 50);
+        assert_eq!(acks.len() as u64, stats.batches, "{stats:?}");
+        let frames: usize = acks.iter().map(|a| a.frames).sum();
+        assert_eq!(frames as u64, stats.frames);
+        assert!(acks.iter().all(|a| a.frames <= 12), "{acks:?}");
+    }
+
+    #[test]
+    fn cap_of_one_fsyncs_every_submit() {
+        let (stats, acks) = hammer("cap1", 1, 25);
+        assert_eq!(stats.batches, 100, "{stats:?}");
+        assert_eq!(acks.len(), 100);
+    }
+
+    /// Meets the test at `gate` when batch `batch` starts writing, holds
+    /// it for [`Hold::FOR`], then applies `then`.
+    #[derive(Debug)]
+    struct Hold {
+        batch: u64,
+        gate: Arc<Barrier>,
+        then: FaultAction,
+    }
+    impl Hold {
+        /// Far longer than three threads take to spawn and queue.
+        const FOR: Duration = Duration::from_millis(150);
+    }
+    impl WalFault for Hold {
+        fn on_batch(&self, batch: u64, _bytes: usize) -> FaultAction {
+            if batch != self.batch {
+                return FaultAction::Write;
+            }
+            self.gate.wait();
+            std::thread::sleep(Hold::FOR);
+            self.then
+        }
+    }
+
+    /// What one `submit` returned.
+    type Submitted = Result<Option<BatchAck>, WalCrashed>;
+
+    /// Submit txns `1..held` one by one (one batch each), then txn
+    /// `held` on its own thread; while its batch is held and ends in
+    /// `then`, queue txns `held+1..=held+3` behind it. Returns the
+    /// stats, the results of the last four submits in txn order and
+    /// the events on disk.
+    fn queue_behind_held_batch(
+        tag: &str,
+        cap: usize,
+        held: u64,
+        then: FaultAction,
+    ) -> (GroupCommitStats, Vec<Submitted>, Vec<ScheduleEvent>) {
+        let path = temp_wal(tag);
+        let gate = Arc::new(Barrier::new(2));
+        let hold = Hold {
+            batch: held,
+            gate: Arc::clone(&gate),
+            then,
+        };
+        let cfg = GroupCommitConfig {
+            max_batch_frames: cap,
+        };
+        let wal = GroupCommitWal::with_fault(&path, cfg, Some(Box::new(hold))).unwrap();
+        for id in 1..held {
+            wal.submit(&txn_events(id)).unwrap();
+        }
+        let results = std::thread::scope(|s| {
+            let wal = &wal;
+            let lead = s.spawn(move || wal.submit(&txn_events(held)));
+            gate.wait();
+            let queued: Vec<_> = (held + 1..=held + 3)
+                .map(|id| s.spawn(move || wal.submit(&txn_events(id))))
+                .collect();
+            std::iter::once(lead)
+                .chain(queued)
+                .map(|h| h.join().unwrap())
+                .collect()
+        });
+        let (events, report) = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
+        assert!(!report.torn());
+        std::fs::remove_file(&path).ok();
+        (wal.stats(), results, events)
+    }
+
+    #[test]
+    fn queued_submits_share_the_next_batch_up_to_the_cap() {
+        let (stats, results, _) = queue_behind_held_batch("share", 16, 1, FaultAction::Write);
+        let acks: Vec<BatchAck> = results.iter().filter_map(|r| r.unwrap()).collect();
+        assert_eq!(stats.batches, 2, "{stats:?}");
+        assert_eq!(acks.len(), 2, "{acks:?}");
+        let second = acks.iter().find(|a| a.batch == 2).expect("batch 2 acked");
+        assert_eq!(
+            second.frames, 9,
+            "three queued 3-frame submits ride together"
+        );
+
+        let (stats, results, _) = queue_behind_held_batch("alone", 3, 1, FaultAction::Write);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(stats.batches, 4, "a 3-frame cap sends each submit alone");
+        assert_eq!(stats.frames, 12);
+    }
+
+    #[test]
+    fn crash_fails_every_queued_submitter() {
+        let (stats, results, events) =
+            queue_behind_held_batch("crashqueue", 16, 2, FaultAction::CrashAfterWrite);
+        assert!(results.iter().all(|r| *r == Err(WalCrashed)), "{results:?}");
+        assert_eq!(stats.batches, 1);
+        assert_eq!(events, txn_events(1), "only batch 1 reached the disk");
     }
 
     /// Crash exactly at batch `k`, with the given action.
@@ -508,7 +595,6 @@ mod tests {
             &path,
             GroupCommitConfig {
                 max_batch_frames: 1,
-                ..GroupCommitConfig::default()
             },
             Some(Box::new(CrashAt(2, FaultAction::CrashAfterWrite))),
         )
@@ -535,7 +621,6 @@ mod tests {
             &path,
             GroupCommitConfig {
                 max_batch_frames: 1,
-                ..GroupCommitConfig::default()
             },
             Some(Box::new(CrashAt(2, FaultAction::TornWrite(7)))),
         )
@@ -556,7 +641,6 @@ mod tests {
             &path,
             GroupCommitConfig {
                 max_batch_frames: 1,
-                ..GroupCommitConfig::default()
             },
             Some(Box::new(CrashAt(2, FaultAction::DropFsync))),
         )
@@ -578,7 +662,6 @@ mod tests {
             &path,
             GroupCommitConfig {
                 max_batch_frames: 1,
-                ..GroupCommitConfig::default()
             },
             Some(Box::new(CrashAt(1, FaultAction::CrashBeforeWrite))),
         )
