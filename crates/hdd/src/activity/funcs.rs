@@ -48,28 +48,7 @@ impl<'a> ActivityFuncs<'a> {
     /// # Panics
     /// If no critical path `CP_i^j` exists.
     pub fn a_fn(&self, i: ClassId, j: ClassId, m: Timestamp) -> Timestamp {
-        self.a_fn_counted(i, j, m).0
-    }
-
-    /// [`a_fn`](Self::a_fn) plus the total activity-registry intervals
-    /// examined across every `I_old` hop — the per-evaluation scan
-    /// length recorded into the obs registry-scan histogram.
-    pub fn a_fn_counted(&self, i: ClassId, j: ClassId, m: Timestamp) -> (Timestamp, u64) {
-        let hops = self
-            .hierarchy
-            .paths()
-            .a_hops(i.index(), j.index())
-            .unwrap_or_else(|| panic!("A_{i}^{j} undefined: no critical path"));
-        self.fold_i_old(hops, m)
-    }
-
-    /// Fold `I_old` over `hops` starting from `m`, summing the intervals
-    /// each hop examined.
-    fn fold_i_old(&self, hops: &[u32], m: Timestamp) -> (Timestamp, u64) {
-        hops.iter().fold((m, 0), |(cur, scanned), &c| {
-            let (t, s) = self.registry.i_old_counted(ClassId(c), cur);
-            (t, scanned + s)
-        })
+        self.a_path(i, j, m, false, |_, _| {}).0
     }
 
     /// `A` anchored at a *fictitious class below `c`* (Section 5.0: a
@@ -78,23 +57,38 @@ impl<'a> ActivityFuncs<'a> {
     /// that path). Folds `I_old` over the path from `c` to `j`
     /// **including `c` itself**.
     pub fn a_fn_from_below(&self, c: ClassId, j: ClassId, m: Timestamp) -> Timestamp {
-        self.a_fn_from_below_counted(c, j, m).0
+        self.a_path(c, j, m, true, |_, _| {}).0
     }
 
-    /// [`a_fn_from_below`](Self::a_fn_from_below) plus the intervals
-    /// examined (see [`a_fn_counted`](Self::a_fn_counted)).
-    pub fn a_fn_from_below_counted(
+    /// The fold behind [`a_fn`](Self::a_fn) (or, `from_below`,
+    /// [`a_fn_from_below`](Self::a_fn_from_below)) that reports every
+    /// hop: `hop(k, v)` runs after `I_old` of class `k`. The hierarchy is
+    /// a TST, so the path to each class `k` on `CP_i^j` is a prefix of
+    /// it and `v` is the same function's value at `k` — `A_i^k(m)`.
+    /// Returns the bound and the registry intervals examined (the obs
+    /// registry-scan length).
+    ///
+    /// # Panics
+    /// If no critical path `CP_i^j` exists.
+    pub fn a_path(
         &self,
-        c: ClassId,
+        i: ClassId,
         j: ClassId,
         m: Timestamp,
+        from_below: bool,
+        mut hop: impl FnMut(ClassId, Timestamp),
     ) -> (Timestamp, u64) {
-        let hops = self
-            .hierarchy
-            .paths()
-            .a_hops_inclusive(c.index(), j.index())
-            .unwrap_or_else(|| panic!("A-from-below undefined: no critical path {c} → {j}"));
-        self.fold_i_old(hops, m)
+        let paths = self.hierarchy.paths();
+        let hops = match from_below {
+            false => paths.a_hops(i.index(), j.index()),
+            true => paths.a_hops_inclusive(i.index(), j.index()),
+        };
+        let hops = hops.unwrap_or_else(|| panic!("A_{i}^{j} undefined: no critical path"));
+        hops.iter().fold((m, 0), |(cur, scanned), &c| {
+            let (t, s) = self.registry.i_old_counted(ClassId(c), cur);
+            hop(ClassId(c), t);
+            (t, scanned + s)
+        })
     }
 
     /// `B_j^i(m)`: fold `C_late` down the critical path from `j` to `i`,

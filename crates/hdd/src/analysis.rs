@@ -473,11 +473,16 @@ impl Hierarchy {
     /// (Protocol A via a fictitious class below the chain) or not
     /// (Protocol C via a time wall).
     pub fn read_only_on_one_critical_path(&self, read_segments: &[SegmentId]) -> bool {
-        let idx: Vec<usize> = read_segments
-            .iter()
-            .map(|s| self.class_of(*s).index())
-            .collect();
-        !idx.is_empty() && self.paths.all_on_one_critical_path(&idx)
+        self.read_only_chain_base(read_segments).is_some()
+    }
+
+    /// The lowest class of a read-only profile whose segments lie on one
+    /// critical path — its fictitious class sits right below it — or
+    /// `None` when they do not (or there are none). One pass through
+    /// [`class_of`](Self::class_of), no allocation.
+    pub(crate) fn read_only_chain_base(&self, read_segments: &[SegmentId]) -> Option<ClassId> {
+        let classes = read_segments.iter().map(|s| self.class_of(*s).index());
+        self.paths.chain_low(classes).map(|c| ClassId(c as u32))
     }
 }
 

@@ -175,26 +175,28 @@ impl PathTables {
         self.cp[i][j].is_some() || self.cp[j][i].is_some()
     }
 
-    /// True iff *all* of `nodes` lie on one critical path.
-    ///
-    /// In a semi-tree this holds iff the nodes are pairwise comparable
-    /// under ↑ — they then all sit on `CP_min^max`.
-    pub fn all_on_one_critical_path(&self, nodes: &[usize]) -> bool {
-        nodes
-            .iter()
-            .all(|&a| nodes.iter().all(|&b| self.on_one_critical_path(a, b)))
-    }
-
     /// The lowest node of a set that lies on one critical path (the node
     /// every other is higher than or equal to). `None` when the set is
-    /// empty or not a chain.
+    /// empty or not a chain — in a semi-tree, when two nodes of it are
+    /// incomparable under ↑.
     pub fn lowest_of_chain(&self, nodes: &[usize]) -> Option<usize> {
-        let &first = nodes.first()?;
-        let mut low = first;
-        for &v in &nodes[1..] {
-            if self.higher_or_equal(low, v) {
+        self.chain_low(nodes.iter().copied())
+    }
+
+    /// [`lowest_of_chain`](Self::lowest_of_chain) in one pass over any
+    /// node sequence. Each node must sit at or between the ends of the
+    /// chain seen so far, or extend it; in a TST the one directed path
+    /// between the ends then holds every node.
+    pub(crate) fn chain_low(&self, nodes: impl IntoIterator<Item = usize>) -> Option<usize> {
+        let mut nodes = nodes.into_iter();
+        let first = nodes.next()?;
+        let (mut low, mut high) = (first, first);
+        for v in nodes {
+            if self.higher_or_equal(v, high) {
+                high = v;
+            } else if self.higher_or_equal(low, v) {
                 low = v;
-            } else if !self.higher_or_equal(v, low) {
+            } else if !(self.higher_or_equal(v, low) && self.higher_or_equal(high, v)) {
                 return None;
             }
         }
@@ -273,12 +275,21 @@ mod tests {
         let t = tree();
         assert!(t.on_one_critical_path(3, 0));
         assert!(!t.on_one_critical_path(3, 4));
-        assert!(t.all_on_one_critical_path(&[3, 1, 0]));
-        assert!(!t.all_on_one_critical_path(&[3, 4]));
-        assert!(t.all_on_one_critical_path(&[2]));
+        assert_eq!(t.lowest_of_chain(&[3, 1, 0]), Some(3));
+        assert_eq!(t.lowest_of_chain(&[2]), Some(2));
         assert_eq!(t.lowest_of_chain(&[0, 1, 3]), Some(3));
         assert_eq!(t.lowest_of_chain(&[3, 4]), None);
         assert_eq!(t.lowest_of_chain(&[]), None);
+    }
+
+    #[test]
+    fn a_chain_may_not_branch_upward() {
+        // 0 → 1, 0 → 2: both higher than 0, incomparable to each other.
+        let t = PathTables::new(Digraph::from_arcs(3, &[(0, 1), (0, 2)]));
+        assert_eq!(t.lowest_of_chain(&[0, 1]), Some(0));
+        assert_eq!(t.lowest_of_chain(&[0, 1, 2]), None);
+        assert_eq!(t.lowest_of_chain(&[1, 0, 2]), None);
+        assert_eq!(t.chain_low([2, 0]), Some(0));
     }
 
     #[test]

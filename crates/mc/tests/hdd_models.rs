@@ -27,33 +27,53 @@ use std::sync::Arc;
 use txn_model::{ClassId, LogicalClock, ScheduleEvent, ScheduleLog, SegmentId, Timestamp, TxnId};
 
 const C0: ClassId = ClassId(0);
+const C1: ClassId = ClassId(1);
 
 /// Protocol A, begin side, **fixed logic** (`begin_with`: the initiation
-/// timestamp is drawn inside the class lock): for any fixed `m ≤ now`,
-/// two evaluations of `I_old(m)` racing a concurrent begin+end must
-/// agree — `I_old` is an immutable function of `m`. Explored
-/// exhaustively at 2 threads; the report must prove exhaustion and
-/// count the interleavings (the ISSUE acceptance criterion).
+/// timestamp is drawn inside the class lock), over the two-class chain
+/// `C1 → C0`: for any fixed `m ≤ now`, two evaluations of a path bound
+/// racing begins and ends in both classes must agree — `A(m)` and every
+/// prefix of it are immutable functions of `m`, which is what lets a
+/// transaction cache its Protocol A bounds. Explored exhaustively at 2
+/// threads; the report must prove exhaustion and count the
+/// interleavings.
 #[test]
 fn registry_i_old_immutable_at_fixed_m_with_begin_with() {
     let report = check(Config::exhaustive(), || {
+        let h = Hierarchy::build(
+            2,
+            &[
+                AccessSpec::new("c0", vec![SegmentId(0)], vec![]),
+                AccessSpec::new("c1", vec![SegmentId(1)], vec![SegmentId(0)]),
+            ],
+        )
+        .unwrap();
         let clock = Arc::new(LogicalClock::new());
-        let reg = Arc::new(ActivityRegistry::new(1));
+        let reg = Arc::new(ActivityRegistry::new(2));
         let (c2, r2) = (Arc::clone(&clock), Arc::clone(&reg));
         let t = mc::thread::spawn(move || {
-            let s = r2.begin_with(C0, || c2.tick());
-            r2.end_with(C0, s, true, || c2.tick());
+            let s1 = r2.begin_with(C1, || c2.tick());
+            let s0 = r2.begin_with(C0, || c2.tick());
+            r2.end_with(C0, s0, true, || c2.tick());
+            r2.end_with(C1, s1, false, || c2.tick());
         });
-        // Fix an evaluation point at or below "now" and evaluate twice.
+        // Fix an evaluation point at or below "now" and evaluate the
+        // from-below fold `I_0(I_1(m))` twice, hop by hop.
+        let funcs = ActivityFuncs::new(&h, &reg);
         let m = clock.tick();
-        let first = reg.i_old(C0, m);
-        let second = reg.i_old(C0, m);
-        assert_eq!(first, second, "I_old shifted at fixed m={m}");
+        let eval = || {
+            let mut hops = Vec::new();
+            funcs.a_path(C1, C0, m, true, |k, at| hops.push((k, at)));
+            hops
+        };
+        let first = eval();
+        let second = eval();
+        assert_eq!(first, second, "path bound shifted at fixed m={m}");
         t.join().unwrap();
         // After quiescence the history is exact: nothing can be active
         // at a time at or above every end.
         let late = Timestamp(clock.now().raw() + 1);
-        assert_eq!(reg.i_old(C0, late), late);
+        assert_eq!(funcs.a_fn_from_below(C1, C0, late), late);
     });
     report.assert_clean("i_old_immutable");
     assert!(report.complete, "2-thread registry model must exhaust");
@@ -63,7 +83,7 @@ fn registry_i_old_immutable_at_fixed_m_with_begin_with() {
         report.executions
     );
     println!(
-        "registry I_old model: {} interleavings explored exhaustively (max depth {})",
+        "registry path-bound model: {} interleavings explored exhaustively (max depth {})",
         report.executions, report.max_depth
     );
 }

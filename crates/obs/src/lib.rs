@@ -172,9 +172,10 @@ recorders! {
     block_wait: "block_wait_ns",
     /// Actual driver backoff sleep lengths in nanoseconds.
     backoff_sleep: "backoff_sleep_ns",
-    /// Activity-registry intervals examined per Protocol A bound
-    /// evaluation (a length, not a latency; the O(active) claim, as a
-    /// distribution).
+    /// Activity-registry intervals examined per Protocol A registry
+    /// walk (a length, not a latency; the O(active) claim, as a
+    /// distribution). A bound served from the transaction's cache walks
+    /// nothing and records nothing.
     registry_scan: "registry_scan_len",
 }
 
@@ -263,7 +264,7 @@ impl Obs {
     }
 
     /// The sinks both unregistered-read facts share (plus the registry
-    /// scan, Protocol A only); `true` when the read is also
+    /// scan, Protocol A registry walks only); `true` when the read is also
     /// decision-traced. Every aggregate counts every read — staleness is
     /// also the drift sketch's access count — and the flight stride
     /// thins only the event log.
@@ -281,11 +282,12 @@ impl Obs {
     }
 
     /// Protocol A served `read` to a transaction of (or a read-only one
-    /// anchored below) `reader_class`; computing the activity-link bound
-    /// scanned `scanned` registry intervals.
+    /// anchored below) `reader_class`; walking the registry for the
+    /// activity-link bound scanned `scanned` intervals (`None`: the
+    /// transaction's cached bound, no walk).
     #[inline]
-    pub fn cross_read(&self, reader_class: u32, read: ServedRead, scanned: u64) {
-        if self.read_served(reader_class, &read, Some(scanned)) {
+    pub fn cross_read(&self, reader_class: u32, read: ServedRead, scanned: Option<u64>) {
+        if self.read_served(reader_class, &read, scanned) {
             let ev = TraceEvent::CrossRead { reader_class, read };
             self.events.push(Event::Decision(ev));
         }
@@ -540,7 +542,7 @@ mod tests {
                 bound: 48,
                 version: 40,
             };
-            o.cross_read(1, read, 2);
+            o.cross_read(1, read, Some(2));
             if txn % 2 == 0 {
                 let read = ServedRead {
                     segment: 2,
@@ -643,7 +645,7 @@ mod tests {
                 bound: 8,
                 version: 5,
             };
-            o.cross_read(1, read, 2);
+            o.cross_read(1, read, Some(2));
         }
         let s = o.snapshot();
         let staleness: u64 = s.gauges.staleness.iter().map(|c| c.hist.count).sum();
@@ -672,7 +674,7 @@ mod tests {
         };
         let fire = || {
             o.began(1, [0u32].into_iter(), [1u32].into_iter());
-            o.cross_read(1, read, 3);
+            o.cross_read(1, read, Some(3));
             o.wall_read(6, read);
             o.blocked_on_txn(4, 2, || unreachable!("flight not sampled"));
             o.blocked_on_wall(4, || unreachable!("flight not sampled"));
@@ -723,7 +725,7 @@ mod tests {
         // aggregate but not the event log; an on-stride block gets its
         // cause.
         o.flight.set_sample_every(3);
-        o.cross_read(1, read, 3); // txn 4: off stride
+        o.cross_read(1, read, Some(3)); // txn 4: off stride
         assert_eq!(o.events.recorded(), 5);
         let s = o.snapshot();
         assert_eq!(
