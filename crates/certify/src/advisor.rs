@@ -1,33 +1,35 @@
-//! The online decomposition advisor.
+//! The online decomposition advisor: `hdd-lint` over observed shapes.
 //!
 //! The linter ([`crate::lint`]) answers the *a-priori* question: is the
-//! declared workload TST-hierarchical? This module answers the *live*
-//! one: does the hierarchy the scheduler is actually running still fit
-//! the workload it is actually seeing? It folds the drift sketch's
-//! observed co-access edges ([`obs::DriftSnapshot::edges`]) into an
-//! *observed* data hierarchy graph, runs it through the same
-//! [`hdd::decompose::repartition_to_tst`] repair machinery the linter
-//! uses, and compares the resulting partition against the hierarchy's
-//! current segment grouping — producing named merge/split suggestions,
-//! a pair-agreement quality score, and provenance naming the drifted
-//! cells that motivated the advice.
+//! declared workload TST-hierarchical? This module asks the same
+//! question of the *live* workload. It turns the update shapes the
+//! scheduler actually admitted ([`obs::ShapeSnapshot`]) into access
+//! specs, lints them with [`lint_specs`], repairs them with
+//! [`hdd::decompose::repartition_to_tst`], and compares the repair
+//! against the hierarchy's current segment grouping: named merge/split
+//! suggestions and a pair-agreement quality score.
 //!
-//! The advisor is **pure observation**: it never mutates the hierarchy
+//! A shape counted fewer than [`SHAPE_FLOOR`] times is noise (say, one
+//! exploratory transaction): it is dropped, and the report counts it.
+//! Read-only shapes never enter the DHG. "Drift" means only that the
+//! advice changed: a report has drifted when its lint verdict or its
+//! advised labels differ from the caller's previous report.
+//!
+//! The advisor is **report-only**: it never mutates the hierarchy
 //! (nothing here implements Section 7.1.1's dynamic restructuring;
 //! applying the advice means rebuilding the hierarchy and restarting
-//! the scheduler); it only says what the repartition *would be*.
+//! the scheduler).
 
 use crate::diag::json_escape;
-use hdd::analysis::Hierarchy;
+use crate::lint::{lint_specs, LintReport};
+use hdd::analysis::{build_dhg, AccessSpec, Hierarchy};
 use hdd::decompose::repartition_to_tst;
-use hdd::graph::Digraph;
-use obs::DriftSnapshot;
+use obs::ShapeSnapshot;
 use txn_model::SegmentId;
 
-/// Default noise floor: an observed edge must carry at least this many
-/// cumulative samples before the advisor believes it is a real workload
-/// arc and not a one-off (e.g. a single exploratory ad-hoc query).
-pub const DEFAULT_MIN_EDGE: u64 = 4;
+/// Noise floor: an update shape must have begun at least this many
+/// times before the advisor lints it as part of the workload.
+pub const SHAPE_FLOOR: u64 = 4;
 
 /// One piece of restructuring advice over a segment pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,19 +54,19 @@ pub enum Advice {
     },
 }
 
-/// What the advisor concluded from one drift snapshot.
+/// What the advisor concluded from one shape snapshot.
 #[derive(Debug, Clone)]
 pub struct AdvisorReport {
-    /// What was advised on ("hierarchy banking", ...).
+    /// What was advised on ("workload banking (wave 3)", ...).
     pub target: String,
-    /// Segments in both the hierarchy and the sketch.
+    /// Segments in the hierarchy.
     pub n_segments: usize,
-    /// Observed-DHG arcs folded in (off-diagonal, count ≥ `min_edge`).
-    pub observed_arcs: usize,
-    /// Off-diagonal edges dropped below the `min_edge` noise floor.
-    pub dropped_arcs: usize,
-    /// Noise floor in force.
-    pub min_edge: u64,
+    /// Update shapes at or above the floor: the specs linted.
+    pub shapes: usize,
+    /// Update shapes below [`SHAPE_FLOOR`], dropped.
+    pub dropped_shapes: usize,
+    /// Begins of new shapes the full table did not store.
+    pub overflow: u64,
     /// Canonical class label per segment under the *current* hierarchy
     /// (labels renumbered by first occurrence, so two partitions are
     /// equal iff these vectors are equal).
@@ -80,19 +82,13 @@ pub struct AdvisorReport {
     pub quality_milli: u64,
     /// Merge/split advice, one entry per disagreeing segment pair.
     pub suggestions: Vec<Advice>,
-    /// Human-readable evidence lines: the most-drifted sketch cells and
-    /// edges (interval share vs EWMA baseline), plus trip state.
-    pub provenance: Vec<String>,
-    /// Segment display names, index-aligned (`D{i}` fallback).
+    /// `lint_specs` over the observed shapes.
+    pub lint: LintReport,
+    /// Do the lint verdict or the advised labels differ from the
+    /// previous report the caller passed in?
+    pub drifted: bool,
+    /// Segment display names, index-aligned.
     pub segment_names: Vec<String>,
-    /// Combined drift score at the snapshot, milli-units.
-    pub drift_score_milli: u64,
-    /// Trip threshold in force, milli-units.
-    pub threshold_milli: u64,
-    /// Was the drift board tripped at the snapshot?
-    pub tripped: bool,
-    /// Folds the sketch had performed.
-    pub folds: u64,
 }
 
 /// Renumber arbitrary partition labels by first occurrence so that two
@@ -114,100 +110,56 @@ pub fn canonical_labels(labels: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Build the observed DHG from a drift snapshot: one arc per
-/// off-diagonal co-access edge with at least `min_edge` cumulative
-/// samples (the diagonal carries write-only mass and is not an arc).
-pub fn observed_dhg(drift: &DriftSnapshot, min_edge: u64) -> Digraph {
-    let n = drift.n_segments as usize;
-    let mut g = Digraph::new(n);
-    for e in &drift.edges {
-        if e.from != e.to && e.count >= min_edge {
-            g.add_arc(e.from as usize, e.to as usize);
-        }
-    }
-    g
-}
-
 fn seg_name(names: &[String], i: usize) -> String {
     names.get(i).cloned().unwrap_or_else(|| format!("D{i}"))
 }
 
-/// Top-`k` provenance lines: the sketch rows whose interval share moved
-/// furthest from their EWMA baseline, largest deviation first.
-fn drift_provenance(drift: &DriftSnapshot, names: &[String], k: usize) -> Vec<String> {
-    let mut scored: Vec<(u64, String)> = Vec::new();
-    for c in &drift.cells {
-        let dev = c.share_milli.abs_diff(c.baseline_milli);
-        if dev > 0 {
-            scored.push((
-                dev,
-                format!(
-                    "cross-reads {} ← {}: share {}‰ vs baseline {}‰ ({} reads)",
-                    DriftSnapshot::reader_label(c.reader),
-                    seg_name(names, c.segment as usize),
-                    c.share_milli,
-                    c.baseline_milli,
-                    c.count,
-                ),
-            ));
-        }
-    }
-    for e in &drift.edges {
-        let dev = e.share_milli.abs_diff(e.baseline_milli);
-        if dev > 0 {
-            scored.push((
-                dev,
-                format!(
-                    "co-access {} → {}: share {}‰ vs baseline {}‰ ({} txns)",
-                    seg_name(names, e.from as usize),
-                    seg_name(names, e.to as usize),
-                    e.share_milli,
-                    e.baseline_milli,
-                    e.count,
-                ),
-            ));
-        }
-    }
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    scored.into_iter().take(k).map(|(_, s)| s).collect()
-}
-
-/// Fold one drift snapshot against the running hierarchy and say what
-/// the best-known TST repartition of the *observed* workload would be.
-///
-/// `min_edge` is the noise floor ([`DEFAULT_MIN_EDGE`]): observed edges
-/// with fewer cumulative samples are treated as noise and dropped (the
-/// report counts them in [`AdvisorReport::dropped_arcs`]).
-pub fn advise(hierarchy: &Hierarchy, drift: &DriftSnapshot, min_edge: u64) -> AdvisorReport {
+/// Lint the observed update shapes against the running hierarchy and
+/// say what the best-known TST repartition of them would be. `prev` is
+/// the caller's previous report, if any: the new one has
+/// [`AdvisorReport::drifted`] when its advice differs from it.
+pub fn advise(
+    hierarchy: &Hierarchy,
+    shapes: &ShapeSnapshot,
+    prev: Option<&AdvisorReport>,
+) -> AdvisorReport {
     let n = hierarchy.segment_count();
     let segment_names: Vec<String> = (0..n)
         .map(|s| hierarchy.segment_name(SegmentId(s as u32)).to_string())
         .collect();
-
-    let sketch_ok = drift.configured && drift.n_segments as usize == n && n > 0;
-    let mut provenance = Vec::new();
-    if !sketch_ok {
-        provenance.push(format!(
-            "sketch unusable: configured={}, sketch segments={}, hierarchy segments={}",
-            drift.configured, drift.n_segments, n,
-        ));
-    }
-
-    let (mut observed, mut dropped) = (0usize, 0usize);
-    let dhg = if sketch_ok {
-        let g = observed_dhg(drift, min_edge);
-        observed = g.arc_count();
-        dropped = drift
-            .edges
+    let names = |v: &[u32]| {
+        let v: Vec<String> = v
             .iter()
-            .filter(|e| e.from != e.to && e.count < min_edge)
-            .count();
-        g
-    } else {
-        Digraph::new(n)
+            .map(|&s| seg_name(&segment_names, s as usize))
+            .collect();
+        v.join(",")
     };
 
-    let plan = repartition_to_tst(&dhg);
+    let mut specs = Vec::new();
+    let mut dropped_shapes = 0;
+    for (shape, count) in &shapes.shapes {
+        if !shape.is_update() {
+            continue;
+        }
+        if *count < SHAPE_FLOOR {
+            dropped_shapes += 1;
+            continue;
+        }
+        let segs = |v: &[u32]| v.iter().map(|&s| SegmentId(s)).collect();
+        specs.push(AccessSpec::new(
+            format!(
+                "c{} writes {} reads {} ({count}×)",
+                shape.class,
+                names(&shape.writes),
+                names(&shape.reads)
+            ),
+            segs(&shape.writes),
+            segs(&shape.reads),
+        ));
+    }
+    let lint = lint_specs(n, &specs, Some(&segment_names), "observed shapes");
+
+    let plan = repartition_to_tst(&build_dhg(n, &specs));
     let advised_labels =
         canonical_labels(&plan.group_of.iter().map(|c| c.index()).collect::<Vec<_>>());
     let current_labels = canonical_labels(
@@ -226,50 +178,34 @@ pub fn advise(hierarchy: &Hierarchy, drift: &DriftSnapshot, min_edge: u64) -> Ad
             total += 1;
             let together_now = current_labels[a] == current_labels[b];
             let together_advised = advised_labels[a] == advised_labels[b];
+            let (a, b) = (a as u32, b as u32);
             if together_now == together_advised {
                 agree += 1;
             } else if together_advised {
-                suggestions.push(Advice::Merge {
-                    a: a as u32,
-                    b: b as u32,
-                });
+                suggestions.push(Advice::Merge { a, b });
             } else {
-                suggestions.push(Advice::Split {
-                    a: a as u32,
-                    b: b as u32,
-                });
+                suggestions.push(Advice::Split { a, b });
             }
         }
     }
     let quality_milli = (agree * 1000).checked_div(total).unwrap_or(1000);
-
-    if sketch_ok {
-        provenance.extend(drift_provenance(drift, &segment_names, 3));
-        if drift.tripped {
-            provenance.push(format!(
-                "drift board tripped: score {}‰ ≥ threshold {}‰ after fold {}",
-                drift.score_milli, drift.threshold_milli, drift.folds,
-            ));
-        }
-    }
+    let drifted =
+        prev.is_some_and(|p| p.lint.ok() != lint.ok() || p.advised_labels != advised_labels);
 
     AdvisorReport {
         target: String::new(),
         n_segments: n,
-        observed_arcs: observed,
-        dropped_arcs: dropped,
-        min_edge,
+        shapes: specs.len(),
+        dropped_shapes,
+        overflow: shapes.overflow,
         current_labels,
         advised_labels,
         advised_n_classes: plan.n_classes,
         quality_milli,
         suggestions,
-        provenance,
+        lint,
+        drifted,
         segment_names,
-        drift_score_milli: drift.score_milli,
-        threshold_milli: drift.threshold_milli,
-        tripped: drift.tripped,
-        folds: drift.folds,
     }
 }
 
@@ -300,18 +236,23 @@ impl AdvisorReport {
     /// Human-readable multi-line rendering (the `hdd-advisor` output).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "advising {} ... quality {}/1000, {} observed arc(s) ({} below noise floor {}), advised {} class(es)\n",
-            if self.target.is_empty() { "hierarchy" } else { &self.target },
+            "advising {} ... quality {}/1000, {} shape(s) linted ({} below floor {}, {} \
+             begin(s) overflowed), advised {} class(es)\n",
+            if self.target.is_empty() {
+                "hierarchy"
+            } else {
+                &self.target
+            },
             self.quality_milli,
-            self.observed_arcs,
-            self.dropped_arcs,
-            self.min_edge,
+            self.shapes,
+            self.dropped_shapes,
+            SHAPE_FLOOR,
+            self.overflow,
             self.advised_n_classes,
         );
-        out.push_str(&format!(
-            "  drift: score {}‰ / threshold {}‰, tripped={}, folds={}\n",
-            self.drift_score_milli, self.threshold_milli, self.tripped, self.folds,
-        ));
+        if self.drifted {
+            out.push_str("  drift: the advice changed since the previous report\n");
+        }
         if self.hierarchy_is_optimal() {
             out.push_str("  hierarchy matches the best-known TST for the observed workload\n");
         } else {
@@ -319,9 +260,7 @@ impl AdvisorReport {
                 out.push_str(&format!("  suggest: {}\n", self.advice_text(s)));
             }
         }
-        for p in &self.provenance {
-            out.push_str(&format!("  evidence: {p}\n"));
-        }
+        out.push_str(&self.lint.render());
         out
     }
 
@@ -347,34 +286,26 @@ impl AdvisorReport {
                 )
             })
             .collect();
-        let provenance: Vec<String> = self
-            .provenance
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(p)))
-            .collect();
         format!(
-            "{{\"target\": \"{}\", \"n_segments\": {}, \"observed_arcs\": {}, \
-             \"dropped_arcs\": {}, \"min_edge\": {}, \"quality_milli\": {}, \
-             \"advised_n_classes\": {}, \"optimal\": {}, \
-             \"current_labels\": [{}], \"advised_labels\": [{}], \
-             \"drift_score_milli\": {}, \"threshold_milli\": {}, \"tripped\": {}, \
-             \"folds\": {}, \"suggestions\": [{}], \"provenance\": [{}]}}",
+            "{{\"target\": \"{}\", \"n_segments\": {}, \"shapes\": {}, \
+             \"dropped_shapes\": {}, \"overflow\": {}, \"shape_floor\": {}, \
+             \"quality_milli\": {}, \"advised_n_classes\": {}, \"optimal\": {}, \
+             \"drifted\": {}, \"current_labels\": [{}], \"advised_labels\": [{}], \
+             \"suggestions\": [{}], \"lint\": {}}}",
             json_escape(&self.target),
             self.n_segments,
-            self.observed_arcs,
-            self.dropped_arcs,
-            self.min_edge,
+            self.shapes,
+            self.dropped_shapes,
+            self.overflow,
+            SHAPE_FLOOR,
             self.quality_milli,
             self.advised_n_classes,
             self.hierarchy_is_optimal(),
+            self.drifted,
             labels(&self.current_labels),
             labels(&self.advised_labels),
-            self.drift_score_milli,
-            self.threshold_milli,
-            self.tripped,
-            self.folds,
             suggestions.join(", "),
-            provenance.join(", "),
+            self.lint.to_json(),
         )
     }
 }
@@ -382,8 +313,7 @@ impl AdvisorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdd::analysis::AccessSpec;
-    use obs::Obs;
+    use obs::Shape;
     use txn_model::ClassId;
 
     fn s(i: u32) -> SegmentId {
@@ -401,19 +331,21 @@ mod tests {
         Hierarchy::build(3, &specs).unwrap()
     }
 
-    /// Sidecar whose drift board is pre-fed with the given edges `count`
-    /// times each.
-    fn board(n_classes: u32, n_segments: u32, edges: &[(u32, u32)], count: u64) -> Obs {
-        let b = Obs::new();
-        b.configure(n_classes, n_segments);
-        b.drift.set_enabled(true);
-        for _ in 0..count {
-            for &(f, t) in edges {
-                b.drift.record_edge(f, t);
-            }
+    /// A snapshot holding `(class, reads, writes, count)` shapes.
+    fn table(rows: &[(u32, &[u32], &[u32], u64)]) -> ShapeSnapshot {
+        let shapes = rows
+            .iter()
+            .map(|&(class, r, w, n)| (Shape::new(class, r.iter().copied(), w.iter().copied()), n));
+        ShapeSnapshot {
+            enabled: true,
+            shapes: shapes.collect(),
+            overflow: 0,
         }
-        b
     }
+
+    /// The chain's own update shapes, 8 begins each.
+    const CHAIN: [(u32, &[u32], &[u32], u64); 3] =
+        [(0, &[], &[0], 8), (1, &[0], &[1], 8), (2, &[0, 1], &[2], 8)];
 
     #[test]
     fn canonical_labels_renumber_by_first_occurrence() {
@@ -424,16 +356,14 @@ mod tests {
 
     #[test]
     fn matching_workload_reports_optimal_with_no_suggestions() {
-        let h = chain_hierarchy();
-        // Observed workload matches the declared chain: acyclic DHG,
-        // identity repartition.
-        let b = board(3, 3, &[(0, 0), (1, 1), (1, 0), (2, 2), (2, 0), (2, 1)], 8);
-        let r = advise(&h, &b.snapshot().drift, DEFAULT_MIN_EDGE);
+        let mut rows = CHAIN.to_vec();
+        rows.push((u32::MAX, &[0, 2], &[], 50)); // read-only: never linted
+        let r = advise(&chain_hierarchy(), &table(&rows), None);
         assert!(r.hierarchy_is_optimal(), "{}", r.render());
+        assert!(r.lint.ok() && !r.drifted);
         assert_eq!(r.quality_milli, 1000);
         assert_eq!(r.current_labels, r.advised_labels);
-        assert_eq!(r.advised_n_classes, 3);
-        assert_eq!(r.observed_arcs, 3, "diagonal edges are not arcs");
+        assert_eq!((r.advised_n_classes, r.shapes), (3, 3));
         let json = r.to_json();
         assert!(json.contains("\"optimal\": true"), "{json}");
         assert!(json.contains("\"quality_milli\": 1000"), "{json}");
@@ -441,13 +371,10 @@ mod tests {
 
     #[test]
     fn observed_cycle_yields_merge_advice_matching_offline_repartition() {
-        let h = chain_hierarchy();
-        // The live mix grew a back-arc D0 → D1 (writers of D0 now also
-        // read D1), closing a 2-cycle with the declared D1 → D0.
-        let b = board(3, 3, &[(0, 0), (0, 1), (1, 1), (1, 0), (2, 2), (2, 0)], 8);
-        let snap = b.snapshot().drift;
-        let r = advise(&h, &snap, DEFAULT_MIN_EDGE);
-        assert!(!r.hierarchy_is_optimal());
+        // The live mix grew a writer of D0 that reads D1, closing a
+        // 2-cycle with the declared D1 → D0.
+        let shapes = table(&[(0, &[1], &[0], 8), (1, &[0], &[1], 8), (2, &[0], &[2], 8)]);
+        let r = advise(&chain_hierarchy(), &shapes, None);
         assert_eq!(r.suggestions, vec![Advice::Merge { a: 0, b: 1 }]);
         assert!(r
             .advice_text(&r.suggestions[0])
@@ -455,16 +382,18 @@ mod tests {
         assert_eq!(r.advised_n_classes, 2);
         // Pairs: (0,1) disagrees; (0,2) and (1,2) agree → 2/3.
         assert_eq!(r.quality_milli, 666);
-        // The advice must equal the offline repair of the same DHG.
-        let offline = repartition_to_tst(&observed_dhg(&snap, DEFAULT_MIN_EDGE));
-        let offline_labels = canonical_labels(
-            &offline
-                .group_of
-                .iter()
-                .map(|c| c.index())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(r.advised_labels, offline_labels);
+        // The advice is the offline repair of the same spec set, and
+        // the lint names it.
+        let offline = [
+            AccessSpec::new("a", vec![s(0)], vec![s(1)]),
+            AccessSpec::new("b", vec![s(1)], vec![s(0)]),
+            AccessSpec::new("c", vec![s(2)], vec![s(0)]),
+        ];
+        let plan = repartition_to_tst(&build_dhg(3, &offline));
+        let labels: Vec<usize> = plan.group_of.iter().map(|c| c.index()).collect();
+        assert_eq!(r.advised_labels, canonical_labels(&labels));
+        assert!(!r.lint.ok());
+        assert_eq!(r.lint.diagnostics[0].code, "CERT003");
         assert!(r.to_json().contains("\"kind\": \"merge\""));
     }
 
@@ -478,67 +407,40 @@ mod tests {
         ];
         let h = Hierarchy::build_grouped(3, &specs, vec![ClassId(0), ClassId(0), ClassId(1)], 2)
             .unwrap();
-        let b = board(2, 3, &[(0, 0), (1, 1), (2, 2), (2, 0)], 8);
-        let r = advise(&h, &b.snapshot().drift, DEFAULT_MIN_EDGE);
+        let shapes = table(&[(0, &[], &[0], 8), (0, &[], &[1], 8), (1, &[0], &[2], 8)]);
+        let r = advise(&h, &shapes, None);
         assert_eq!(r.suggestions, vec![Advice::Split { a: 0, b: 1 }]);
         assert!(r
             .advice_text(&r.suggestions[0])
             .contains("split segments D0 / D1"));
-        assert!(r.quality_milli < 1000);
+        assert!(r.quality_milli < 1000 && r.lint.ok());
     }
 
     #[test]
-    fn noise_floor_drops_thin_edges_and_mismatched_sketch_is_flagged() {
+    fn shapes_below_the_floor_are_dropped_and_counted() {
         let h = chain_hierarchy();
-        // The cycle-closing arc only occurred twice — below the floor.
-        let thin = board(3, 3, &[(0, 1)], 2);
-        let strong = board(3, 3, &[(1, 0), (2, 0)], 8);
-        // Merge both sketches' views by advising on each.
-        let r = advise(&h, &thin.snapshot().drift, DEFAULT_MIN_EDGE);
-        assert_eq!(r.observed_arcs, 0);
-        assert_eq!(r.dropped_arcs, 1);
+        // The cycle-closing shape began only twice: noise.
+        let mut rows = CHAIN.to_vec();
+        rows.push((0, &[1], &[0], SHAPE_FLOOR - 1));
+        let mut shapes = table(&rows);
+        shapes.overflow = 5;
+        let r = advise(&h, &shapes, None);
+        assert_eq!((r.shapes, r.dropped_shapes, r.overflow), (3, 1, 5));
         assert!(r.hierarchy_is_optimal(), "noise must not drive advice");
-        let r = advise(&h, &strong.snapshot().drift, DEFAULT_MIN_EDGE);
-        assert_eq!(r.observed_arcs, 2);
-        assert_eq!(r.dropped_arcs, 0);
-
-        // Unconfigured or mis-dimensioned sketches are flagged, not
-        // folded.
-        let r = advise(&h, &DriftSnapshot::default(), DEFAULT_MIN_EDGE);
-        assert!(
-            r.provenance[0].contains("sketch unusable"),
-            "{:?}",
-            r.provenance
-        );
-        assert_eq!(r.observed_arcs, 0);
-    }
-
-    #[test]
-    fn provenance_names_most_drifted_rows_after_a_shift() {
-        let h = chain_hierarchy();
-        let b = board(3, 3, &[(1, 1), (1, 0)], 16);
-        b.fold_drift();
-        assert!(!b.drift.tripped(), "seed fold must not trip");
-        // Shifted interval: a brand-new edge family dominates.
-        for _ in 0..32 {
-            b.drift.record_edge(2, 2);
-            b.drift.record_edge(2, 0);
-        }
-        b.fold_drift();
-        let snap = b.snapshot().drift;
-        let r = advise(&h, &snap, DEFAULT_MIN_EDGE);
-        assert!(
-            r.provenance.iter().any(|p| p.contains("co-access D2")),
-            "{:?}",
-            r.provenance
-        );
-        if snap.tripped {
-            assert!(r
-                .provenance
-                .iter()
-                .any(|p| p.contains("drift board tripped")));
-        }
         let json = r.to_json();
-        assert!(json.contains("\"provenance\": ["), "{json}");
+        for key in [
+            "\"dropped_shapes\": 1",
+            "\"overflow\": 5",
+            "\"shape_floor\": 4",
+        ] {
+            assert!(json.contains(key), "{key} in {json}");
+        }
+        // At the floor it counts, and the advice drifts from the last.
+        rows.last_mut().unwrap().3 = SHAPE_FLOOR;
+        let next = advise(&h, &table(&rows), Some(&r));
+        assert_eq!((next.shapes, next.dropped_shapes), (4, 0));
+        assert!(next.drifted && !next.lint.ok());
+        assert!(next.render().contains("drift: the advice changed"));
+        assert!(!advise(&h, &table(&rows), Some(&next)).drifted);
     }
 }

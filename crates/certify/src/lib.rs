@@ -23,10 +23,9 @@
 //! The [`conformance`] module generates seeded, hierarchy-legal random
 //! scripts so the sim can sweep every scheduler and certify every log.
 //!
-//! The [`advisor`] module closes the loop at runtime: it folds the
-//! live drift sketch's observed co-access edges into an *observed* DHG
-//! and runs the same repartition machinery online, scoring the running
-//! hierarchy against the best-known TST for the workload actually seen.
+//! The [`advisor`] module runs the linter at runtime: it lints the
+//! transaction shapes the scheduler actually admitted and scores the
+//! running hierarchy against the best-known TST for them.
 //!
 //! The crate is dependency-free beyond the workspace (hand-rolled JSON,
 //! self-contained SplitMix64) and ships the `hdd-lint` binary.
@@ -38,9 +37,7 @@ pub mod diag;
 pub mod lint;
 pub mod shrink;
 
-pub use advisor::{
-    advise, canonical_labels, observed_dhg, Advice, AdvisorReport, DEFAULT_MIN_EDGE,
-};
+pub use advisor::{advise, canonical_labels, Advice, AdvisorReport, SHAPE_FLOOR};
 pub use certifier::{certify_events, certify_log, Certificate, Counterexample, Rule, Violation};
 pub use conformance::{generate_scripts, ConformanceConfig, SplitMix64};
 pub use diag::{Diagnostic, Severity};

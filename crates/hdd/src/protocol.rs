@@ -217,12 +217,6 @@ pub struct HddConfig {
     /// pin `I_old(m)` (and with it the time wall and GC) forever. `None`
     /// (the default) disables the watchdog.
     pub txn_lease: Option<Duration>,
-    /// Fold the workload-drift sketch (`obs::drift`) every this many
-    /// maintenance calls (0 disables the automatic fold; dashboards and
-    /// experiments can still force one via
-    /// [`HddScheduler::refresh_drift_now`]). Only active while both the
-    /// obs sidecar and its drift board are enabled.
-    pub drift_interval: u64,
 }
 
 impl Default for HddConfig {
@@ -231,7 +225,6 @@ impl Default for HddConfig {
             wall_interval: 8,
             gc_interval: 64,
             txn_lease: None,
-            drift_interval: 16,
         }
     }
 }
@@ -270,7 +263,7 @@ impl HddScheduler {
     ) -> Self {
         let n = hierarchy.class_count();
         let metrics = Arc::new(Metrics::default());
-        // Dimension the boards to this hierarchy.
+        // Dimension the gauge board to this hierarchy.
         metrics
             .obs
             .configure(n as u32, hierarchy.segment_count() as u32);
@@ -411,7 +404,7 @@ impl HddScheduler {
                     gauges.set_segment_wall(seg.0, w.component(class).raw());
                 }
             }
-            self.metrics.obs.wall_floor_held(dragger, now.raw());
+            gauges.note_wall_floor(dragger, now.raw());
         }
         let mut active_total = 0u64;
         let mut intervals_total = 0u64;
@@ -441,14 +434,6 @@ impl HddScheduler {
     /// the throttled store scan — is current).
     pub fn refresh_gauges_now(&self) {
         self.refresh_gauges(16); // 16 ≡ 0 mod 4 and mod 16: full refresh
-    }
-
-    /// Fold the drift sketch, if it is on (see `Obs::fold_drift`). Runs
-    /// from the maintenance tick at [`HddConfig::drift_interval`]
-    /// cadence; E20 and the advisor binary call it directly for
-    /// deterministic fold boundaries.
-    pub fn refresh_drift_now(&self) {
-        self.metrics.obs.fold_drift();
     }
 
     /// The GC watermark: nothing at or above it may be reclaimed.
@@ -879,9 +864,6 @@ impl Scheduler for HddScheduler {
             commit_ts,
         });
         Metrics::bump(&self.metrics.commits);
-        self.metrics
-            .obs
-            .committed(st.class.map_or(u32::MAX, |c| c.0));
         CommitOutcome::Committed(commit_ts)
     }
 
@@ -911,7 +893,6 @@ impl Scheduler for HddScheduler {
         let HddConfig {
             wall_interval,
             gc_interval,
-            drift_interval,
             ..
         } = self.config;
         let due = |interval: u64| interval > 0 && n.is_multiple_of(interval);
@@ -926,9 +907,6 @@ impl Scheduler for HddScheduler {
         }
         if self.metrics.obs.enabled() {
             self.refresh_gauges(n);
-            if due(drift_interval) {
-                self.refresh_drift_now();
-            }
         }
     }
 
@@ -1090,62 +1068,36 @@ mod tests {
     }
 
     #[test]
-    fn drift_sketch_counts_arrivals_edges_and_trips_on_a_mix_shift() {
+    fn begins_feed_the_shape_table_and_refreshes_name_the_wall_dragger() {
         let sched = setup();
         let obs = &sched.metrics().obs;
-        assert!(obs.snapshot().drift.configured, "new dimensions it");
         obs.set_enabled(true);
 
-        // Drift board still off: hot paths must stay silent.
+        // Shape table still off: begins stay silent.
         let t = sched.begin(&profile_t1());
-        sched.write(&t, g(0, 1), Value::Int(1));
         assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
-        assert!(obs.snapshot().drift.edges.is_empty());
+        assert_eq!(obs.snapshot().shapes.begins(), 0);
 
-        obs.drift.set_enabled(true);
-        // Seed phase: 16 class-0 writers — edge mass all on the (0,0)
-        // diagonal; the first fold seeds the baseline and scores calm.
-        for _ in 0..16 {
-            let t = sched.begin(&profile_t1());
-            sched.write(&t, g(0, 1), Value::Int(2));
-            assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
-        }
-        sched.refresh_drift_now();
-        let s = obs.snapshot().drift;
-        assert_eq!(s.folds, 1);
-        assert_eq!(s.score_milli, 0, "first fold seeds, never alarms");
-        assert_eq!(s.classes[0].begun, 16);
-        assert_eq!(s.classes[0].committed, 16);
-        assert!(s.edges.iter().any(|e| e.from == 0 && e.to == 0));
-
-        // Shift: 16 class-1 writers that cross-read D0 — edge mass
-        // moves to (1,1)/(1,0), cross-reads land in the (c1, D0) cell,
-        // and the next fold must trip and trace the event.
-        for _ in 0..16 {
+        obs.shapes.set_enabled(true);
+        for _ in 0..3 {
             let t = sched.begin(&profile_t2());
             assert!(matches!(sched.read(&t, g(0, 1)), ReadOutcome::Value(_)));
-            sched.write(&t, g(1, 1), Value::Int(3));
             assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
         }
-        sched.refresh_drift_now();
-        let s = obs.snapshot().drift;
-        assert!(s.tripped, "mix shift must trip: {s:?}");
-        assert_eq!(s.trips, 1);
-        assert!(s.cells.iter().any(|c| c.reader == 1 && c.segment == 0));
-        assert!(s.edges.iter().any(|e| e.from == 1 && e.to == 0));
-        let kinds = decision_kinds(obs);
-        assert!(kinds.contains(&"drift-trip"), "{kinds:?}");
+        let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(0), s(1)]));
+        sched.abort(&ro);
+        let shapes = obs.snapshot().shapes.shapes;
+        let t2 = obs::Shape::new(1, [0], [1]);
+        let ro = obs::Shape::new(u32::MAX, [0, 1], []);
+        assert_eq!(shapes, vec![(t2, 3), (ro, 1)]);
 
-        // Maintenance attributes the wall floor to a dragger class and
-        // keeps folding at drift_interval cadence.
+        // Maintenance attributes the released wall's floor to a class.
         for _ in 0..32 {
             sched.maintenance();
         }
-        let s = obs.snapshot().drift;
-        assert!(s.drag_class.is_some(), "a released wall names a dragger");
-        let blamed: u64 = s.classes.iter().map(|c| c.drag_blame).sum();
-        assert!(blamed >= 1);
-        assert!(s.folds >= 4, "maintenance folds every drift_interval");
+        let g = obs.snapshot().gauges;
+        assert!(g.drag_class.is_some(), "a released wall names a dragger");
+        assert!(g.classes.iter().map(|c| c.drag_blame).sum::<u64>() >= 1);
     }
 
     #[test]
@@ -1359,7 +1311,7 @@ mod tests {
         let sched = setup_branching();
         let obs = &sched.metrics().obs;
         obs.set_enabled(true);
-        obs.drift.set_enabled(true);
+        obs.shapes.set_enabled(true);
         obs.flight.set_sample_every(1);
         let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
         assert!(obs.admit(ro.id.0, NO_CLASS, 0));
@@ -1386,7 +1338,8 @@ mod tests {
         assert!(log.wall_releases[0].1 <= wait.start_ns + wait.dur_ns);
 
         // Stride-0 phase: every Protocol A and Protocol C read is one
-        // staleness sample, one drift cell bump and one decision event.
+        // staleness sample and one decision event, and every begin one
+        // shape count (the reset keeps the table's flag).
         obs.reset();
         obs.flight.set_sample_every(0);
         for round in 0..4 {
@@ -1412,8 +1365,7 @@ mod tests {
         assert_eq!((m.cross_class_reads, m.wall_reads), (16, 8));
         let staleness = obs.gauges.snapshot().staleness;
         assert_eq!(staleness.iter().map(|c| c.hist.count).sum::<u64>(), facts);
-        let cells = obs.snapshot().drift.cells;
-        assert_eq!(cells.iter().map(|c| c.count).sum::<u64>(), facts);
+        assert_eq!(obs.snapshot().shapes.begins(), 4 * 5);
         let kinds = decision_kinds(obs);
         let of = |kind| kinds.iter().filter(|k| **k == kind).count() as u64;
         assert_eq!(of("cross-read"), m.cross_class_reads);

@@ -24,8 +24,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use crate::drift::DriftSnapshot;
-use crate::gauges::{Level, WALL_READER};
+use crate::gauges::Level;
 use crate::hist::HistogramSnapshot;
 use crate::span::{FlightLog, Terminal, WaitCause, NO_CLASS};
 use crate::trace::TraceEvent;
@@ -75,11 +74,8 @@ fn push_levels(out: &mut String, levels: &[Level]) {
 /// `hdd_<name>_total` counter families, the [`ObsSnapshot`] latency
 /// histograms as summaries, its gauge board as gauge families
 /// (per-class/per-segment via labels, cross-read staleness as a
-/// labelled summary), and — only while its drift sketch is configured
-/// and enabled — the drift-observatory families (`hdd_drift_*`,
-/// `hdd_wall_drag_*`) as a suffix, so the drift-free exposition keeps
-/// its golden tail. Zero-dependency; output passes
-/// [`validate_prometheus`] by construction.
+/// labelled summary, wall-drag blame per class). Zero-dependency;
+/// output passes [`validate_prometheus`] by construction.
 pub fn prometheus_text(counters: &[(&str, u64)], obs: &ObsSnapshot) -> String {
     let gauges = &obs.gauges;
     let mut out = String::new();
@@ -133,6 +129,18 @@ pub fn prometheus_text(counters: &[(&str, u64)], obs: &ObsSnapshot) -> String {
             }
         }
     }
+    if !gauges.classes.is_empty() {
+        let _ = writeln!(out, "# TYPE hdd_wall_drag_blame_total counter");
+        for c in &gauges.classes {
+            let _ = writeln!(
+                out,
+                "hdd_wall_drag_blame_total{{class=\"{}\"}} {}",
+                c.class, c.drag_blame
+            );
+        }
+        let _ = writeln!(out, "# TYPE hdd_wall_drag_ticks summary");
+        push_summary(&mut out, "hdd_wall_drag_ticks", "", &gauges.drag_hist);
+    }
     if !gauges.segment_walls.is_empty() {
         let _ = writeln!(out, "# TYPE hdd_segment_wall gauge");
         for (i, w) in gauges.segment_walls.iter().enumerate() {
@@ -158,51 +166,6 @@ pub fn prometheus_text(counters: &[(&str, u64)], obs: &ObsSnapshot) -> String {
     push_levels(&mut out, &gauges.durability());
     let _ = writeln!(out, "# TYPE hdd_wal_fsync_ns summary");
     push_summary(&mut out, "hdd_wal_fsync_ns", "", &gauges.fsync_ns);
-    let d = &obs.drift;
-    if d.configured && d.enabled {
-        for (name, v) in [
-            ("hdd_drift_score", d.score_milli),
-            ("hdd_drift_access_score", d.access_score_milli),
-            ("hdd_drift_edge_score", d.edge_score_milli),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {:.3}", v as f64 / 1000.0);
-        }
-        let _ = writeln!(out, "# TYPE hdd_drift_tripped gauge");
-        let _ = writeln!(out, "hdd_drift_tripped {}", u64::from(d.tripped));
-        let _ = writeln!(out, "# TYPE hdd_drift_folds_total counter");
-        let _ = writeln!(out, "hdd_drift_folds_total {}", d.folds);
-        let _ = writeln!(out, "# TYPE hdd_drift_trips_total counter");
-        let _ = writeln!(out, "hdd_drift_trips_total {}", d.trips);
-        let _ = writeln!(out, "# TYPE hdd_class_begun_total counter");
-        for c in &d.classes {
-            let _ = writeln!(
-                out,
-                "hdd_class_begun_total{{class=\"{}\"}} {}",
-                DriftSnapshot::reader_label(c.class),
-                c.begun
-            );
-        }
-        let _ = writeln!(out, "# TYPE hdd_class_committed_total counter");
-        for c in &d.classes {
-            let _ = writeln!(
-                out,
-                "hdd_class_committed_total{{class=\"{}\"}} {}",
-                DriftSnapshot::reader_label(c.class),
-                c.committed
-            );
-        }
-        let _ = writeln!(out, "# TYPE hdd_wall_drag_blame_total counter");
-        for c in d.classes.iter().filter(|c| c.class != WALL_READER) {
-            let _ = writeln!(
-                out,
-                "hdd_wall_drag_blame_total{{class=\"{}\"}} {}",
-                c.class, c.drag_blame
-            );
-        }
-        let _ = writeln!(out, "# TYPE hdd_wall_drag_ticks summary");
-        push_summary(&mut out, "hdd_wall_drag_ticks", "", &d.drag_hist);
-    }
     out
 }
 
@@ -439,15 +402,6 @@ fn event_args(ev: &TraceEvent) -> String {
         } => format!(
             "{{\"events\":{events},\"redone\":{redone},\"rolled_back\":{rolled_back},\
              \"in_flight_aborted\":{in_flight_aborted},\"high_water_mark\":{high_water_mark}}}"
-        ),
-        TraceEvent::DriftTrip {
-            fold,
-            score_milli,
-            threshold_milli,
-            dragger_class,
-        } => format!(
-            "{{\"fold\":{fold},\"score_milli\":{score_milli},\
-             \"threshold_milli\":{threshold_milli},\"dragger_class\":{dragger_class}}}"
         ),
     }
 }
@@ -1045,61 +999,24 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_drift_families_render_only_when_configured() {
+    fn wall_drag_families_render_per_class_once_configured() {
         let o = crate::Obs::new();
-        let bare = prometheus_text(&[("committed", 7)], &ObsSnapshot::default());
-        // Unconfigured, then configured but off: byte-identical to the
-        // drift-free text.
-        let drift_only = |o: &crate::Obs| ObsSnapshot {
-            drift: o.snapshot().drift,
-            ..ObsSnapshot::default()
-        };
-        assert_eq!(prometheus_text(&[("committed", 7)], &drift_only(&o)), bare);
-        o.configure(2, 3);
-        assert_eq!(prometheus_text(&[("committed", 7)], &drift_only(&o)), bare);
-        // Configured and on: drift + wall-drag families appear and the
-        // whole exposition still self-validates.
-        let board = &o.drift;
-        board.set_enabled(true);
-        for _ in 0..20 {
-            o.gauges.record_staleness(0, 1, 1);
-            board.record_edge(1, 0);
-        }
-        board.note_begin(0);
-        board.note_commit(0);
-        board.note_wall_floor(Some(1), 10);
-        board.note_wall_floor(Some(0), 25);
-        o.fold_drift();
-        let text = prometheus_text(&[("committed", 7)], &drift_only(&o));
-        let stats = validate_prometheus(&text).expect("self-validates");
-        // Drift-free families + 4 drift gauges + 2 drift counters + 2
-        // per-class counters + blame counter + drag summary.
-        assert_eq!(stats.families, 1 + 2 + 5 + 15 + 6 + 4 + 2 + 2 + 1 + 1);
-        assert!(text.contains("# TYPE hdd_drift_score gauge\nhdd_drift_score 0.000\n"));
-        assert!(text.contains("hdd_drift_folds_total 1"));
-        assert!(text.contains("hdd_class_begun_total{class=\"c0\"} 1"));
-        assert!(text.contains("hdd_class_committed_total{class=\"wall\"} 0"));
-        assert!(text.contains("hdd_wall_drag_blame_total{class=\"1\"} 1"));
-        assert!(text.contains("hdd_wall_drag_ticks_count 1"));
-        assert!(text.contains("hdd_drift_tripped 0"));
-    }
-
-    #[test]
-    fn chrome_trace_renders_drift_trip_instants() {
-        let events = decisions(vec![(
-            9u64,
-            TraceEvent::DriftTrip {
-                fold: 4,
-                score_milli: 500,
-                threshold_milli: 250,
-                dragger_class: 2,
-            },
-        )]);
-        let text = chrome_trace(&events);
-        assert_eq!(validate_chrome_trace(&text).unwrap(), 2);
-        assert!(text.contains("\"name\":\"drift-trip\""));
-        assert!(text.contains("\"ph\":\"i\",\"ts\":9"));
-        assert!(text.contains("\"score_milli\":500"));
+        let bare = prometheus_text(&[("committed", 7)], &o.snapshot());
+        assert!(
+            !bare.contains("hdd_wall_drag"),
+            "unconfigured: no class rows"
+        );
+        o.gauges.configure(2, 3);
+        o.gauges.note_wall_floor(Some(1), 10);
+        o.gauges.note_wall_floor(Some(0), 25);
+        let text = prometheus_text(&[("committed", 7)], &o.snapshot());
+        validate_prometheus(&text).expect("self-validates");
+        assert!(text.contains(
+            "# TYPE hdd_wall_drag_blame_total counter\n\
+             hdd_wall_drag_blame_total{class=\"0\"} 1\n\
+             hdd_wall_drag_blame_total{class=\"1\"} 1\n"
+        ));
+        assert!(text.contains("hdd_wall_drag_ticks_sum 15\nhdd_wall_drag_ticks_count 1\n"));
     }
 
     #[test]

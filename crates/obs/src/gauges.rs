@@ -28,6 +28,11 @@
 //! by [`WALL_READER`]. Staleness is strictly positive by Protocol A/C
 //! correctness: the served version is below the reader's bound, and the
 //! bound never exceeds the reader's start timestamp (DESIGN.md §10).
+//!
+//! The refresh that publishes the wall components also names the
+//! **wall dragger**, the first class whose component sits at the wall
+//! floor ([`GaugeBoard::note_wall_floor`]): per-class blame counts and
+//! a histogram of how long each holder kept the floor.
 
 use mc::sync::{AtomicU64, OnceLock, Ordering};
 
@@ -58,6 +63,21 @@ struct Dims {
     /// Staleness histograms, `(n_classes + 1) × n_segments`; the last
     /// row is the [`WALL_READER`] row.
     staleness: Vec<Histogram>,
+    /// Wall refreshes on which each class held the wall floor.
+    drag_blame: Vec<AtomicU64>,
+}
+
+/// The wall-drag attributor's cells (see [`GaugeBoard::note_wall_floor`]).
+#[derive(Debug, Default)]
+struct WallDrag {
+    /// Class holding the wall floor, plus one (0: none yet).
+    holder: AtomicU64,
+    /// Clock at which `holder` took the floor.
+    since: AtomicU64,
+    /// Clock at the latest refresh.
+    now: AtomicU64,
+    /// Completed floor holds, in clock ticks.
+    held: Histogram,
 }
 
 impl Dims {
@@ -106,6 +126,7 @@ macro_rules! levels {
         pub struct GaugeBoard {
             $($($name: AtomicU64,)+)+
             fsync_ns: Histogram,
+            drag: WallDrag,
             dims: OnceLock<Dims>,
         }
 
@@ -121,6 +142,12 @@ macro_rules! levels {
             $($($(#[doc = $doc])+ pub $name: u64,)+)+
             /// Distribution of per-batch write+fsync latency (nanoseconds).
             pub fsync_ns: HistogramSnapshot,
+            /// Class holding the wall floor at the latest refresh.
+            pub drag_class: Option<u32>,
+            /// Ticks the current holder has held the floor so far.
+            pub drag_held_ticks: u64,
+            /// Completed floor holds, in clock ticks.
+            pub drag_hist: HistogramSnapshot,
             /// Per-class rows (empty when unconfigured).
             pub classes: Vec<ClassGauges>,
             /// Latest wall timestamp per segment (empty when unconfigured).
@@ -233,6 +260,7 @@ impl GaugeBoard {
             staleness: (0..(n_classes as usize + 1) * n_segments as usize)
                 .map(|_| Histogram::new())
                 .collect(),
+            drag_blame: (0..n_classes).map(|_| AtomicU64::new(0)).collect(),
         });
     }
 
@@ -372,14 +400,46 @@ impl GaugeBoard {
         self.recovery_anomalies.store(anomalies, Ordering::Relaxed); // ordering: gauge level, see fn-top note
     }
 
+    /// The wall-drag attributor, fed by each gauge refresh that sees a
+    /// released wall: `dragger` is the first class whose component
+    /// equals the wall floor (`None`: no class does), `now` the clock.
+    /// Bumps the dragger's blame and, when the holder changes, records
+    /// how long the previous one held the floor.
+    // ordering: Relaxed — written by the gauge refresh; a racing
+    // snapshot may see a hold one refresh stale (struct docs).
+    pub fn note_wall_floor(&self, dragger: Option<u32>, now: u64) {
+        let Some(d) = self.dims.get() else { return };
+        let w = &self.drag;
+        let holder = dragger
+            .filter(|&c| c < d.n_classes)
+            .map_or(0, |c| u64::from(c) + 1);
+        w.now.store(now, Ordering::Relaxed); // ordering: see fn-top note
+        let prev = w.holder.swap(holder, Ordering::Relaxed); // ordering: see fn-top note
+        if prev != holder {
+            if prev != 0 {
+                let since = w.since.load(Ordering::Relaxed); // ordering: see fn-top note
+                w.held.record(now.saturating_sub(since));
+            }
+            w.since.store(now, Ordering::Relaxed); // ordering: see fn-top note
+        }
+        if let Some(c) = holder.checked_sub(1) {
+            d.drag_blame[c as usize].fetch_add(1, Ordering::Relaxed); // ordering: see fn-top note
+        }
+    }
+
     /// Copy the whole board. Staleness cells are included only when
     /// non-empty (most (reader, segment) pairs never cross-read).
     pub fn snapshot(&self) -> GaugeSnapshot {
         // ordering: Relaxed — dashboard sampling; each cell is tear-free
         // on its own, cross-cell skew is documented and acceptable.
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let w = &self.drag;
+        let holder = g(&w.holder).checked_sub(1);
         let mut snap = GaugeSnapshot {
             fsync_ns: self.fsync_ns.snapshot(),
+            drag_class: holder.map(|c| c as u32),
+            drag_held_ticks: holder.map_or(0, |_| g(&w.now).saturating_sub(g(&w.since))),
+            drag_hist: w.held.snapshot(),
             ..self.levels()
         };
         if let Some(d) = self.dims.get() {
@@ -393,6 +453,7 @@ impl GaugeBoard {
                     active: g(&d.active[i]),
                     settled_lag: g(&d.settled_lag[i]),
                     wall_component: g(&d.wall_component[i]),
+                    drag_blame: g(&d.drag_blame[i]),
                 })
                 .collect();
             snap.segment_walls = d.segment_wall.iter().map(g).collect();
@@ -412,22 +473,25 @@ impl GaugeBoard {
         snap
     }
 
-    /// Per-cell sample counts of the staleness matrix, row-major with
-    /// the [`WALL_READER`] row last (empty when unconfigured): one count
-    /// per served Protocol A/C read, the drift sketch's access family.
-    pub(crate) fn staleness_counts(&self) -> Vec<u64> {
-        self.dims.get().map_or_else(Vec::new, |d| {
-            d.staleness.iter().map(Histogram::count).collect()
-        })
-    }
-
     /// Zero every cell (staleness histograms included); the board stays
     /// configured.
     pub fn reset(&self) {
         self.reset_levels();
         self.fsync_ns.reset();
+        let w = &self.drag;
+        for c in [&w.holder, &w.since, &w.now] {
+            // ordering: Relaxed — gauge reset between phases.
+            c.store(0, Ordering::Relaxed);
+        }
+        w.held.reset();
         if let Some(d) = self.dims.get() {
-            for v in [&d.i_old, &d.active, &d.settled_lag, &d.wall_component] {
+            for v in [
+                &d.i_old,
+                &d.active,
+                &d.settled_lag,
+                &d.wall_component,
+                &d.drag_blame,
+            ] {
                 for c in v {
                     // ordering: Relaxed — gauge reset between phases.
                     c.store(0, Ordering::Relaxed);
@@ -457,6 +521,8 @@ pub struct ClassGauges {
     pub settled_lag: u64,
     /// Latest released wall component for this class.
     pub wall_component: u64,
+    /// Wall refreshes on which this class held the wall floor.
+    pub drag_blame: u64,
 }
 
 /// One non-empty (reader, source segment) staleness cell.
@@ -507,8 +573,8 @@ impl GaugeSnapshot {
             }
             s.push_str(&format!(
                 "{{\"class\": {}, \"i_old\": {}, \"active\": {}, \"settled_lag\": {}, \
-                 \"wall_component\": {}}}",
-                c.class, c.i_old, c.active, c.settled_lag, c.wall_component
+                 \"wall_component\": {}, \"drag_blame\": {}}}",
+                c.class, c.i_old, c.active, c.settled_lag, c.wall_component, c.drag_blame
             ));
         }
         s.push_str("], \"segment_walls\": [");
@@ -518,7 +584,14 @@ impl GaugeSnapshot {
             }
             s.push_str(&w.to_string());
         }
-        s.push_str("], \"staleness\": [");
+        s.push_str(&format!(
+            "], \"drag_class\": {}, \"drag_held_ticks\": {}, \"drag_hist\": {}",
+            self.drag_class
+                .map_or("null".to_string(), |c| c.to_string()),
+            self.drag_held_ticks,
+            self.drag_hist.to_json()
+        ));
+        s.push_str(", \"staleness\": [");
         for (i, cell) in self.staleness.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
@@ -617,6 +690,29 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"wall_floor\": 95"));
         assert!(json.contains("\"segment_walls\": [95, 102]"));
+    }
+
+    #[test]
+    fn wall_drag_blames_the_floor_holder_and_histograms_handoffs() {
+        let g = GaugeBoard::new();
+        g.note_wall_floor(Some(0), 5); // unconfigured: dropped
+        g.configure(2, 3);
+        g.note_wall_floor(Some(0), 10);
+        g.note_wall_floor(Some(0), 20);
+        g.note_wall_floor(Some(1), 35);
+        let s = g.snapshot();
+        assert_eq!((s.drag_class, s.drag_held_ticks), (Some(1), 0));
+        g.note_wall_floor(None, 40);
+        let s = g.snapshot();
+        let blame: Vec<u64> = s.classes.iter().map(|c| c.drag_blame).collect();
+        assert_eq!(blame, vec![2, 1]);
+        // Two completed holds: class 0 for 25 ticks, class 1 for 5.
+        assert_eq!((s.drag_hist.count, s.drag_hist.sum), (2, 30));
+        assert_eq!(s.drag_class, None);
+        assert!(s.to_json().contains("\"drag_class\": null"));
+        g.reset();
+        let s = g.snapshot();
+        assert_eq!(s.classes[0].drag_blame + s.drag_hist.count, 0);
     }
 
     #[test]

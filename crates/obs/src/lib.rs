@@ -18,7 +18,7 @@
 //!    recorders behind **one atomic enable flag** (default off: a single
 //!    relaxed load per instrumentation site), plus hand-rolled JSON
 //!    export. The scheduler reports *facts* through one hook per fact
-//!    ([`Obs::began`] … [`Obs::committed`]); which sinks record a fact,
+//!    ([`Obs::began`] … [`Obs::reaped`]); which sinks record a fact,
 //!    under which stride and flag, is decided here and nowhere else.
 //!
 //! `obs` sits *below* `txn-model` so `Metrics` can embed an [`Obs`]
@@ -28,19 +28,16 @@
 #![warn(missing_docs)]
 
 pub mod blame;
-pub mod drift;
 pub mod export;
 pub mod gauges;
 pub mod hist;
 pub mod recorder;
 pub mod ring;
+pub mod shapes;
 pub mod span;
 pub mod trace;
 
 pub use blame::{critical_chain, BlameReport, CauseBucket, ChainHop, PhaseBreakdown};
-pub use drift::{
-    ClassDrift, DriftBoard, DriftCell, DriftEdge, DriftSnapshot, DEFAULT_DRIFT_THRESHOLD_MILLI,
-};
 pub use export::{
     chrome_trace, flight_chrome_trace, prometheus_text, validate_chrome_trace, validate_prometheus,
 };
@@ -48,6 +45,7 @@ pub use gauges::{ClassGauges, GaugeBoard, GaugeSnapshot, StalenessCell, WALL_REA
 pub use hist::{Histogram, HistogramSnapshot};
 pub use recorder::LatencyRecorder;
 pub use ring::TicketRing;
+pub use shapes::{Shape, ShapeSnapshot, ShapeTable, MAX_SHAPES};
 pub use span::{
     assemble, FlightLog, FlightRecorder, SpanEvent, SpanKind, Terminal, TxnFlight, WaitCause,
     NO_CLASS,
@@ -102,12 +100,10 @@ macro_rules! recorders {
             /// Flight-recorder stride, counters and span clock (see [`span`]).
             /// Inert until both [`Obs::enabled`] and a sampling stride are set.
             pub flight: FlightRecorder,
-            /// Workload-drift sketch: co-access counters, EWMA baselines over
-            /// them and over the staleness matrix's counts, drift scores and
-            /// wall-drag blame (see [`drift`]). Inert until both
-            /// [`Obs::enabled`] and its own enable flag are set, so drift
-            /// overhead is measurable against an obs-on baseline.
-            pub drift: DriftBoard,
+            /// Observed transaction shapes, the advisor's input (see
+            /// [`shapes`]). Inert until both [`Obs::enabled`] and its own
+            /// enable flag are set.
+            pub shapes: ShapeTable,
         }
 
         /// A point-in-time copy of every [`Obs`] dimension.
@@ -122,9 +118,8 @@ macro_rules! recorders {
             pub trace_dropped: u64,
             /// The gauge board.
             pub gauges: GaugeSnapshot,
-            /// The drift sketch, its access cells counted off `gauges`'
-            /// staleness matrix.
-            pub drift: DriftSnapshot,
+            /// The shape table.
+            pub shapes: ShapeSnapshot,
         }
 
         impl Obs {
@@ -135,19 +130,19 @@ macro_rules! recorders {
                     trace_recorded: self.events.recorded(),
                     trace_dropped: self.events.dropped(),
                     gauges: self.gauges.snapshot(),
-                    drift: self.drift.snapshot(&self.gauges.staleness_counts()),
+                    shapes: self.shapes.snapshot(),
                 }
             }
 
             /// Clear every histogram, the event log, the gauge board, the
-            /// flight counters and the drift sketch (the enable flags, board
-            /// configurations and the sampling stride are left as-is).
+            /// flight counters and the shape counts (the enable flags, the
+            /// board's dimensions and the sampling stride are left as-is).
             pub fn reset(&self) {
                 $(self.$name.reset();)+
                 self.events.reset();
                 self.gauges.reset();
                 self.flight.reset();
-                self.drift.reset();
+                self.shapes.reset();
             }
         }
 
@@ -185,11 +180,10 @@ impl Obs {
         Self::default()
     }
 
-    /// Dimension the gauge and drift boards to a hierarchy (first
-    /// caller wins; later calls are no-ops).
+    /// Dimension the gauge board to a hierarchy (first caller wins;
+    /// later calls are no-ops).
     pub fn configure(&self, n_classes: u32, n_segments: u32) {
         self.gauges.configure(n_classes, n_segments);
-        self.drift.configure(n_classes, n_segments);
     }
 
     /// True when recording is on.
@@ -241,33 +235,24 @@ impl Obs {
     }
 
     /// The scheduler began a transaction of `class` (`u32::MAX`: read-
-    /// only) declaring `reads` and `writes`. Drift sketch only: the
-    /// arrival, and the profile folded into the co-access matrix by the
-    /// DHG arc rule (writer segment → every accessed segment, diagonal
-    /// for the write itself) — O(|W|·|R∪W|), single digits here.
+    /// only) declaring `reads` and `writes`. Shape table only: one count
+    /// of the normalised shape.
     #[inline]
     pub fn began(
         &self,
         class: u32,
-        reads: impl Iterator<Item = u32> + Clone,
-        writes: impl Iterator<Item = u32> + Clone,
+        reads: impl Iterator<Item = u32>,
+        writes: impl Iterator<Item = u32>,
     ) {
-        if self.enabled() && self.drift.enabled() {
-            self.drift.note_begin(class);
-            for w in writes.clone() {
-                self.drift.record_edge(w, w);
-                for a in reads.clone().chain(writes.clone()).filter(|&a| a != w) {
-                    self.drift.record_edge(w, a);
-                }
-            }
+        if self.enabled() && self.shapes.enabled() {
+            self.shapes.record(Shape::new(class, reads, writes));
         }
     }
 
     /// The sinks both unregistered-read facts share (plus the registry
     /// scan, Protocol A registry walks only); `true` when the read is also
-    /// decision-traced. Every aggregate counts every read — staleness is
-    /// also the drift sketch's access count — and the flight stride
-    /// thins only the event log.
+    /// decision-traced. Every aggregate counts every read, and the flight
+    /// stride thins only the event log.
     #[inline]
     fn read_served(&self, reader_row: u32, r: &ServedRead, scanned: Option<u64>) -> bool {
         if !self.enabled() {
@@ -378,40 +363,6 @@ impl Obs {
             self.events.push(Event::Decision(ev));
         }
     }
-
-    /// The scheduler committed a transaction of `class` (`u32::MAX`:
-    /// read-only).
-    #[inline]
-    pub fn committed(&self, class: u32) {
-        if self.enabled() && self.drift.enabled() {
-            self.drift.note_commit(class);
-        }
-    }
-
-    /// A gauge refresh saw `dragger` — the class whose wall component
-    /// sits at the released floor — at logical time `now`.
-    pub fn wall_floor_held(&self, dragger: Option<u32>, now: u64) {
-        if self.drift.enabled() {
-            self.drift.note_wall_floor(dragger, now);
-        }
-    }
-
-    /// Fold the drift sketch, if it is on: score the interval since the
-    /// previous fold against the EWMA baselines and, on a fresh
-    /// threshold crossing, log a `drift-trip` decision event.
-    pub fn fold_drift(&self) {
-        if !self.drift.enabled() {
-            return;
-        }
-        if let Some(trip) = self.drift.fold(&self.gauges.staleness_counts()) {
-            self.emit(TraceEvent::DriftTrip {
-                fold: trip.fold,
-                score_milli: trip.score_milli,
-                threshold_milli: trip.threshold_milli,
-                dragger_class: trip.dragger.unwrap_or(u32::MAX),
-            });
-        }
-    }
 }
 
 impl ObsSnapshot {
@@ -509,13 +460,13 @@ mod tests {
     }
 
     /// A fully populated sidecar: every gauge level non-zero, class
-    /// rows, segment walls, two staleness cells, every recorder, and
-    /// drift cells and edges after a fold.
+    /// rows, segment walls, wall-drag blame, two staleness cells, every
+    /// recorder, and one counted shape.
     fn populated() -> Obs {
         let o = Obs::new();
         o.configure(2, 3);
         o.set_enabled(true);
-        o.drift.set_enabled(true);
+        o.shapes.set_enabled(true);
         let g = &o.gauges;
         g.set_clock(120);
         g.set_wall(100, 104, 96, 24);
@@ -555,11 +506,9 @@ mod tests {
                 o.wall_read(100, read);
             }
             o.began(1, [0u32].into_iter(), [1u32].into_iter());
-            o.committed(1);
         }
-        o.wall_floor_held(Some(0), 110);
-        o.wall_floor_held(Some(1), 118);
-        o.fold_drift();
+        g.note_wall_floor(Some(0), 110);
+        g.note_wall_floor(Some(1), 118);
         o.commit_latency.record(1_500);
         o.op_service.record(200);
         o.block_wait.record(80);
@@ -577,9 +526,12 @@ mod tests {
         \"recovery_anomalies\": 1, \"fsync_ns\": {\"count\": 1, \"sum\": 2000, \
         \"min\": 2000, \"max\": 2000, \"mean\": 2000.0, \"p50\": 2000, \"p95\": 2000, \
         \"p99\": 2000, \"buckets\": [[127, 1984, 1]]}, \"classes\": [{\"class\": 0, \
-        \"i_old\": 3, \"active\": 2, \"settled_lag\": 1, \"wall_component\": 96}, \
-        {\"class\": 1, \"i_old\": 5, \"active\": 1, \"settled_lag\": 2, \
-        \"wall_component\": 101}], \"segment_walls\": [96, 101, 101], \"staleness\": \
+        \"i_old\": 3, \"active\": 2, \"settled_lag\": 1, \"wall_component\": 96, \
+        \"drag_blame\": 1}, {\"class\": 1, \"i_old\": 5, \"active\": 1, \"settled_lag\": 2, \
+        \"wall_component\": 101, \"drag_blame\": 1}], \"segment_walls\": [96, 101, 101], \
+        \"drag_class\": 1, \"drag_held_ticks\": 0, \"drag_hist\": {\"count\": 1, \"sum\": 8, \
+        \"min\": 8, \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8, \
+        \"buckets\": [[8, 8, 1]]}, \"staleness\": \
         [{\"reader\": \"c1\", \"segment\": 0, \"hist\": {\"count\": 16, \"sum\": 184, \
         \"min\": 10, \"max\": 13, \"mean\": 11.5, \"p50\": 11, \"p95\": 13, \"p99\": 13, \
         \"buckets\": [[10, 10, 4], [11, 11, 4], [12, 12, 4], [13, 13, 4]]}}, \
@@ -587,22 +539,8 @@ mod tests {
         \"min\": 8, \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8, \
         \"buckets\": [[8, 8, 8]]}}]}";
 
-    const DRIFT_GOLDEN: &str = "{\"configured\": true, \"enabled\": true, \"n_classes\": 2, \
-        \"n_segments\": 3, \"threshold_milli\": 250, \"score_milli\": 0, \
-        \"access_score_milli\": 0, \"edge_score_milli\": 0, \"access_interval_total\": 24, \
-        \"edge_interval_total\": 32, \"tripped\": false, \"folds\": 1, \"trips\": 0, \
-        \"classes\": [{\"class\": \"c0\", \"begun\": 0, \"committed\": 0, \"drag_blame\": 1}, \
-        {\"class\": \"c1\", \"begun\": 16, \"committed\": 16, \"drag_blame\": 1}, \
-        {\"class\": \"wall\", \"begun\": 0, \"committed\": 0, \"drag_blame\": 0}], \
-        \"cells\": [{\"reader\": \"c1\", \"segment\": 0, \"count\": 16, \
-        \"share_milli\": 666, \"baseline_milli\": 666}, {\"reader\": \"wall\", \
-        \"segment\": 2, \"count\": 8, \"share_milli\": 333, \"baseline_milli\": 333}], \
-        \"edges\": [{\"from\": 1, \"to\": 0, \"count\": 16, \"share_milli\": 500, \
-        \"baseline_milli\": 500}, {\"from\": 1, \"to\": 1, \"count\": 16, \
-        \"share_milli\": 500, \"baseline_milli\": 500}], \"drag_class\": 1, \
-        \"drag_held_ticks\": 0, \"drag_hist\": {\"count\": 1, \"sum\": 8, \"min\": 8, \
-        \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8, \
-        \"buckets\": [[8, 8, 1]]}}";
+    const SHAPES_GOLDEN: &str = "{\"enabled\": true, \"overflow\": 0, \"shapes\": \
+        [{\"class\": 1, \"reads\": [0], \"writes\": [1], \"count\": 16}]}";
 
     const OBS_GOLDEN: &str = "{\n      \"commit_latency_ns\": {\"count\": 1, \"sum\": 1500, \
         \"min\": 1500, \"max\": 1500, \"mean\": 1500.0, \"p50\": 1500, \"p95\": 1500, \
@@ -624,7 +562,7 @@ mod tests {
         // prints are part of the contract.
         let s = populated().snapshot();
         assert_eq!(s.gauges.to_json(), GAUGES_GOLDEN);
-        assert_eq!(s.drift.to_json(), DRIFT_GOLDEN);
+        assert_eq!(s.shapes.to_json(), SHAPES_GOLDEN);
         assert_eq!(s.to_json(), OBS_GOLDEN);
     }
 
@@ -633,7 +571,6 @@ mod tests {
         let o = Obs::new();
         o.configure(2, 2);
         o.set_enabled(true);
-        o.drift.set_enabled(true);
         o.flight.set_sample_every(3);
         for txn in [3u64, 4, 5] {
             let read = ServedRead {
@@ -651,7 +588,6 @@ mod tests {
         let staleness: u64 = s.gauges.staleness.iter().map(|c| c.hist.count).sum();
         assert_eq!(staleness, 3, "staleness counts unsampled reads too");
         assert_eq!(s.registry_scan.count, 3);
-        assert_eq!(s.drift.cells.iter().map(|c| c.count).sum::<u64>(), 3);
         let events = o.events.drain();
         assert_eq!(events.len(), 1, "only the sampled txn's decision");
         assert_eq!(events[0].1.decision().and_then(TraceEvent::txn), Some(3));
@@ -661,8 +597,7 @@ mod tests {
     fn each_hook_is_inert_when_disabled_and_feeds_its_sinks_when_on() {
         let o = Obs::new();
         o.gauges.configure(2, 2);
-        o.drift.configure(2, 2);
-        o.drift.set_enabled(true);
+        o.shapes.set_enabled(true);
         let read = ServedRead {
             txn: 4,
             start: 10,
@@ -682,13 +617,12 @@ mod tests {
             o.gc_ran(5, 0);
             o.gc_ran(5, 2);
             o.reaped(4, 10, 1);
-            o.committed(1);
         };
         fire();
         assert_eq!(o.events.recorded(), 0);
         assert_eq!(o.registry_scan.count(), 0);
         assert!(o.snapshot().gauges.staleness.is_empty());
-        assert_eq!(o.snapshot().drift.cells.len(), 0);
+        assert_eq!(o.snapshot().shapes.begins(), 0);
 
         o.set_enabled(true);
         fire();
@@ -717,8 +651,7 @@ mod tests {
             .map(|c| c.hist.count)
             .sum();
         assert_eq!(staleness, 2);
-        let drift = o.snapshot().drift;
-        assert_eq!(drift.cells.iter().map(|c| c.count).sum::<u64>(), 2);
+        assert_eq!(o.snapshot().shapes.begins(), 1);
         assert_eq!(o.gauges.snapshot().gc_watermark, 5);
 
         // Sampled mode: an off-stride transaction reaches every
@@ -733,7 +666,6 @@ mod tests {
             3
         );
         assert_eq!(s.registry_scan.count, 2);
-        assert_eq!(s.drift.cells.iter().map(|c| c.count).sum::<u64>(), 3);
         o.blocked_on_txn(6, 2, || 1);
         o.blocked_on_wall(6, || 9);
         assert_eq!(o.events.recorded(), 7);

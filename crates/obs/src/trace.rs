@@ -200,20 +200,6 @@ pub enum TraceEvent {
         /// strictly greater).
         high_water_mark: u64,
     },
-    /// The drift sketch's fold crossed its trip threshold: the live
-    /// workload mix has moved away from its EWMA baseline (see
-    /// `obs::drift`); the advisor should re-derive the observed DHG.
-    DriftTrip {
-        /// Fold ordinal at which the trip fired.
-        fold: u64,
-        /// Combined drift score at the trip, milli-units (0..=1000).
-        score_milli: u64,
-        /// Trip threshold in force, milli-units.
-        threshold_milli: u64,
-        /// Class blamed for the wall floor at the trip, or `u32::MAX`
-        /// when no wall had been released yet.
-        dragger_class: u32,
-    },
 }
 
 impl TraceEvent {
@@ -228,7 +214,6 @@ impl TraceEvent {
             TraceEvent::WatchdogAbort { .. } => "watchdog-abort",
             TraceEvent::CrashPoint { .. } => "crash-point",
             TraceEvent::RecoveryReplay { .. } => "recovery-replay",
-            TraceEvent::DriftTrip { .. } => "drift-trip",
         }
     }
 
@@ -307,23 +292,6 @@ impl fmt::Display for TraceEvent {
                  back, {in_flight_aborted} in-flight aborted, clock resumed past \
                  ts:{high_water_mark}"
             ),
-            TraceEvent::DriftTrip {
-                fold,
-                score_milli,
-                threshold_milli,
-                dragger_class,
-            } => {
-                write!(
-                    f,
-                    "drift tripped at fold {fold}: score {score_milli}\u{2030} >= \
-                     {threshold_milli}\u{2030}, wall dragged by "
-                )?;
-                if *dragger_class == u32::MAX {
-                    write!(f, "no class")
-                } else {
-                    write!(f, "class {dragger_class}")
-                }
-            }
         }
     }
 }
@@ -385,18 +353,6 @@ mod tests {
                 rolled_back: 2,
                 in_flight_aborted: 1,
                 high_water_mark: 99,
-            },
-            TraceEvent::DriftTrip {
-                fold: 7,
-                score_milli: 410,
-                threshold_milli: 250,
-                dragger_class: 1,
-            },
-            TraceEvent::DriftTrip {
-                fold: 8,
-                score_milli: 300,
-                threshold_milli: 250,
-                dragger_class: u32::MAX,
             },
         ];
         for ev in evs {

@@ -1,13 +1,14 @@
 //! `hdd-advisor` — the online decomposition advisor, as a CLI.
 //!
 //! Drives a bundled workload through a live HDD scheduler with the
-//! drift sketch enabled, folds the sketch, and runs the observed
-//! co-access graph through [`certify::advise`]: is the hierarchy the
-//! scheduler is running still the best-known TST for the workload it
-//! is actually seeing? One-shot by default (drive `--waves` waves,
-//! print one report); `--watch` re-advises after every wave until the
-//! duration budget runs out; `--json` swaps the human rendering for
-//! one JSON object per report (JSON-lines under `--watch`).
+//! shape table enabled and lints the observed shapes with
+//! [`certify::advise`]: is the hierarchy the scheduler is running still
+//! the best-known TST for the workload it is actually seeing? One-shot
+//! by default (drive `--waves` waves, print one report); `--watch`
+//! re-advises after every wave until the duration budget runs out and
+//! marks a report whose advice changed since the previous one; `--json`
+//! swaps the human rendering for one JSON object per report
+//! (JSON-lines under `--watch`).
 //!
 //! ```text
 //! cargo run --release -p sim --bin hdd-advisor -- --workload banking --waves 3
@@ -15,7 +16,7 @@
 //! cargo run --release -p sim --bin hdd-advisor -- --json
 //! ```
 
-use certify::{advise, DEFAULT_MIN_EDGE};
+use certify::advise;
 use hdd::protocol::HddConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,8 +31,7 @@ hdd-advisor — online decomposition advisor over a live HDD scheduler
 
 USAGE:
   hdd-advisor [--workload inventory|banking|synthetic] [--workers N]
-              [--txns N] [--waves N] [--watch] [--duration-s F]
-              [--min-edge N] [--threshold-milli N] [--json]
+              [--txns N] [--waves N] [--watch] [--duration-s F] [--json]
 
 OPTIONS:
   --workload NAME      bundled workload to drive (default: banking)
@@ -40,8 +40,6 @@ OPTIONS:
   --waves N            one-shot: waves to drive before advising (default: 3)
   --watch              re-advise after every wave until --duration-s
   --duration-s F       watch-mode budget in seconds (default: 10)
-  --min-edge N         observed-arc noise floor (default: 4)
-  --threshold-milli N  drift trip threshold, milli-units (default: 250)
   --json               machine-readable report(s) instead of text
 ";
 
@@ -51,9 +49,7 @@ struct Opts {
     txns: usize,
     waves: u64,
     watch: bool,
-    duration_s: f64,
-    min_edge: u64,
-    threshold_milli: Option<u64>,
+    duration: Duration,
     json: bool,
 }
 
@@ -64,9 +60,7 @@ fn parse_opts() -> Result<Opts, String> {
         txns: 2000,
         waves: 3,
         watch: false,
-        duration_s: 10.0,
-        min_edge: DEFAULT_MIN_EDGE,
-        threshold_milli: None,
+        duration: Duration::from_secs(10),
         json: false,
     };
     let mut args = Args::from_env();
@@ -77,9 +71,7 @@ fn parse_opts() -> Result<Opts, String> {
             "--txns" => o.txns = args.parsed(&flag)?,
             "--waves" => o.waves = args.parsed(&flag)?,
             "--watch" => o.watch = true,
-            "--duration-s" => o.duration_s = args.parsed(&flag)?,
-            "--min-edge" => o.min_edge = args.parsed(&flag)?,
-            "--threshold-milli" => o.threshold_milli = Some(args.parsed(&flag)?),
+            "--duration-s" => o.duration = args.seconds(&flag, true)?,
             "--json" => o.json = true,
             "--help" | "-h" => cli::help(USAGE),
             other => return Err(format!("unknown flag {other}")),
@@ -97,10 +89,7 @@ fn main() {
     let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), HddConfig::default());
     let obs = &sched.metrics().obs;
     obs.set_enabled(true);
-    obs.drift.set_enabled(true);
-    if let Some(t) = opts.threshold_milli {
-        obs.drift.set_threshold_milli(t);
-    }
+    obs.shapes.set_enabled(true);
 
     let cfg = ConcurrentConfig {
         workers: opts.workers,
@@ -109,27 +98,27 @@ fn main() {
         ..ConcurrentConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(0xAD71_50F1);
-    let deadline = Instant::now() + Duration::from_secs_f64(opts.duration_s);
+    // `None`: a duration past the clock's range never ends the watch.
+    let deadline = Instant::now().checked_add(opts.duration);
     let mut wave = 0u64;
+    let mut prev = None;
     loop {
         let programs: Vec<_> = (0..opts.txns).map(|_| w.generate(&mut rng)).collect();
         run_concurrent(sched.as_ref(), programs, &cfg);
-        // Explicit refresh: the report must reflect this wave, not the
-        // maintenance cadence's last multiple.
-        sched.refresh_gauges_now();
-        sched.refresh_drift_now();
         wave += 1;
         let one_shot_done = !opts.watch && wave >= opts.waves;
         if opts.watch || one_shot_done {
-            let mut report = advise(&hierarchy, &obs.snapshot().drift, opts.min_edge);
+            let mut report = advise(&hierarchy, &obs.snapshot().shapes, prev.as_ref());
             report.target = format!("workload {} (wave {wave})", opts.workload);
             if opts.json {
                 println!("{}", report.to_json());
             } else {
                 print!("{}", report.render());
             }
+            prev = Some(report);
         }
-        if one_shot_done || (opts.watch && Instant::now() >= deadline) {
+        let past_deadline = deadline.is_some_and(|d| Instant::now() >= d);
+        if one_shot_done || (opts.watch && past_deadline) {
             break;
         }
     }

@@ -5,11 +5,13 @@
 //! a transaction lease), enables the `obs` sidecar, and
 //! redraws the gauge board — time-wall lag, per-class `I_old`,
 //! registry/settled-cursor lag, MV-store chain depth and GC backlog,
-//! reject-reason deltas and the cross-read staleness quantiles — at
-//! `--hz` frames per second (default 4). On exit it can dump the final
-//! state as Prometheus text exposition (`--prom out.prom`) and the
-//! decision trace as a Chrome/Perfetto trace (`--chrome-trace
-//! out.json`), both validated before the process exits.
+//! reject-reason deltas, the wall-drag blame, the cross-read staleness
+//! quantiles and the advice line (`certify::advise` over the observed
+//! shapes) — at `--hz` frames per second (default 4). On exit it can
+//! dump the final state as Prometheus text exposition (`--prom
+//! out.prom`) and the decision trace as a Chrome/Perfetto trace
+//! (`--chrome-trace out.json`), both validated before the process
+//! exits.
 //!
 //! ```text
 //! cargo run --release -p sim --bin hdd-top -- --workload synthetic --duration-s 10
@@ -60,8 +62,8 @@ struct Opts {
     workload: String,
     workers: usize,
     txns: usize,
-    duration_s: f64,
-    hz: f64,
+    duration: Duration,
+    interval: Duration,
     frames: Option<u64>,
     once: bool,
     chaos: bool,
@@ -75,8 +77,8 @@ fn parse_opts() -> Result<Opts, String> {
         workload: "inventory".to_string(),
         workers: 4,
         txns: 2000,
-        duration_s: 10.0,
-        hz: 4.0,
+        duration: Duration::from_secs(10),
+        interval: Duration::from_millis(250),
         frames: None,
         once: false,
         chaos: false,
@@ -90,8 +92,8 @@ fn parse_opts() -> Result<Opts, String> {
             "--workload" => o.workload = args.value(&flag)?,
             "--workers" => o.workers = args.parsed(&flag)?,
             "--txns" => o.txns = args.parsed(&flag)?,
-            "--duration-s" => o.duration_s = args.parsed(&flag)?,
-            "--hz" => o.hz = args.parsed(&flag)?,
+            "--duration-s" => o.duration = args.seconds(&flag, true)?,
+            "--hz" => o.interval = cli::duration(&flag, 1.0 / args.parsed::<f64>(&flag)?, false)?,
             "--frames" => o.frames = Some(args.parsed(&flag)?),
             "--once" => o.once = true,
             "--chaos" => o.chaos = true,
@@ -101,9 +103,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--help" | "-h" => cli::help(USAGE),
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if o.hz <= 0.0 {
-        return Err("--hz must be positive".to_string());
     }
     Ok(o)
 }
@@ -144,10 +143,10 @@ fn main() {
     };
     let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), config);
     // The driver also sets this per wave, but turning it on up front
-    // means the very first frame already sees live gauges. The drift
-    // sketch has its own switch and only hdd-top turns it on.
+    // means the very first frame already sees live gauges. The shape
+    // table has its own switch; the advice line needs it.
     sched.metrics().obs.set_enabled(true);
-    sched.metrics().obs.drift.set_enabled(true);
+    sched.metrics().obs.shapes.set_enabled(true);
 
     let mode = if opts.chaos { " + fault plan" } else { "" };
     let title = format!(
@@ -166,19 +165,18 @@ fn main() {
             Dashboard::new(&title, segment_names.clone()).with_hierarchy(Arc::clone(&hierarchy));
         drive(sched.as_ref(), programs, &opts, 0);
         sched.refresh_gauges_now();
-        sched.refresh_drift_now();
         eprint!("{}", dash.frame(sched.metrics()));
         let m = sched.metrics().snapshot();
         let obs = sched.metrics().obs.snapshot();
         println!(
             "{{\"workload\": \"{}\", \"commits\": {}, \"aborts\": {}, \"rejections\": {}, \
-             \"gauges\": {}, \"drift\": {}, \"obs\": {}}}",
+             \"gauges\": {}, \"shapes\": {}, \"obs\": {}}}",
             opts.workload,
             m.commits,
             m.aborts,
             m.rejections,
             obs.gauges.to_json(),
-            obs.drift.to_json(),
+            obs.shapes.to_json(),
             obs.to_json(),
         );
         return;
@@ -211,10 +209,10 @@ fn main() {
         // budget runs out.
         let mut dash =
             Dashboard::new(&title, segment_names.clone()).with_hierarchy(Arc::clone(&hierarchy));
-        let interval = Duration::from_secs_f64(1.0 / opts.hz);
-        let deadline = Instant::now() + Duration::from_secs_f64(opts.duration_s);
+        // `None`: a duration past the clock's range never ends the run.
+        let deadline = Instant::now().checked_add(opts.duration);
         loop {
-            std::thread::sleep(interval);
+            std::thread::sleep(opts.interval);
             // Force a full gauge refresh (walls, registry, store scan)
             // so the frame is not waiting on the maintenance cadence.
             sched.refresh_gauges_now();
@@ -227,7 +225,7 @@ fn main() {
             let _ = out.flush();
             frames_rendered += 1;
             let frame_budget_hit = opts.frames.is_some_and(|f| frames_rendered >= f);
-            if frame_budget_hit || Instant::now() >= deadline {
+            if frame_budget_hit || deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
         }

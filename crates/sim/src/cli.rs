@@ -1,11 +1,13 @@
 //! Command-line plumbing shared by the `hdd-top`, `hdd-advisor` and
 //! `hdd-blame` binaries: one flag cursor, one numeric parse that names
-//! the flag in its error, one bundled-workload table, one way to reject
-//! a bad command line (usage on stderr, exit status 2), and one way to
-//! write an export file (validated first).
+//! the flag in its error, one check for seconds-valued flags, one
+//! bundled-workload table, one way to reject a bad command line (usage
+//! on stderr, exit status 2), and one way to write an export file
+//! (validated first).
 
 use std::fmt::Display;
 use std::str::FromStr;
+use std::time::Duration;
 use workloads::banking::Banking;
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::synthetic::{Synthetic, SyntheticConfig};
@@ -36,6 +38,25 @@ impl Args {
         self.value(flag)?
             .parse()
             .map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The value that must follow the seconds-valued `flag`, checked by
+    /// [`duration`].
+    pub fn seconds(&mut self, flag: &str, zero_ok: bool) -> Result<Duration, String> {
+        duration(flag, self.parsed(flag)?, zero_ok)
+    }
+}
+
+/// `secs` as a `Duration` for `flag`: finite, within `Duration`'s
+/// range, and positive unless `zero_ok`. Anything else is the flag's
+/// error, never a panic in `Duration::from_secs_f64`.
+pub fn duration(flag: &str, secs: f64, zero_ok: bool) -> Result<Duration, String> {
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if zero_ok || !d.is_zero() => Ok(d),
+        _ => Err(format!(
+            "{flag}: {secs:?} s is not a finite, {} duration in range",
+            if zero_ok { "non-negative" } else { "positive" }
+        )),
     }
 }
 

@@ -11,9 +11,9 @@
 //! wrapped `u64`.
 
 use crate::report::f2;
-use certify::{advise, DEFAULT_MIN_EDGE};
+use certify::{advise, AdvisorReport};
 use hdd::analysis::Hierarchy;
-use obs::{DriftSnapshot, GaugeSnapshot, WALL_READER};
+use obs::{GaugeSnapshot, ShapeSnapshot};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,10 +38,8 @@ pub struct Frame<'a> {
     pub delta: &'a MetricsSnapshot,
     /// The live gauge board.
     pub gauges: &'a GaugeSnapshot,
-    /// The workload-drift sketch (section hidden until configured).
-    pub drift: &'a DriftSnapshot,
     /// Precomputed one-line advisor summary, if a hierarchy was
-    /// attached and the sketch has folded at least once.
+    /// attached and the shape table has counted a begin.
     pub advice: Option<&'a str>,
     /// Segment display names; segments beyond the slice fall back to
     /// `s<idx>`.
@@ -125,39 +123,19 @@ pub fn render(f: &Frame) -> String {
             let _ = write!(s, " {}={}", seg_label(f.segment_names, i as u32), w);
         }
         let _ = writeln!(s);
-    }
-    let d = f.drift;
-    if d.configured {
-        let _ = writeln!(
-            s,
-            " drift     score={}‰ (access={}‰ edge={}‰) thr={}‰ tripped={} folds={} trips={}",
-            d.score_milli,
-            d.access_score_milli,
-            d.edge_score_milli,
-            d.threshold_milli,
-            if d.tripped { "yes" } else { "no" },
-            d.folds,
-            d.trips
-        );
-        let dragger = match d.drag_class {
-            Some(c) if c == WALL_READER => "adhoc".to_string(),
-            Some(c) => format!("c{c}"),
-            None => "-".to_string(),
-        };
+        let dragger = g.drag_class.map_or("-".to_string(), |c| format!("c{c}"));
         let _ = write!(
             s,
             " wall drag {dragger} held={} ticks  blame:",
-            d.drag_held_ticks
+            g.drag_held_ticks
         );
-        for c in &d.classes {
-            if c.drag_blame > 0 && c.class != WALL_READER {
-                let _ = write!(s, " c{}={}", c.class, c.drag_blame);
-            }
+        for c in g.classes.iter().filter(|c| c.drag_blame > 0) {
+            let _ = write!(s, " c{}={}", c.class, c.drag_blame);
         }
         let _ = writeln!(s);
-        if let Some(advice) = f.advice {
-            let _ = writeln!(s, " advice    {advice}");
-        }
+    }
+    if let Some(advice) = f.advice {
+        let _ = writeln!(s, " advice    {advice}");
     }
     let _ = writeln!(s, " staleness (reader → source segment, ticks, cumulative)");
     let _ = writeln!(
@@ -191,6 +169,8 @@ pub struct Dashboard {
     title: String,
     segment_names: Vec<String>,
     hierarchy: Option<Arc<Hierarchy>>,
+    /// The previous frame's advice, which the next one is compared to.
+    advice: Option<AdvisorReport>,
     started: Instant,
     prev: Option<(Instant, MetricsSnapshot)>,
 }
@@ -202,48 +182,50 @@ impl Dashboard {
             title: title.into(),
             segment_names,
             hierarchy: None,
+            advice: None,
             started: Instant::now(),
             prev: None,
         }
     }
 
-    /// Attach the running hierarchy so each frame can fold the drift
-    /// sketch through the decomposition advisor (the `advice` line).
+    /// Attach the running hierarchy so each frame can lint the observed
+    /// shapes through the decomposition advisor (the `advice` line).
     pub fn with_hierarchy(mut self, hierarchy: Arc<Hierarchy>) -> Self {
         self.hierarchy = Some(hierarchy);
         self
     }
 
-    /// One-line advisor summary for a drift snapshot, or `None` when no
-    /// hierarchy is attached or the sketch has not folded yet.
-    fn advice_line(&self, drift: &DriftSnapshot) -> Option<String> {
+    /// One-line advisor summary for the observed shapes, or `None` when
+    /// no hierarchy is attached or no begin was counted yet. `[changed]`
+    /// marks advice that differs from the previous frame's.
+    fn advice_line(&mut self, shapes: &ShapeSnapshot) -> Option<String> {
         let h = self.hierarchy.as_ref()?;
-        if !drift.configured || drift.folds == 0 {
+        if shapes.begins() == 0 {
             return None;
         }
-        let report = advise(h, drift, DEFAULT_MIN_EDGE);
-        if report.hierarchy_is_optimal() {
-            Some(format!(
-                "quality {}/1000: hierarchy matches the observed workload's best TST",
-                report.quality_milli
-            ))
-        } else {
-            Some(format!(
-                "quality {}/1000: {}",
-                report.quality_milli,
-                report.advice_text(&report.suggestions[0])
-            ))
-        }
+        let report = advise(h, shapes, self.advice.as_ref());
+        let verdict = if report.lint.ok() { "ok" } else { "fails" };
+        let text = match report.suggestions.first() {
+            None => "hierarchy matches the observed workload's best TST".to_string(),
+            Some(a) => report.advice_text(a),
+        };
+        let changed = if report.drifted { "  [changed]" } else { "" };
+        let line = format!(
+            "quality {}/1000, lint {verdict}: {text}{changed}",
+            report.quality_milli
+        );
+        self.advice = Some(report);
+        Some(line)
     }
 
-    /// Sample `metrics` (counters + gauge board + drift sketch) and
+    /// Sample `metrics` (counters + gauge board + shape table) and
     /// render one frame. The first frame's "interval" is everything
     /// since attach.
     pub fn frame(&mut self, metrics: &Metrics) -> String {
         let now = Instant::now();
         let totals = metrics.snapshot();
         let obs = metrics.obs.snapshot();
-        let advice = self.advice_line(&obs.drift);
+        let advice = self.advice_line(&obs.shapes);
         let (since, baseline) = match self.prev {
             Some((t, s)) => (now.duration_since(t), s),
             None => (now.duration_since(self.started), MetricsSnapshot::default()),
@@ -257,7 +239,6 @@ impl Dashboard {
             totals: &totals,
             delta: &delta,
             gauges: &obs.gauges,
-            drift: &obs.drift,
             advice: advice.as_deref(),
             segment_names: &self.segment_names,
         })
@@ -310,7 +291,6 @@ mod tests {
             totals: &totals,
             delta: &delta,
             gauges: &gauges,
-            drift: &DriftSnapshot::default(),
             advice: None,
             segment_names: &names,
         })
@@ -346,7 +326,6 @@ mod tests {
             totals: &zero,
             delta: &zero,
             gauges: &gauges,
-            drift: &DriftSnapshot::default(),
             advice: None,
             segment_names: &[],
         });
@@ -364,7 +343,6 @@ mod tests {
             totals: &zero,
             delta: &zero,
             gauges: &gauges,
-            drift: &DriftSnapshot::default(),
             advice: None,
             segment_names: &[],
         });
@@ -374,45 +352,37 @@ mod tests {
             "unconfigured board: no class rows"
         );
         assert!(
-            !text.contains("drift"),
-            "unconfigured sketch: no drift panel"
+            !text.contains("wall drag"),
+            "unconfigured board: no drag line"
         );
     }
 
     #[test]
-    fn drift_panel_shows_scores_drag_blame_and_advice() {
-        let o = obs::Obs::new();
-        o.configure(2, 3);
-        o.drift.set_enabled(true);
-        for _ in 0..20 {
-            o.drift.record_edge(1, 0);
-            o.gauges.record_staleness(0, 1, 1);
-        }
-        o.drift.note_wall_floor(Some(1), 10);
-        o.drift.note_wall_floor(Some(1), 14);
-        o.fold_drift();
-        let drift = o.snapshot().drift;
+    fn wall_drag_and_advice_lines_render() {
+        let board = obs::GaugeBoard::new();
+        board.configure(2, 3);
+        board.note_wall_floor(Some(1), 10);
+        board.note_wall_floor(Some(1), 14);
         let zero = MetricsSnapshot::default();
         let text = render(&Frame {
-            title: "drifty",
+            title: "dragged",
             elapsed_secs: 1.0,
             interval_secs: 1.0,
             totals: &zero,
             delta: &zero,
-            gauges: &GaugeSnapshot::default(),
-            drift: &drift,
-            advice: Some("quality 666/1000: merge segments D0+D1"),
+            gauges: &board.snapshot(),
+            advice: Some("quality 666/1000, lint fails: merge segments D0+D1"),
             segment_names: &[],
         });
-        assert!(text.contains("drift     score=0‰"), "seed fold:\n{text}");
-        assert!(text.contains("folds=1"), "{text}");
-        assert!(text.contains("wall drag c1"), "{text}");
-        assert!(text.contains("c1=2"), "blame counts:\n{text}");
+        assert!(
+            text.contains("wall drag c1 held=4 ticks  blame: c1=2\n"),
+            "{text}"
+        );
         assert!(text.contains("advice    quality 666/1000"), "{text}");
     }
 
     #[test]
-    fn dashboard_advice_line_folds_through_the_advisor() {
+    fn dashboard_advice_line_lints_the_observed_shapes() {
         use hdd::analysis::AccessSpec;
         use txn_model::SegmentId;
         let specs = vec![
@@ -422,23 +392,33 @@ mod tests {
         let h = Arc::new(Hierarchy::build(2, &specs).unwrap());
         let m = Metrics::default();
         m.obs.configure(2, 2);
-        m.obs.drift.set_enabled(true);
+        m.obs.set_enabled(true);
+        m.obs.shapes.set_enabled(true);
         let mut d = Dashboard::new("live", vec![]).with_hierarchy(h);
-        // No folds yet: panel renders, advice line does not.
-        let text = d.frame(&m);
-        assert!(text.contains("drift     score"));
-        assert!(!text.contains("advice    "), "{text}");
-        // A cycle-closing mix, folded: the advisor suggests the merge.
-        for _ in 0..20 {
-            m.obs.drift.record_edge(0, 1);
-            m.obs.drift.record_edge(1, 0);
-        }
-        m.obs.fold_drift();
+        let begin = |class: u32, reads: &[u32], write: u32, n: usize| {
+            for _ in 0..n {
+                m.obs
+                    .began(class, reads.iter().copied(), [write].into_iter());
+            }
+        };
+        // Nothing begun yet: no advice line.
+        assert!(!d.frame(&m).contains("advice    "));
+        begin(0, &[], 0, 20);
+        begin(1, &[0], 1, 20);
         let text = d.frame(&m);
         assert!(
-            text.contains("advice    quality 0/1000: merge segments D0+D1"),
+            text.contains("advice    quality 1000/1000, lint ok: hierarchy matches"),
             "{text}"
         );
+        // A cycle-closing shape: the advice turns to the merge.
+        begin(0, &[1], 0, 20);
+        let text = d.frame(&m);
+        assert!(
+            text.contains("quality 0/1000, lint fails: merge segments D0+D1"),
+            "{text}"
+        );
+        assert!(text.contains("[changed]"), "{text}");
+        assert!(!d.frame(&m).contains("[changed]"), "same advice twice");
     }
 
     #[test]

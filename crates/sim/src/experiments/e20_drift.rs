@@ -1,30 +1,27 @@
-//! **E20 — workload drift observatory: detection latency and online
-//! advice vs offline lint** (no paper figure; ours).
+//! **E20 — observed shapes: online advice is `hdd-lint`** (no paper
+//! figure; ours).
 //!
 //! The paper's decomposition is chosen *a-priori* from declared
 //! transaction shapes (Section 3); Section 7.1.1 only sketches dynamic
 //! restructuring, which this repository does not implement (DESIGN.md
-//! §14). This experiment closes the observation half empirically: a
-//! four-segment workload whose grouped hierarchy `T0={D0,D1}`,
-//! `T1={D2}`, `T2={D3}` is driven through HDD with the drift sketch
-//! ([`obs::DriftBoard`]) enabled, and mid-run the class/segment mix
-//! shifts — the cycle-closing `b` shape (writes `D1`, reads `D0`)
-//! goes from absent to dominant. We measure:
+//! §14). This experiment checks the observation half: a four-segment
+//! workload whose grouped hierarchy `T0={D0,D1}`, `T1={D2}`, `T2={D3}`
+//! is driven through HDD with the shape table ([`obs::ShapeTable`])
+//! enabled, and mid-run the mix shifts — the cycle-closing `b` shape
+//! (writes `D1`, reads `D0`) goes from absent to dominant. After every
+//! sub-batch, [`certify::advise`] lints the observed shapes, passing
+//! its previous report. We check:
 //!
-//! 1. **Detection latency**: folds from the shift until the drift
-//!    score trips its threshold (bounded; quick CI asserts ≤ 3).
-//! 2. **Online = offline**: after the shift, the advisor's suggested
-//!    repartition over the *observed* co-access DHG must equal the
-//!    offline `repartition_to_tst` / `hdd-lint` repair for the
-//!    post-shift spec set (merge `D0+D1` — which is exactly the
-//!    grouping the hierarchy already runs, so the advisor reports
-//!    *optimal*); before the shift the same machinery suggests the
-//!    *split* of `{D0,D1}`.
-//! 3. **Negative control**: the steady phase never trips.
-//! 4. **Overhead**: hot-path throughput with the sketch enabled next to
-//!    the obs-only baseline — report-only: an in-process ratio of two
-//!    short runs is not a measurement, and the benchmark's obs leg runs
-//!    with the sketch off, so this row is the only drift-cost readout.
+//! 1. **Negative control**: the steady phase's calls after the first
+//!    give the same lint verdict and advised labels (no drift); its
+//!    advice is the *split* of `{D0,D1}`.
+//! 2. **Detection**: after the shift the advice changes within a
+//!    bounded number of calls (quick test asserts ≤ 3).
+//! 3. **Online = offline**: the post-shift advised partition equals
+//!    the offline `repartition_to_tst` of the post-shift spec set
+//!    (merge `D0+D1` — exactly the grouping the hierarchy already runs,
+//!    so the advisor reports *optimal*), and the online lint's help is
+//!    the offline `lint_specs` help, word for word.
 //!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e20
@@ -32,8 +29,8 @@
 
 use crate::concurrent::{run_concurrent, ConcurrentConfig};
 use crate::factory::build_hdd_with_config;
-use crate::report::{f2, Table};
-use certify::{advise, canonical_labels, lint_specs, DEFAULT_MIN_EDGE};
+use crate::report::Table;
+use certify::{advise, canonical_labels, lint_specs, AdvisorReport, LintReport};
 use hdd::analysis::{build_dhg, AccessSpec, Hierarchy};
 use hdd::decompose::repartition_to_tst;
 use hdd::protocol::HddConfig;
@@ -57,7 +54,7 @@ fn s(i: u32) -> SegmentId {
 /// * `c` — writes `D2`, reads `D0` (class 1);
 /// * `d` — writes `D3`, reads `D2`,`D0` (class 2);
 /// * `ro` — ad-hoc read-only over `D0`,`D3` (one critical path →
-///   Protocol A cross-reads feeding the access sketch).
+///   Protocol A cross-reads; a read-only shape the advisor skips).
 #[derive(Debug, Clone)]
 pub struct Phased {
     /// False = steady phase (no `b`); true = shifted phase (`b` is
@@ -192,27 +189,28 @@ pub fn observed_specs(shifted: bool) -> Vec<AccessSpec> {
     v
 }
 
+/// The first lint help of a report (the merge suggestion), or "".
+fn help(lint: &LintReport) -> String {
+    let help = lint.diagnostics.iter().find_map(|d| d.help.clone());
+    help.unwrap_or_default()
+}
+
 /// Everything E20 measured.
 #[derive(Debug, Clone)]
-pub struct DriftOutcome {
-    /// Transactions committed across both phases (main leg).
+pub struct ShapesOutcome {
+    /// Transactions committed across both phases.
     pub committed: usize,
-    /// Highest combined drift score over the steady post-seed folds.
-    pub steady_max_score_milli: u64,
-    /// Did the negative control trip? (Must be false.)
-    pub steady_tripped: bool,
-    /// Advisor quality for the steady phase (grouping is stale there:
+    /// Did a steady-phase call after the first change the advice?
+    /// (Must be false.)
+    pub steady_drifted: bool,
+    /// Advisor quality in the steady phase (the grouping is stale there:
     /// the observed DHG is a TST without merging `{D0,D1}`).
     pub phase_a_quality_milli: u64,
     /// First advisor suggestion in the steady phase (the split).
     pub phase_a_advice: String,
-    /// Folds from the mix shift until the board tripped (None = never,
+    /// Calls after the mix shift until the advice changed (None = never,
     /// within the sub-batch budget).
-    pub detection_folds: Option<u64>,
-    /// Combined score at (or after) the trip.
-    pub trip_score_milli: u64,
-    /// Threshold in force.
-    pub threshold_milli: u64,
+    pub detection_calls: Option<u64>,
     /// Advisor quality after the shift (1000: the running grouping IS
     /// the post-shift repair).
     pub post_quality_milli: u64,
@@ -221,36 +219,25 @@ pub struct DriftOutcome {
     /// Online advised partition == offline `repartition_to_tst` of the
     /// post-shift spec DHG.
     pub online_matches_offline: bool,
-    /// The offline linter's repair text for the post-shift specs.
-    pub offline_merge_help: String,
-    /// Did the trace ring carry a `drift-trip` instant (the Perfetto
-    /// marker)?
-    pub trace_has_trip_instant: bool,
-    /// Steady-mix throughput, obs on + drift off.
-    pub obs_only_cps: f64,
-    /// Steady-mix throughput, obs on + drift on.
-    pub obs_drift_cps: f64,
-    /// `obs_drift_cps / obs_only_cps` (report-only).
-    pub overhead_ratio: f64,
+    /// The online lint's help after the shift.
+    pub online_help: String,
+    /// The offline linter's help for the post-shift specs.
+    pub offline_help: String,
+    /// Update shapes the post-shift report linted.
+    pub shapes: usize,
+    /// Begins the shape table could not store.
+    pub overflow: u64,
 }
 
-/// Drive the phased run and both overhead legs.
-pub fn measure(quick: bool) -> DriftOutcome {
+/// Drive the phased run, advising after every sub-batch.
+pub fn measure(quick: bool) -> ShapesOutcome {
     let sub_txns = if quick { 400 } else { 4_000 };
     let workers = if quick { 2 } else { 4 };
     let mut w = Phased::new(64);
-    // drift_interval 0: folds happen only at our phase boundaries, so
-    // detection latency is deterministic in folds, not racy in ticks.
-    let (sched, _store, hierarchy) = build_hdd_with_config(
-        &w,
-        HddConfig {
-            drift_interval: 0,
-            ..HddConfig::default()
-        },
-    );
+    let (sched, _store, hierarchy) = build_hdd_with_config(&w, HddConfig::default());
     let obs = &sched.metrics().obs;
     obs.set_enabled(true);
-    obs.drift.set_enabled(true);
+    obs.shapes.set_enabled(true);
     let cfg = ConcurrentConfig {
         workers,
         obs: true,
@@ -259,42 +246,36 @@ pub fn measure(quick: bool) -> DriftOutcome {
     };
     let mut rng = StdRng::seed_from_u64(0x0E20_0001);
     let mut committed = 0usize;
-
-    // Steady phase: 4 sub-batches. The first fold seeds the EWMA
-    // baselines; the remaining three are the negative control.
-    let mut steady_max_score = 0u64;
-    for sub in 0..4 {
+    // One sub-batch, then one advisor call against the previous report.
+    let mut drive = |w: &mut Phased, prev: Option<&AdvisorReport>| {
         let programs: Vec<_> = (0..sub_txns).map(|_| w.generate(&mut rng)).collect();
         committed += run_concurrent(sched.as_ref(), programs, &cfg)
             .stats
             .committed;
-        sched.refresh_gauges_now();
-        sched.refresh_drift_now();
-        if sub > 0 {
-            steady_max_score = steady_max_score.max(obs.drift.score_milli());
-        }
+        advise(&hierarchy, &obs.snapshot().shapes, prev)
+    };
+
+    // Steady phase: 4 sub-batches. The first call has nothing to
+    // compare with; the other three are the negative control.
+    let mut phase_a = drive(&mut w, None);
+    let mut steady_drifted = false;
+    for _ in 1..4 {
+        phase_a = drive(&mut w, Some(&phase_a));
+        steady_drifted |= phase_a.drifted;
     }
-    let steady_tripped = obs.drift.tripped();
-    let phase_a = advise(&hierarchy, &obs.snapshot().drift, DEFAULT_MIN_EDGE);
 
-    // Shift: the b-heavy mix. Fold after every sub-batch until the
-    // board trips (budget: 6 folds).
+    // Shift: the b-heavy mix. Advise after every sub-batch until the
+    // advice changes (budget: 6 calls).
     w.shifted = true;
-    let mut detection_folds = None;
-    for sub in 0..6u64 {
-        let programs: Vec<_> = (0..sub_txns).map(|_| w.generate(&mut rng)).collect();
-        committed += run_concurrent(sched.as_ref(), programs, &cfg)
-            .stats
-            .committed;
-        sched.refresh_gauges_now();
-        sched.refresh_drift_now();
-        if obs.drift.tripped() {
-            detection_folds = Some(sub + 1);
+    let mut detection_calls = None;
+    let mut post = phase_a.clone();
+    for call in 1..=6u64 {
+        post = drive(&mut w, Some(&post));
+        if post.drifted {
+            detection_calls = Some(call);
             break;
         }
     }
-    let post_snap = obs.snapshot().drift;
-    let post = advise(&hierarchy, &post_snap, DEFAULT_MIN_EDGE);
 
     // Offline ground truth for the post-shift workload.
     let offline_plan = repartition_to_tst(&build_dhg(4, &observed_specs(true)));
@@ -305,82 +286,37 @@ pub fn measure(quick: bool) -> DriftOutcome {
             .map(|c| c.index())
             .collect::<Vec<_>>(),
     );
-    let lint = lint_specs(4, &observed_specs(true), None, "post-shift phase");
-    let offline_merge_help = lint
-        .diagnostics
-        .iter()
-        .find_map(|d| d.help.clone())
-        .unwrap_or_default();
+    let offline = lint_specs(4, &observed_specs(true), None, "post-shift phase");
 
-    let trace_has_trip_instant = obs
-        .events
-        .drain()
-        .iter()
-        .any(|(_, e)| matches!(e.decision(), Some(obs::TraceEvent::DriftTrip { .. })));
-
-    // Overhead legs: same steady mix, fresh schedulers, obs on in both;
-    // the sketch's own switch is the only difference. Best-of-3 per leg
-    // so scheduler jitter doesn't dominate the single-digit-percent cost
-    // being shown.
-    let over_txns = if quick { 1_500 } else { 12_000 };
-    let leg = |drift_on: bool, seed: u64| -> f64 {
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let mut w = Phased::new(64);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let programs: Vec<_> = (0..over_txns).map(|_| w.generate(&mut rng)).collect();
-            let (sched, _store, _h) = build_hdd_with_config(&w, HddConfig::default());
-            sched.metrics().obs.set_enabled(true);
-            sched.metrics().obs.drift.set_enabled(drift_on);
-            best = best.max(run_concurrent(sched.as_ref(), programs, &cfg).throughput);
-        }
-        best
-    };
-    let obs_only_cps = leg(false, 0x0E20_00FF);
-    let obs_drift_cps = leg(true, 0x0E20_00FF);
-
-    DriftOutcome {
+    ShapesOutcome {
         committed,
-        steady_max_score_milli: steady_max_score,
-        steady_tripped,
+        steady_drifted,
         phase_a_quality_milli: phase_a.quality_milli,
         phase_a_advice: phase_a
             .suggestions
             .first()
             .map(|a| phase_a.advice_text(a))
             .unwrap_or_default(),
-        detection_folds,
-        trip_score_milli: post_snap.score_milli,
-        threshold_milli: post_snap.threshold_milli,
+        detection_calls,
         post_quality_milli: post.quality_milli,
         post_optimal: post.hierarchy_is_optimal(),
         online_matches_offline: post.advised_labels == offline_labels,
-        offline_merge_help,
-        trace_has_trip_instant,
-        obs_only_cps,
-        obs_drift_cps,
-        overhead_ratio: if obs_only_cps > 0.0 {
-            obs_drift_cps / obs_only_cps
-        } else {
-            0.0
-        },
+        online_help: help(&post.lint),
+        offline_help: help(&offline),
+        shapes: post.shapes,
+        overflow: post.overflow,
     }
 }
 
 /// The headline table.
-pub fn table(o: &DriftOutcome) -> Table {
+pub fn table(o: &ShapesOutcome) -> Table {
     let mut t = Table::new(
-        "E20 — workload drift: detection latency, online vs offline advice, overhead",
+        "E20 — observed shapes: online advice is hdd-lint over the admitted shapes",
         &["metric", "value", "expectation"],
     );
     t.row(&[
-        "steady-max-score".to_string(),
-        format!("{}‰", o.steady_max_score_milli),
-        format!("< {}‰ (no trip)", o.threshold_milli),
-    ]);
-    t.row(&[
-        "steady-tripped".to_string(),
-        o.steady_tripped.to_string(),
+        "steady-drifted".to_string(),
+        o.steady_drifted.to_string(),
         "false".to_string(),
     ]);
     t.row(&[
@@ -389,15 +325,10 @@ pub fn table(o: &DriftOutcome) -> Table {
         "split of {D0,D1}".to_string(),
     ]);
     t.row(&[
-        "detection-folds".to_string(),
-        o.detection_folds
+        "detection-calls".to_string(),
+        o.detection_calls
             .map_or("never".to_string(), |f| f.to_string()),
         "<= 3".to_string(),
-    ]);
-    t.row(&[
-        "trip-score".to_string(),
-        format!("{}‰ / {}‰", o.trip_score_milli, o.threshold_milli),
-        "over threshold".to_string(),
     ]);
     t.row(&[
         "post-shift-advice".to_string(),
@@ -413,24 +344,19 @@ pub fn table(o: &DriftOutcome) -> Table {
         "true".to_string(),
     ]);
     t.row(&[
-        "offline-merge-help".to_string(),
-        o.offline_merge_help.clone(),
+        "online-lint-help".to_string(),
+        o.online_help.clone(),
         "merge D0+D1".to_string(),
     ]);
     t.row(&[
-        "trip-instant".to_string(),
-        o.trace_has_trip_instant.to_string(),
-        "in Perfetto trace".to_string(),
+        "help-matches-offline".to_string(),
+        (o.online_help == o.offline_help).to_string(),
+        "true".to_string(),
     ]);
     t.row(&[
-        "overhead".to_string(),
-        format!(
-            "{} vs {} c/s (ratio {})",
-            f2(o.obs_drift_cps),
-            f2(o.obs_only_cps),
-            f2(o.overhead_ratio)
-        ),
-        "report-only".to_string(),
+        "shapes".to_string(),
+        format!("{} linted, {} overflowed", o.shapes, o.overflow),
+        "4 update shapes, 0".to_string(),
     ]);
     t
 }
@@ -480,26 +406,15 @@ mod tests {
         assert_eq!(shifted.n_classes, 3);
         let lint = lint_specs(4, &observed_specs(true), None, "shifted");
         assert!(!lint.ok(), "the shifted spec set has a directed cycle");
-        let help = lint
-            .diagnostics
-            .iter()
-            .find_map(|d| d.help.as_deref())
-            .unwrap();
-        assert!(help.contains("merge segments D0+D1"), "{help}");
+        assert!(help(&lint).contains("merge segments D0+D1"));
     }
 
     #[test]
-    fn quick_run_detects_the_shift_and_matches_offline_advice() {
+    fn quick_run_holds_steady_then_detects_the_shift_as_offline_lint() {
         let o = measure(true);
         assert!(o.committed > 0);
-        // Negative control: the steady phase must stay silent.
-        assert!(!o.steady_tripped, "steady phase tripped the board");
-        assert!(
-            o.steady_max_score_milli < o.threshold_milli,
-            "steady score {}‰ reached the {}‰ threshold",
-            o.steady_max_score_milli,
-            o.threshold_milli
-        );
+        // Negative control: the steady phase's advice never changes.
+        assert!(!o.steady_drifted, "steady phase changed its advice");
         // Steady-phase advice: the observed DHG needs no merge, so the
         // running {D0,D1} grouping is stale — a split suggestion.
         assert!(o.phase_a_quality_milli < 1000);
@@ -509,23 +424,19 @@ mod tests {
             o.phase_a_advice
         );
         // Detection: bounded latency after the mix shift.
-        let folds = o.detection_folds.expect("the shift was never detected");
-        assert!(folds <= 3, "detection took {folds} folds");
-        assert!(o.trip_score_milli >= o.threshold_milli);
-        assert!(o.trace_has_trip_instant, "no drift-trip trace instant");
+        let calls = o.detection_calls.expect("the shift was never detected");
+        assert!(calls <= 3, "detection took {calls} calls");
         // Online advice == offline lint for the post-shift workload.
         assert!(o.post_optimal, "post-shift grouping must be optimal");
         assert_eq!(o.post_quality_milli, 1000);
         assert!(o.online_matches_offline);
         assert!(
-            o.offline_merge_help.contains("merge segments D0+D1"),
+            o.online_help.contains("merge segments D0+D1"),
             "{}",
-            o.offline_merge_help
+            o.online_help
         );
-        // Overhead legs ran; their ratio is report-only (no clock gates
-        // a test).
-        assert!(o.obs_only_cps > 0.0 && o.obs_drift_cps > 0.0);
-        let t = table(&o);
-        assert_eq!(t.rows.len(), 10);
+        assert_eq!(o.online_help, o.offline_help);
+        assert_eq!((o.shapes, o.overflow), (4, 0));
+        assert_eq!(table(&o).rows.len(), 8);
     }
 }

@@ -30,7 +30,7 @@ use crate::report::Table;
 /// E12 message analysis, the E14 observability profile, the E15
 /// certification sweep, the E16 chaos soak, the E17 staleness-gauge
 /// observatory, the E18 flight-recorder blame profile, the E19
-/// durability suite and the E20 workload-drift observatory) and return
+/// durability suite and the E20 observed-shape advisor) and return
 /// the tables in order.
 pub fn run_all(quick: bool) -> Vec<Table> {
     vec![

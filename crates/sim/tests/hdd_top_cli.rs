@@ -1,13 +1,14 @@
 //! The `sim` binaries as processes. All three share `sim::cli`, so one
 //! table checks that each rejects a mistyped command line instead of
-//! running its defaults; `hdd-advisor --json` keeps its machine-readable
-//! shape; and `hdd-top --chaos` runs its wave through the one concurrent
+//! running its defaults; a bad seconds value exits 2 at once instead of
+//! panicking (and, in `hdd-top`, hanging); `hdd-advisor --json` keeps
+//! its machine-readable shape; and `hdd-top --chaos` runs its wave through the one concurrent
 //! driver with a generated fault plan against a scheduler that has a
 //! lease, so crashed transactions are reaped before the snapshot and the
 //! single frame's rates cover the wave, not the few hundred nanoseconds
 //! after it.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -41,6 +42,42 @@ fn every_binary_rejects_typos_and_answers_help() {
 }
 
 #[test]
+fn bad_seconds_values_exit_2_without_hanging() {
+    let bins = [
+        (env!("CARGO_BIN_EXE_hdd-top"), &["--frames", "1"][..]),
+        (env!("CARGO_BIN_EXE_hdd-advisor"), &["--watch"][..]),
+    ];
+    for (exe, lead) in bins {
+        for [flag, value] in [["--duration-s", "-1"], ["--hz", "nan"], ["--hz", "1e-300"]] {
+            let args = [lead, &[flag, value]].concat();
+            let mut child = Command::new(exe)
+                .args(&args)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawns");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let status = loop {
+                if let Some(status) = child.try_wait().expect("waits") {
+                    break status;
+                }
+                if Instant::now() >= deadline {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    panic!("{exe} {args:?} still running after 5 s");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            };
+            let out = child.wait_with_output().expect("collects stderr");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(status.code(), Some(2), "{exe} {args:?}: {stderr}");
+            assert!(stderr.contains("USAGE:"), "{exe} {args:?}: {stderr}");
+            assert!(stderr.contains(flag), "the error names the flag: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn advisor_json_keeps_its_machine_readable_shape() {
     let out = Command::new(env!("CARGO_BIN_EXE_hdd-advisor"))
         .args(["--json", "--txns", "500", "--waves", "1"])
@@ -52,7 +89,8 @@ fn advisor_json_keeps_its_machine_readable_shape() {
         "quality_milli",
         "optimal",
         "advised_labels",
-        "drift_score_milli",
+        "shapes",
+        "overflow",
         "suggestions",
     ] {
         assert!(json.contains(&format!("\"{key}\"")), "lost {key}: {json}");

@@ -7,7 +7,9 @@
 //!
 //! Plus a direct 8-thread hammer on a shared [`obs::Obs`]: concurrent
 //! recording into every dimension loses nothing and `snapshot()` taken
-//! mid-storm never observes count/bucket mismatches.
+//! mid-storm never observes count/bucket mismatches, and a 4-thread
+//! storm of begins that counts each one exactly once in the shape table,
+//! stored or overflowed.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,4 +129,32 @@ fn shared_obs_eight_thread_hammer_loses_nothing() {
     assert_eq!(s.commit_latency.min, 1);
     assert_eq!(s.commit_latency.max, 8 * PER_THREAD);
     assert_eq!(s.trace_recorded, 8 * PER_THREAD.div_ceil(64));
+}
+
+#[test]
+fn concurrent_begins_are_each_counted_once_in_the_shape_table() {
+    let o = std::sync::Arc::new(obs::Obs::new());
+    o.set_enabled(true);
+    o.shapes.set_enabled(true);
+    const THREADS: u32 = 4;
+    const PER_THREAD: u32 = 3_000;
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let o = std::sync::Arc::clone(&o);
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    // 4 × 200 distinct shapes: more than the table holds.
+                    let read = i % 200;
+                    o.began(t, [read, t, read].into_iter(), [t].into_iter());
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let s = o.snapshot().shapes;
+    assert_eq!(s.begins(), u64::from(THREADS * PER_THREAD));
+    assert_eq!(s.shapes.len(), obs::MAX_SHAPES);
+    assert!(s.overflow > 0, "800 distinct shapes overflow the table");
 }
