@@ -25,20 +25,29 @@
 //! *before* the insert, yielding a bound above the newcomer's start —
 //! and with it, reads that straddle another transaction's commit.
 //!
-//! Queries exploit a lazily-advanced **settled cursor**: the longest
-//! prefix of (start-sorted) intervals in which every transaction has
-//! ended, together with the maximum end time inside that prefix. For a
-//! query at `m` at or above that maximum, no settled interval can still
-//! be active at `m` (its end is ≤ the maximum ≤ `m`), so the scan starts
-//! at the cursor and touches only the *active window* — O(active), not
-//! O(total history). The instrumented scan counter keeps this claim
-//! testable.
+//! Queries ride a **prefix-max index** over the settled prefix — the
+//! longest prefix of (start-sorted) intervals in which every
+//! transaction has ended. Invariant: `settled_max[i]` is the largest end
+//! over `entries[..=i]`, for every `i` below `settled_max.len()`, which
+//! is the settled prefix's length. The index is non-decreasing, so for
+//! a query at `m` below its last value one `partition_point` finds the
+//! first interval ending after `m` — the oldest settled interval that
+//! can still be active at `m` — and `C_late` reads the largest settled
+//! end among intervals starting before `m` in one more search and one
+//! lookup. Only the *active window* behind the settled prefix is
+//! scanned: O(log history + active window) per query, under the class
+//! lock. The instrumented scan counter (probes plus window entries)
+//! keeps this claim testable.
+//!
+//! The queries extend the index themselves, one value per interval
+//! that ended since the last query, before they answer. `end` leaves
+//! it alone, so a commit stays one in-place write and the index's cache
+//! lines are written by the cores that read them.
 //!
 //! History is pruned by garbage collection: an interval that ended before
 //! the GC watermark can never again satisfy `end > m` for future queries.
 
 use mc::sync::Mutex;
-use std::cell::Cell;
 use txn_model::{ClassId, Timestamp};
 
 /// Outcome of a `C_late` evaluation.
@@ -68,15 +77,15 @@ struct Interval {
 pub struct ClassActivity {
     /// Sorted ascending by `start` (starts are unique clock ticks).
     entries: Vec<Interval>,
-    /// Length of the longest all-ended prefix of `entries`.
-    settled: usize,
-    /// Maximum end time within the settled prefix (`ZERO` when empty).
-    settled_max_end: Timestamp,
+    /// Prefix-max index over the longest all-ended prefix of
+    /// `entries`: position `i` holds the largest end over
+    /// `entries[..=i]`; its length is the settled prefix's.
+    settled_max: Vec<Timestamp>,
     /// Number of entries still running (`end == None`).
     running: usize,
     /// Intervals examined by `i_old`/`c_late` since construction
-    /// (instrumentation; `Cell` is fine — the struct lives in a mutex).
-    scans: Cell<u64>,
+    /// (instrumentation).
+    scans: u64,
 }
 
 impl ClassActivity {
@@ -84,37 +93,12 @@ impl ClassActivity {
         self.entries.binary_search_by_key(&start, |e| e.start)
     }
 
-    /// Advance the settled cursor over every ended entry it now covers.
+    /// Extend the index over every entry that ended since the last
+    /// query, making the settled prefix the longest all-ended one again.
     fn advance_settled(&mut self) {
-        while let Some(e) = self.entries.get(self.settled) {
-            match e.end {
-                Some(end) => {
-                    if end > self.settled_max_end {
-                        self.settled_max_end = end;
-                    }
-                    self.settled += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Recompute all cursors from scratch (cold paths: prune/absorb).
-    fn rebuild_cursors(&mut self) {
-        self.settled = 0;
-        self.settled_max_end = Timestamp::ZERO;
-        self.running = self.entries.iter().filter(|e| e.end.is_none()).count();
-        self.advance_settled();
-    }
-
-    /// First entry index a query at `m` must examine: entries below the
-    /// settled cursor have all ended at or before `settled_max_end`, so
-    /// for `m ≥ settled_max_end` none can satisfy `end > m`.
-    fn scan_start(&self, m: Timestamp) -> usize {
-        if m >= self.settled_max_end {
-            self.settled
-        } else {
-            0
+        while let Some(end) = self.entries.get(self.settled_max.len()).and_then(|e| e.end) {
+            let max = self.settled_max.last().map_or(end, |&m| m.max(end));
+            self.settled_max.push(max);
         }
     }
 
@@ -142,10 +126,9 @@ impl ClassActivity {
                         committed: false,
                     },
                 );
-                if i < self.settled {
-                    // A running entry appeared inside the settled prefix.
-                    self.rebuild_cursors();
-                }
+                // A running entry inside the settled prefix cuts it short;
+                // the maxima over what remains are unchanged.
+                self.settled_max.truncate(i);
             }
         }
     }
@@ -158,9 +141,6 @@ impl ClassActivity {
             self.entries[i].end = Some(end);
             self.entries[i].committed = committed;
             self.running -= 1;
-            if i == self.settled {
-                self.advance_settled();
-            }
         } else {
             debug_assert!(false, "ending unknown transaction {start}");
         }
@@ -168,27 +148,44 @@ impl ClassActivity {
 
     /// `I_old(m)`: the initiation time of the oldest transaction active at
     /// `m`, or `m` itself when none is active.
-    pub fn i_old(&self, m: Timestamp) -> Timestamp {
+    pub fn i_old(&mut self, m: Timestamp) -> Timestamp {
         self.i_old_counted(m).0
     }
 
     /// [`i_old`](Self::i_old) plus the number of intervals the
-    /// evaluation examined — the per-call scan length behind the
-    /// O(active) claim, fed to the obs registry-scan histogram.
-    pub fn i_old_counted(&self, m: Timestamp) -> (Timestamp, u64) {
+    /// evaluation examined (index probes plus window entries) — the
+    /// per-call scan length behind the O(log history + active window)
+    /// claim, fed to the obs registry-scan histogram. Extending the index
+    /// is not counted: each interval is pushed once, by whichever query
+    /// first finds it ended.
+    pub fn i_old_counted(&mut self, m: Timestamp) -> (Timestamp, u64) {
+        self.advance_settled();
         let mut scanned = 0u64;
-        for e in &self.entries[self.scan_start(m)..] {
-            scanned += 1;
-            if e.start >= m {
-                break; // sorted: no further entry can have start < m
+        let oldest = 'found: {
+            if self.settled_max.last().is_some_and(|&max| max > m) {
+                // The first settled interval ending after `m` is the
+                // oldest that can be active at `m`: every earlier one
+                // ended by then, and every later one starts after it.
+                let i = self.settled_max.partition_point(|&max| {
+                    scanned += 1;
+                    max <= m
+                });
+                break 'found self.entries[i].start.min(m);
             }
-            if e.end.is_none_or(|end| end > m) {
-                self.scans.set(self.scans.get() + scanned);
-                return (e.start, scanned);
+            // No settled interval is active at `m`: scan the window.
+            for e in &self.entries[self.settled_max.len()..] {
+                scanned += 1;
+                if e.start >= m {
+                    break; // sorted: no further entry can have start < m
+                }
+                if e.end.is_none_or(|end| end > m) {
+                    break 'found e.start;
+                }
             }
-        }
-        self.scans.set(self.scans.get() + scanned);
-        (m, scanned)
+            m
+        };
+        self.scans += scanned;
+        (oldest, scanned)
     }
 
     /// `C_late(m)`: the latest *end* time (commit or abort) of
@@ -202,52 +199,64 @@ impl ClassActivity {
     /// as active — and an aborted transaction is active until its abort.
     /// Using the abort time is safe: it only pushes the wall later, past
     /// the point where the (version-less) aborted transaction is gone.
-    pub fn c_late(&self, m: Timestamp) -> CLate {
-        let mut max_end = m;
+    pub fn c_late(&mut self, m: Timestamp) -> CLate {
+        self.advance_settled();
         let mut scanned = 0u64;
-        for e in &self.entries[self.scan_start(m)..] {
-            scanned += 1;
-            if e.start > m {
-                break;
-            }
-            match e.end {
-                None => {
-                    self.scans.set(self.scans.get() + scanned);
-                    return CLate::NotComputable;
-                }
-                Some(end) => {
-                    if e.start < m && end > m && end > max_end {
-                        max_end = end;
-                    }
-                }
+        let settled = self.settled_max.len();
+        let mut max_end = m;
+        if self.settled_max.last().is_some_and(|&max| max > m) {
+            // The largest end among settled intervals starting before
+            // `m` is, when above `m`, the latest among those active at `m`.
+            let k = self.entries[..settled].partition_point(|e| {
+                scanned += 1;
+                e.start < m
+            });
+            if k > 0 {
+                max_end = max_end.max(self.settled_max[k - 1]);
             }
         }
-        self.scans.set(self.scans.get() + scanned);
-        CLate::Time(max_end)
+        let late = 'scan: {
+            for e in &self.entries[settled..] {
+                scanned += 1;
+                if e.start > m {
+                    break;
+                }
+                match e.end {
+                    None => break 'scan CLate::NotComputable,
+                    Some(end) if e.start < m && end > max_end => max_end = end,
+                    Some(_) => {}
+                }
+            }
+            CLate::Time(max_end)
+        };
+        self.scans += scanned;
+        late
     }
 
     /// The initiation time of the oldest transaction still running, if
     /// any (GC watermark input).
-    pub fn oldest_running(&self) -> Option<Timestamp> {
-        if self.running == 0 {
-            return None;
-        }
-        self.entries[self.settled..]
-            .iter()
-            .find(|e| e.end.is_none())
-            .map(|e| e.start)
+    pub fn oldest_running(&mut self) -> Option<Timestamp> {
+        // The longest all-ended prefix stops at the oldest running entry.
+        self.advance_settled();
+        self.entries.get(self.settled_max.len()).map(|e| e.start)
     }
 
     /// Drop intervals that ended before `wm`; they can never satisfy
     /// `end > m` for queries with `m ≥ wm`. Returns entries dropped.
+    ///
+    /// The index drops the same positions and is otherwise unchanged:
+    /// a kept settled interval ends at or after `wm`, above every dropped
+    /// end, so no prefix max it takes part in came from a dropped one.
     pub fn prune_ended_before(&mut self, wm: Timestamp) -> usize {
+        let kept = |e: &Interval| e.end.is_none_or(|end| end >= wm);
+        let mut i = 0;
+        self.settled_max.retain(|_| {
+            i += 1;
+            kept(&self.entries[i - 1])
+        });
         let before = self.entries.len();
-        self.entries.retain(|e| e.end.is_none_or(|end| end >= wm));
-        let dropped = before - self.entries.len();
-        if dropped > 0 {
-            self.rebuild_cursors();
-        }
-        dropped
+        self.entries.retain(kept);
+        before - self.entries.len()
     }
 
     /// Number of retained intervals.
@@ -262,14 +271,15 @@ impl ClassActivity {
 
     /// Intervals examined by `i_old`/`c_late` since construction.
     pub fn scan_count(&self) -> u64 {
-        self.scans.get()
+        self.scans
     }
 
     /// Live shape of this class's history (gauge-board sampling).
-    pub fn stats(&self) -> ClassStats {
+    pub fn stats(&mut self) -> ClassStats {
+        self.advance_settled();
         ClassStats {
             intervals: self.entries.len(),
-            settled: self.settled,
+            settled: self.settled_max.len(),
             running: self.running,
         }
     }
@@ -279,39 +289,44 @@ impl ClassActivity {
     /// history from the surviving schedule log.
     pub fn absorb(&mut self, intervals: &[(Timestamp, Option<Timestamp>, bool)]) {
         for &(start, end, committed) in intervals {
-            match self.position(start) {
-                Ok(_) => {} // already present (idempotent hand-off)
-                Err(i) => self.entries.insert(
+            // A start already present is skipped (idempotent hand-off).
+            if let Err(i) = self.position(start) {
+                self.entries.insert(
                     i,
                     Interval {
                         start,
                         end,
                         committed,
                     },
-                ),
+                );
+                // As in `begin`: the index keeps only the prefix before `i`.
+                self.settled_max.truncate(i);
+                self.running += usize::from(end.is_none());
             }
         }
-        self.rebuild_cursors();
     }
 }
 
 /// A point-in-time view of one class's activity history shape, sampled
 /// for the gauge board: interval and running counts plus the settled
-/// cursor, whose lag ([`ClassStats::settled_lag`]) is the leading
-/// indicator of `I_old`/`C_late` scan cost.
+/// prefix's length, whose lag ([`ClassStats::settled_lag`]) bounds the
+/// window part of `I_old`/`C_late` scan cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassStats {
     /// Intervals currently retained.
     pub intervals: usize,
-    /// Length of the settled (all-ended) prefix.
+    /// Length of the settled (all-ended) prefix — and of its prefix-max
+    /// index.
     pub settled: usize,
     /// Entries still running (`end == None`).
     pub running: usize,
 }
 
 impl ClassStats {
-    /// Intervals not yet behind the settled cursor — the portion a
-    /// bound evaluation may still have to scan.
+    /// Intervals behind the settled prefix — the active window a bound
+    /// evaluation may still scan entry by entry. The settled prefix costs
+    /// at most one binary search over its prefix-max index, so a query
+    /// costs O(log history + active window).
     pub fn settled_lag(&self) -> usize {
         self.intervals.saturating_sub(self.settled)
     }
@@ -435,7 +450,8 @@ impl ActivityRegistry {
     }
 
     /// Total intervals examined by `i_old`/`c_late` across all classes
-    /// since construction (instrumentation for the O(active) claim).
+    /// since construction (instrumentation for the O(log history + active
+    /// window) claim).
     pub fn scan_count(&self) -> u64 {
         self.classes.iter().map(|c| c.lock().scan_count()).sum()
     }
@@ -614,9 +630,9 @@ mod tests {
         assert_eq!(r.interval_count(), 100);
     }
 
-    /// The O(active) acceptance criterion: after histories settle (or are
-    /// pruned), `i_old` cost is independent of how many transactions ever
-    /// began — the scan touches only the active window.
+    /// At an `m` at or above every settled end, `i_old` cost is
+    /// independent of how many transactions ever began: the index is not
+    /// probed and the scan touches only the active window.
     #[test]
     fn i_old_scan_cost_independent_of_history_length() {
         let probe = |total: u64| -> u64 {
@@ -643,6 +659,220 @@ mod tests {
             "i_old must not rescan the ended prefix (scan cost {small} vs {large})"
         );
         assert!(small <= 4, "scan bounded by the active window, got {small}");
+    }
+
+    /// At a past `m` inside a settled history — one interval of it still
+    /// active at `m` — `i_old` and `c_late` cost O(log history + active
+    /// window): one binary search over the prefix-max index, not a scan
+    /// of the intervals that ended before `m`.
+    #[test]
+    fn past_m_queries_cost_log_history_plus_window() {
+        let probe = |n: u64| {
+            let mut a = ClassActivity::default();
+            // `n` settled intervals (2i+1, 2i+2); the one at `k` instead
+            // ends after every other, at `late`.
+            let (k, late) = (n / 2, ts(2 * n + 5));
+            for i in 0..n {
+                let s = ts(2 * i + 1);
+                a.begin(s);
+                a.end(s, if i == k { late } else { ts(2 * i + 2) }, true);
+            }
+            let window = 3;
+            for w in 0..window {
+                a.begin(ts(2 * n + 10 + w));
+            }
+            // `m` falls after interval k began and every earlier one ended.
+            let m = ts(2 * k + 3);
+            let bound = u64::from(n.next_power_of_two().trailing_zeros()) + 1 + window;
+            let before = a.scan_count();
+            assert_eq!(a.i_old(m), ts(2 * k + 1), "n={n}");
+            let i_old_cost = a.scan_count() - before;
+            let before = a.scan_count();
+            assert_eq!(a.c_late(m), CLate::Time(late), "n={n}");
+            let c_late_cost = a.scan_count() - before;
+            assert!(
+                i_old_cost <= bound && c_late_cost <= bound,
+                "n={n}: i_old scanned {i_old_cost}, c_late {c_late_cost}, bound {bound}"
+            );
+        };
+        probe(100);
+        probe(10_000);
+    }
+
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The definitions of Sections 4.1/5.1 evaluated by a linear scan
+    /// over unsorted `(start, end)` pairs — the reference the indexed
+    /// `ClassActivity` is checked against.
+    #[derive(Default)]
+    struct LinearActivity {
+        intervals: Vec<(Timestamp, Option<Timestamp>)>,
+    }
+
+    impl LinearActivity {
+        fn active_at(&self, m: Timestamp) -> impl Iterator<Item = &(Timestamp, Option<Timestamp>)> {
+            self.intervals
+                .iter()
+                .filter(move |(s, e)| *s < m && e.is_none_or(|e| e > m))
+        }
+
+        fn i_old(&self, m: Timestamp) -> Timestamp {
+            self.active_at(m).map(|&(s, _)| s).min().unwrap_or(m)
+        }
+
+        fn c_late(&self, m: Timestamp) -> CLate {
+            if self.intervals.iter().any(|(s, e)| *s <= m && e.is_none()) {
+                return CLate::NotComputable;
+            }
+            CLate::Time(self.active_at(m).filter_map(|&(_, e)| e).max().unwrap_or(m))
+        }
+
+        fn oldest_running(&self) -> Option<Timestamp> {
+            self.intervals
+                .iter()
+                .filter(|(_, e)| e.is_none())
+                .map(|&(s, _)| s)
+                .min()
+        }
+
+        fn stats(&self) -> ClassStats {
+            let mut sorted = self.intervals.clone();
+            sorted.sort();
+            ClassStats {
+                intervals: sorted.len(),
+                settled: sorted.iter().take_while(|(_, e)| e.is_some()).count(),
+                running: sorted.iter().filter(|(_, e)| e.is_none()).count(),
+            }
+        }
+    }
+
+    /// 200 seeded scripts of appending and out-of-order begins, commits,
+    /// aborts, `absorb` and `prune_ended_before` (the `hdd::resume` and
+    /// GC paths): after every step `i_old`, `c_late`, `oldest_running`
+    /// and `stats` agree with the linear reference at every `m` in
+    /// `[0, now + 1]`, and `i_old` and `c_late` scan at most one binary
+    /// search plus the active window.
+    #[test]
+    fn indexed_queries_match_a_linear_reference_on_200_seeded_scripts() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64(seed);
+            let mut a = ClassActivity::default();
+            let mut reference = LinearActivity::default();
+            let mut now = 0u64;
+            let mut used = std::collections::HashSet::new();
+            // An unused tick strictly below `now` (out-of-order starts).
+            let past = |rng: &mut SplitMix64, now: u64, used: &std::collections::HashSet<u64>| {
+                (0..8)
+                    .map(|_| 1 + rng.below(now.max(2) - 1))
+                    .find(|t| *t < now && !used.contains(t))
+            };
+            for step in 0..60 {
+                match rng.below(10) {
+                    0..=2 => {
+                        // Ticks skip up to two values, left for
+                        // out-of-order starts.
+                        now += 1 + rng.below(3);
+                        used.insert(now);
+                        a.begin(ts(now));
+                        reference.intervals.push((ts(now), None));
+                    }
+                    3..=5 => {
+                        let running: Vec<usize> = (0..reference.intervals.len())
+                            .filter(|&i| reference.intervals[i].1.is_none())
+                            .collect();
+                        if !running.is_empty() {
+                            let i = running[rng.below(running.len() as u64) as usize];
+                            now += 1 + rng.below(3);
+                            used.insert(now);
+                            let start = reference.intervals[i].0;
+                            a.end(start, ts(now), rng.below(3) > 0);
+                            reference.intervals[i].1 = Some(ts(now));
+                        }
+                    }
+                    6 => {
+                        if let Some(t) = past(&mut rng, now, &used) {
+                            used.insert(t);
+                            a.begin(ts(t));
+                            reference.intervals.push((ts(t), None));
+                        }
+                    }
+                    7 => {
+                        let mut batch = Vec::new();
+                        for _ in 0..=rng.below(3) {
+                            if let Some(t) = past(&mut rng, now, &used) {
+                                used.insert(t);
+                                let end = match rng.below(3) {
+                                    0 => None,
+                                    _ => Some(ts(t + 1 + rng.below(6))),
+                                };
+                                batch.push((ts(t), end, true));
+                                reference.intervals.push((ts(t), end));
+                            }
+                        }
+                        now = batch
+                            .iter()
+                            .filter_map(|b| b.1)
+                            .map(|e| e.0)
+                            .fold(now, u64::max);
+                        // A start already present is ignored (idempotent).
+                        if let Some(&(s, _)) = reference.intervals.first() {
+                            batch.push((s, Some(ts(now + 1)), false));
+                        }
+                        a.absorb(&batch);
+                    }
+                    _ => {
+                        let wm = ts(rng.below(now + 2));
+                        let before = reference.intervals.len();
+                        reference
+                            .intervals
+                            .retain(|(_, e)| e.is_none_or(|e| e >= wm));
+                        let dropped = before - reference.intervals.len();
+                        assert_eq!(a.prune_ended_before(wm), dropped, "seed {seed} step {step}");
+                    }
+                }
+                let ctx = format!("seed {seed} step {step}");
+                let expected = reference.stats();
+                // One binary search plus the active window.
+                let bound = u64::from(usize::BITS - expected.settled.leading_zeros())
+                    + 1
+                    + expected.settled_lag() as u64;
+                // One call on the index as the step left it: every entry
+                // point must extend it before answering.
+                let m = ts(rng.below(now + 2));
+                let before = a.scan_count();
+                match rng.below(4) {
+                    0 => assert_eq!(a.stats(), expected, "{ctx}: first"),
+                    1 => assert_eq!(a.oldest_running(), reference.oldest_running(), "{ctx}"),
+                    2 => assert_eq!(a.i_old(m), reference.i_old(m), "{ctx}: first i_old({m})"),
+                    _ => assert_eq!(a.c_late(m), reference.c_late(m), "{ctx}: first c_late({m})"),
+                }
+                let first = a.scan_count() - before;
+                assert!(first <= bound, "{ctx}: first call at {m} scanned {first}");
+                assert_eq!(a.stats(), expected, "{ctx}: stats");
+                assert_eq!(a.oldest_running(), reference.oldest_running(), "{ctx}");
+                for m in (0..=now + 1).map(ts) {
+                    let before = a.scan_count();
+                    assert_eq!(a.i_old(m), reference.i_old(m), "{ctx}: i_old({m})");
+                    assert_eq!(a.c_late(m), reference.c_late(m), "{ctx}: c_late({m})");
+                    let both = a.scan_count() - before;
+                    assert!(both <= 2 * bound, "{ctx}: at {m} scanned {both}");
+                }
+            }
+        }
     }
 
     /// Same independence claim via the registry + prune path.

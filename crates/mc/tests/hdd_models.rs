@@ -144,6 +144,10 @@ fn registry_end_racy_tick_outside_lock_is_caught() {
 
 /// The fixed end path (`end_with`) under the same schedule shape is
 /// clean: drawing the end tick under the class lock closes the window.
+/// The spawned thread then begins and ends a second transaction, so in
+/// some interleavings the first `I_old(m)` scans the active window while
+/// the second finds `m` below the settled prefix's largest end and
+/// answers from the prefix-max index — both must agree.
 #[test]
 fn registry_end_with_is_clean() {
     let report = check(Config::exhaustive(), || {
@@ -153,6 +157,8 @@ fn registry_end_with_is_clean() {
         let (c2, r2) = (Arc::clone(&clock), Arc::clone(&reg));
         let t = mc::thread::spawn(move || {
             r2.end_with(C0, start, true, || c2.tick());
+            let next = r2.begin_with(C0, || c2.tick());
+            r2.end_with(C0, next, false, || c2.tick());
         });
         let m = clock.tick();
         let first = reg.i_old(C0, m);
@@ -161,7 +167,11 @@ fn registry_end_with_is_clean() {
         t.join().unwrap();
     });
     report.assert_clean("end_with_clean");
-    assert!(report.complete);
+    assert!(report.complete, "end_with model must exhaust");
+    println!(
+        "registry end_with model: {} interleavings explored exhaustively (max depth {})",
+        report.executions, report.max_depth
+    );
 }
 
 /// Time-wall service invariants under a concurrent update transaction:

@@ -517,7 +517,7 @@ pub struct ClassGauges {
     pub i_old: u64,
     /// Running registered transactions.
     pub active: u64,
-    /// Intervals not yet behind the settled cursor.
+    /// Intervals behind the settled prefix (the active window).
     pub settled_lag: u64,
     /// Latest released wall component for this class.
     pub wall_component: u64,

@@ -168,7 +168,8 @@ recorders! {
     /// Actual driver backoff sleep lengths in nanoseconds.
     backoff_sleep: "backoff_sleep_ns",
     /// Activity-registry intervals examined per Protocol A registry
-    /// walk (a length, not a latency; the O(active) claim, as a
+    /// walk: index probes plus active-window entries (a length, not a
+    /// latency; the O(log history + active window) claim, as a
     /// distribution). A bound served from the transaction's cache walks
     /// nothing and records nothing.
     registry_scan: "registry_scan_len",
