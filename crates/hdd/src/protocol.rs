@@ -32,7 +32,7 @@
 use crate::activity::{ActivityFuncs, ActivityRegistry};
 use crate::analysis::Hierarchy;
 use crate::timewall::{TimeWall, TimeWallService};
-use mvstore::{MvtoReadResult, MvtoWriteResult, StorageBackend};
+use mvstore::{MvStore, MvtoReadResult, MvtoWriteResult};
 use obs::{RejectReason, ServedRead};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -232,9 +232,8 @@ impl Default for HddConfig {
 /// The HDD concurrency control.
 pub struct HddScheduler {
     hierarchy: Arc<Hierarchy>,
-    /// The multi-version storage tier (in-memory by default; the
-    /// log-structured file backend for the durable configuration).
-    store: Arc<dyn StorageBackend>,
+    /// The multi-version store.
+    store: Arc<MvStore>,
     clock: Arc<LogicalClock>,
     // `log`, `metrics` and `txn_ids` stay in heap allocations of their
     // own: every operation bumps atomics in them, and moving them inline
@@ -257,7 +256,7 @@ impl HddScheduler {
     /// pre-seeded) store.
     pub fn new(
         hierarchy: Arc<Hierarchy>,
-        store: Arc<dyn StorageBackend>,
+        store: Arc<MvStore>,
         clock: Arc<LogicalClock>,
         config: HddConfig,
     ) -> Self {
@@ -298,10 +297,8 @@ impl HddScheduler {
         &self.walls
     }
 
-    /// The underlying storage backend. The `'static` bound on the trait
-    /// object keeps the `impl dyn StorageBackend` conveniences
-    /// (`latest_value`, `with_chain`) callable on the return value.
-    pub fn store(&self) -> &(dyn StorageBackend + 'static) {
+    /// The underlying multi-version store.
+    pub fn store(&self) -> &MvStore {
         self.store.as_ref()
     }
 

@@ -26,7 +26,7 @@
 
 use crate::analysis::Hierarchy;
 use crate::protocol::{HddConfig, HddScheduler};
-use mvstore::{RecoveryReport, StorageBackend};
+use mvstore::{MvStore, RecoveryReport};
 use obs::{Event, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -60,11 +60,11 @@ pub struct ResumeReport {
 /// history.
 pub fn resume(
     hierarchy: Arc<Hierarchy>,
-    store: Arc<dyn StorageBackend>,
+    store: Arc<MvStore>,
     events: &[ScheduleEvent],
     config: HddConfig,
 ) -> (HddScheduler, ResumeReport) {
-    let recovery = mvstore::recover(store.as_ref(), events);
+    let recovery = mvstore::recover(&store, events);
 
     // Clock strictly above every pre-crash timestamp (Protocol B safety),
     // id allocator strictly above every pre-crash transaction id.
@@ -189,7 +189,6 @@ pub fn resume(
 mod tests {
     use super::*;
     use crate::analysis::AccessSpec;
-    use mvstore::MvStore;
     use txn_model::{
         CommitOutcome, DependencyGraph, GranuleId, ReadOutcome, Scheduler, SegmentId, TxnProfile,
         Value, WriteOutcome,

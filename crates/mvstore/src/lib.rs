@@ -9,16 +9,14 @@
 //! * [`chain::VersionChain`] — a granule's committed/pending versions
 //!   ordered by write timestamp, with the MVTO read/write rules and the
 //!   per-granule read-timestamp bookkeeping basic TSO needs;
-//! * [`backend::StorageBackend`] — the pluggable storage tier every
-//!   scheduler talks to (get / put-version / scan / truncate), with two
-//!   implementations:
-//!   [`store::MvStore`] — a sharded concurrent in-memory map of granules
-//!   to chains, with seeding and time-wall-driven garbage collection —
-//!   and [`filestore::FileBackend`] — a zero-dependency log-structured
-//!   durable tier (append-only checksummed segment files over an
-//!   in-memory index, with crash-safe rotation);
+//! * [`store::MvStore`] — the one store: a sharded concurrent in-memory
+//!   map of granules to chains, with seeding and time-wall-driven
+//!   garbage collection. It holds no durable state; the schedule log
+//!   (the group-commit WAL) does;
 //! * [`recovery`] — redo-only replay of a (possibly torn) schedule log
-//!   into any backend;
+//!   into a store re-seeded with the initial image;
+//! * [`backend::StorageBackend`] — three `MvStore` calls behind a trait
+//!   object, kept only for the benchmark's storage probe;
 //! * [`locktable::LockTable`] — shared/exclusive locks with FIFO waiters,
 //!   upgrades, and waits-for deadlock detection (substrate for the 2PL
 //!   family of baselines).
@@ -27,14 +25,12 @@
 
 pub mod backend;
 pub mod chain;
-pub mod filestore;
 pub mod locktable;
 pub mod recovery;
 pub mod store;
 
-pub use backend::{StorageBackend, VersionRecord};
+pub use backend::StorageBackend;
 pub use chain::{MvtoReadResult, MvtoWriteResult, Version, VersionChain};
-pub use filestore::{FileBackend, FileBackendConfig, OpenError};
 pub use locktable::{LockMode, LockRequestResult, LockTable};
 pub use recovery::{recover, RecoveryAnomalies, RecoveryReport, SkipKind, SkippedFrame};
-pub use store::MvStore;
+pub use store::{MvStore, VersionRecord};

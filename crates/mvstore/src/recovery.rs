@@ -11,10 +11,10 @@
 //!   timestamps, so multi-version reads (Protocols A/C, time-slice
 //!   retrieval) behave identically after recovery.
 //!
-//! Replay targets any [`StorageBackend`] — the in-memory store or the
-//! durable file backend — through the batch
-//! [`put_versions`](StorageBackend::put_versions) API, so a persistent
-//! backend can make the whole redo set durable in one append.
+//! The log is the one durable state: the store holds none, so recovery
+//! is re-seed plus replay. The redo set is installed through
+//! [`MvStore::put_versions`], whose later-record-wins rule makes a
+//! replayed version harmless.
 //!
 //! The initial database image is re-seeded by the caller (as at normal
 //! startup) before replaying, mirroring an ARIES-style "load checkpoint,
@@ -42,7 +42,7 @@
 //! must advance its logical clock strictly past this mark before serving
 //! new transactions (`hdd::recovery::resume` does exactly that).
 
-use crate::backend::{StorageBackend, VersionRecord};
+use crate::store::{MvStore, VersionRecord};
 use txn_model::{ScheduleEvent, Timestamp, TxnId};
 
 /// How many offending frames [`RecoveryAnomalies`] retains verbatim.
@@ -143,9 +143,8 @@ pub struct RecoveryReport {
 /// the initial database image (seeded as at first boot). Malformed
 /// events (see [`RecoveryAnomalies`]) are skipped and counted, never
 /// replayed. The redo set is installed through one
-/// [`put_versions`](StorageBackend::put_versions) batch so persistent
-/// backends pay a single durability round trip.
-pub fn recover(store: &dyn StorageBackend, events: &[ScheduleEvent]) -> RecoveryReport {
+/// [`MvStore::put_versions`] batch.
+pub fn recover(store: &MvStore, events: &[ScheduleEvent]) -> RecoveryReport {
     use std::collections::HashSet;
 
     // Forward classification pass: which events are well-formed, which
@@ -240,7 +239,6 @@ pub fn recover(store: &dyn StorageBackend, events: &[ScheduleEvent]) -> Recovery
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MvStore;
     use txn_model::{GranuleId, SegmentId, Timestamp, Value};
 
     fn g(key: u64) -> GranuleId {
@@ -456,29 +454,5 @@ mod tests {
         ];
         let report = recover(&store, &events);
         assert_eq!(report.high_water_mark, Timestamp(15));
-    }
-
-    #[test]
-    fn recovery_replays_into_the_file_backend() {
-        use crate::filestore::{FileBackend, FileBackendConfig};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        // ordering: Relaxed — test-dir name uniqueness only needs RMW
-        // atomicity of the counter, no cross-thread publication.
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("hdd-recover-file-{}-{n}", std::process::id()));
-        let events = vec![begin(1, 5), write(1, 1, 5, 10), commit(1, 6)];
-        {
-            let store = FileBackend::open(&dir, FileBackendConfig::default()).unwrap();
-            StorageBackend::seed(&store, g(1), Value::Int(0));
-            let report = recover(&store, &events);
-            assert_eq!(report.redone, 1);
-        }
-        // Replay re-journaled the redo set: a *second* crash recovers
-        // from segments alone, without the WAL.
-        let store = FileBackend::open(&dir, FileBackendConfig::default()).unwrap();
-        let dynstore: &dyn StorageBackend = &store;
-        assert_eq!(dynstore.latest_value(g(1)), Value::Int(10));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,7 @@
 use crate::chain::VersionChain;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 use txn_model::{GranuleId, Timestamp, TxnId, Value};
 
 /// Power-of-two shard count, indexed by mask instead of `%`.
@@ -51,6 +52,20 @@ impl Shard {
     fn queued_lens(&self) -> impl Iterator<Item = usize> + '_ {
         self.gc_queue.iter().map(|g| self.chains[g].len())
     }
+}
+
+/// One committed version, ready for [`MvStore::put_versions`] — the
+/// unit of recovery's redo batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VersionRecord {
+    /// Granule the version belongs to.
+    pub granule: GranuleId,
+    /// Write timestamp of the version.
+    pub ts: Timestamp,
+    /// The version's value (shared, never copied).
+    pub value: Arc<Value>,
+    /// Creating transaction.
+    pub writer: TxnId,
 }
 
 /// A concurrent granule → version-chain map.
@@ -116,6 +131,19 @@ impl MvStore {
         }
     }
 
+    /// Install already-committed versions (recovery replay). Each record
+    /// replaces any existing version at its timestamp, so replaying a
+    /// version twice is harmless and the later record wins, as redo
+    /// replay requires.
+    pub fn put_versions(&self, batch: &[VersionRecord]) {
+        for r in batch {
+            self.with_chain(r.granule, |c| {
+                c.remove_version_at(r.ts);
+                c.install(r.ts, Arc::clone(&r.value), r.writer, true);
+            });
+        }
+    }
+
     /// Garbage-collect every chain: drop committed versions older than the
     /// watermark except the latest one below it. Returns total reclaimed.
     ///
@@ -177,9 +205,9 @@ impl MvStore {
             .collect()
     }
 
-    /// Visit every chain with its granule id (the scan API of the
-    /// storage trait). Holds one shard lock at a time; intended for
-    /// quiescent moments (gauges refresh, checkpointing, tests).
+    /// Visit every chain with its granule id. Holds one shard lock at a
+    /// time; intended for quiescent moments (gauges refresh,
+    /// checkpointing, tests).
     pub fn for_each_chain(&self, f: &mut dyn FnMut(GranuleId, &VersionChain)) {
         for shard in &self.shards {
             for (g, chain) in &shard.lock().chains {
@@ -221,8 +249,6 @@ impl Default for MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{StorageBackend, VersionRecord};
-    use std::sync::Arc;
     use txn_model::SegmentId;
 
     fn g(seg: u32, key: u64) -> GranuleId {
@@ -282,8 +308,24 @@ mod tests {
     }
 
     #[test]
+    fn put_versions_batch_is_idempotent_and_later_wins() {
+        let s = MvStore::new();
+        let rec = |ts: u64, val: i64| VersionRecord {
+            granule: g(0, 1),
+            ts: Timestamp(ts),
+            value: Arc::new(Value::Int(val)),
+            writer: TxnId(9),
+        };
+        s.put_versions(&[rec(3, 30), rec(5, 50)]);
+        assert_eq!(s.latest_value(g(0, 1)), Value::Int(50));
+        // Replaying the same version with different content wins.
+        s.put_versions(&[rec(5, 55)]);
+        assert_eq!(s.latest_value(g(0, 1)), Value::Int(55));
+        assert_eq!(s.with_chain(g(0, 1), |c| c.len()), 3); // + Absent seed
+    }
+
+    #[test]
     fn concurrent_access_is_safe() {
-        use std::sync::Arc;
         let s = Arc::new(MvStore::new());
         let mut handles = Vec::new();
         for t in 0..8u64 {
@@ -357,7 +399,7 @@ mod tests {
     /// the sweeping reference, plus the queue's own invariants.
     fn assert_matches_reference(store: &MvStore, reference: &SweepStore, ctx: &str) {
         let mut views: HashMap<GranuleId, ChainView> = HashMap::new();
-        StorageBackend::scan_chains(store, &mut |g, c| {
+        store.for_each_chain(&mut |g, c| {
             views.insert(g, view_of(c));
         });
         let expected: HashMap<GranuleId, ChainView> = reference
@@ -450,7 +492,7 @@ mod tests {
                                 writer: TxnId(1_000_000 + rng.below(1000)),
                             })
                             .collect();
-                        StorageBackend::put_versions(&store, &batch);
+                        store.put_versions(&batch);
                         for r in &batch {
                             let c = reference.chain(r.granule);
                             c.remove_version_at(r.ts);

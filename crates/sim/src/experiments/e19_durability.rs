@@ -1,7 +1,8 @@
-//! **E19 — durable tier: group-commit amortization, backend parity,
-//! recovery cost, and the disk-fault soak** (no paper figure; ours).
+//! **E19 — durable tier: group-commit amortization, recovery cost, and
+//! the disk-fault soak** (no paper figure; ours).
 //!
-//! Four legs:
+//! The group-commit WAL is the one durable state: the store holds none,
+//! so recovery is re-seed plus replay. Three legs:
 //!
 //! 1. **Throughput vs fsync batch size.** The inventory workload on HDD
 //!    with the group-commit WAL at `max_batch_frames` 1/4/16/64, plus a
@@ -9,28 +10,26 @@
 //!    caps let the commits that queue during one fsync share the next
 //!    (the *group-commit ack rule*: a commit counts only once its batch
 //!    is durable).
-//! 2. **Backend parity.** The same run over the log-structured
-//!    [`FileBackend`] instead of the in-memory
-//!    store — what durable reads/writes cost without any WAL batching.
-//! 3. **Recovery time vs log length.** Synthesized redo logs of growing
-//!    length replayed through [`mvstore::recover`] into both backends.
-//! 4. **Disk-fault soak.** Seeded chaos runs journal through a WAL whose
+//! 2. **Recovery time vs log length.** Synthesized redo logs of growing
+//!    length, encoded as WAL bytes; the timed path is [`decode_wal`]
+//!    plus [`mvstore::recover`] into a freshly seeded store.
+//! 3. **Disk-fault soak.** Seeded chaos runs journal through a WAL whose
 //!    "disk" betrays them mid-run ([`chaos::DiskFaultPlan`]: torn final
 //!    write, lying fsync, kill before/after the write). The process
-//!    state is dropped, recovery reads *only the on-disk bytes* — the
-//!    torn WAL plus the file backend's segments — resumes via
+//!    state is dropped, recovery reads *only the torn WAL's bytes* into
+//!    a store re-seeded from the workload, resumes via
 //!    [`hdd::resume`], runs a second phase, and the stitched log must
 //!    certify clean with no timestamp reuse. Except on lying-disk
 //!    seeds, every acked commit must be on disk.
 
 use crate::concurrent::{capped_workers, run_concurrent, run_with_faults, ConcurrentConfig};
 use crate::experiments::e02_inventory::batch;
-use crate::factory::{build_hdd_on, build_scheduler, SchedulerKind};
+use crate::factory::{build_hdd_with_config, build_scheduler, SchedulerKind};
 use crate::report::{f2, Table};
 use certify::certifier::certify_log;
 use chaos::{ChaosConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
 use hdd::protocol::HddConfig;
-use mvstore::{FileBackend, FileBackendConfig, MvStore, StorageBackend, VersionRecord};
+use mvstore::{MvStore, RecoveryReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -39,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txn_model::{
-    decode_wal, ClassId, GranuleId, GroupCommitConfig, GroupCommitWal, ScheduleEvent, Scheduler,
-    SegmentId, Timestamp, TxnId, Value,
+    decode_wal, encode_wal, ClassId, GranuleId, GroupCommitConfig, GroupCommitWal, ScheduleEvent,
+    Scheduler, SegmentId, Timestamp, TxnId, Value,
 };
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::Workload;
@@ -61,7 +60,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// One measured throughput cell.
 #[derive(Debug, Clone)]
 pub struct DurabilityPoint {
-    /// Row label (`hdd`, `hdd-wal-b16`, `hdd-file`, ...).
+    /// Row label (`hdd`, `hdd-wal-b16`, ...).
     pub scheduler: String,
     /// Worker threads.
     pub workers: usize,
@@ -80,13 +79,11 @@ pub struct DurabilityPoint {
 /// One recovery-cost cell.
 #[derive(Debug, Clone)]
 pub struct RecoveryPoint {
-    /// Backend replayed into (`memory` / `file`).
-    pub backend: &'static str,
     /// Events in the replayed log.
     pub events: usize,
     /// Committed writes installed.
     pub redo_applied: u64,
-    /// Replay wall time in milliseconds.
+    /// Decode-plus-replay wall time in milliseconds.
     pub recover_ms: f64,
 }
 
@@ -97,7 +94,7 @@ fn workload() -> Inventory {
     })
 }
 
-/// Leg 1+2: throughput vs batch size, plus the file-backend row.
+/// Leg 1: throughput vs batch size, plus the no-WAL baseline.
 pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
     let n_txns = if quick { 200 } else { 8_000 };
     let workers = if quick { 2 } else { 8 };
@@ -106,7 +103,7 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
     };
     let mut points = Vec::new();
 
-    // No-WAL baseline: the trait-refactored in-memory path.
+    // No-WAL baseline.
     {
         let (w, programs) = batch(n_txns, 0x00F1_9001);
         let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
@@ -157,32 +154,6 @@ pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
         });
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    // File backend: every commit journaled + fsynced by the store
-    // itself (no group commit) — the per-commit durability ceiling.
-    {
-        let dir = scratch("filestore");
-        let backend: Arc<dyn StorageBackend> = Arc::new(
-            FileBackend::open(&dir, FileBackendConfig::default()).expect("open file backend"),
-        );
-        let (w, programs) = batch(n_txns, 0x00F1_9001);
-        let (sched, _hierarchy) = build_hdd_on(backend, &w, HddConfig::default());
-        let cfg = ConcurrentConfig {
-            workers,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        points.push(DurabilityPoint {
-            scheduler: "hdd-file".to_string(),
-            workers,
-            batch_frames: 0,
-            committed: out.stats.committed,
-            commits_per_sec: out.throughput,
-            fsync_batches: 0,
-            journaled: 0,
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
     points
 }
 
@@ -212,53 +183,42 @@ fn synthetic_log(txns: usize) -> Vec<ScheduleEvent> {
     events
 }
 
-/// Leg 3: recovery wall time vs log length, both backends.
+/// Recovery from WAL bytes alone: decode them, seed the 64 granules
+/// the synthetic log writes, replay. Returns the decoded events and the
+/// replay report.
+fn recover_from_wal(bytes: &[u8]) -> (Vec<ScheduleEvent>, RecoveryReport) {
+    let (events, _) = decode_wal(bytes).expect("own WAL is never foreign");
+    let store = MvStore::new();
+    for k in 0..64 {
+        store.seed(GranuleId::new(SegmentId(0), k), Value::Int(0));
+    }
+    let report = mvstore::recover(&store, &events);
+    (events, report)
+}
+
+/// Leg 2: recovery wall time vs log length, over WAL bytes.
 pub fn recovery_sweep(quick: bool) -> Vec<RecoveryPoint> {
     let sizes: &[usize] = if quick {
         &[100, 400]
     } else {
         &[1_000, 4_000, 16_000]
     };
-    let mut points = Vec::new();
-    for &txns in sizes {
-        let events = synthetic_log(txns);
-        let seeds: Vec<VersionRecord> = (0..64)
-            .map(|k| VersionRecord {
-                granule: GranuleId::new(SegmentId(0), k),
-                ts: Timestamp(0),
-                writer: TxnId(0),
-                value: Arc::new(Value::Int(0)),
-            })
-            .collect();
-
-        let mem = MvStore::new();
-        mem.put_versions(&seeds);
-        let t = Instant::now();
-        let report = mvstore::recover(&mem, &events);
-        points.push(RecoveryPoint {
-            backend: "memory",
-            events: events.len(),
-            redo_applied: report.versions_installed as u64,
-            recover_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-
-        let dir = scratch("recover");
-        let file = FileBackend::open(&dir, FileBackendConfig::default()).expect("open backend");
-        file.put_versions(&seeds);
-        let t = Instant::now();
-        let report = mvstore::recover(&file, &events);
-        points.push(RecoveryPoint {
-            backend: "file",
-            events: events.len(),
-            redo_applied: report.versions_installed as u64,
-            recover_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    points
+    sizes
+        .iter()
+        .map(|&txns| {
+            let bytes = encode_wal(&synthetic_log(txns));
+            let t = Instant::now();
+            let (events, report) = recover_from_wal(&bytes);
+            RecoveryPoint {
+                events: events.len(),
+                redo_applied: report.versions_installed as u64,
+                recover_ms: t.elapsed().as_secs_f64() * 1e3,
+            }
+        })
+        .collect()
 }
 
-/// Leg 4 tallies.
+/// Leg 3 tallies.
 #[derive(Debug, Default)]
 pub struct SoakTally {
     /// Seeds run.
@@ -303,7 +263,7 @@ fn end_point_timestamps(events: &[ScheduleEvent]) -> Vec<u64> {
 }
 
 /// One seed of the disk-fault soak: journaled chaos phase, process
-/// death, recovery from on-disk bytes alone, resumed phase, stitched
+/// death, recovery from the WAL's bytes alone, resumed phase, stitched
 /// certification.
 fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
     let mut w = workload();
@@ -314,15 +274,6 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
     };
     let dir = scratch("soak");
     let wal_path = dir.join("run.wal");
-    let data_dir = dir.join("data");
-
-    // The WAL is the durability authority: the file backend journals
-    // seeds (and recovery replays) but not live commits, so its
-    // segments never get ahead of a torn WAL.
-    let store_cfg = FileBackendConfig {
-        log_commits: false,
-        ..FileBackendConfig::default()
-    };
     let disk_fault = DiskFaultPlan::generate(seed, 6);
     let lying_disk = matches!(disk_fault.kind, DiskFaultKind::DropFsync { .. });
     let wal = Arc::new(
@@ -335,9 +286,7 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
         )
         .expect("create WAL"),
     );
-    let backend: Arc<dyn StorageBackend> =
-        Arc::new(FileBackend::open(&data_dir, store_cfg.clone()).expect("open backend"));
-    let (sched, hierarchy) = build_hdd_on(backend, &w, config.clone());
+    let (sched, _store, hierarchy) = build_hdd_with_config(&w, config.clone());
 
     // Phase 1: worker faults AND disk faults at once.
     let phase1: Vec<_> = (0..n).map(|_| w.generate(&mut rng)).collect();
@@ -372,13 +321,13 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
         tally.disk_crashes += 1;
     }
 
-    // Process death: every in-memory structure is gone. Only the two
-    // on-disk artifacts survive.
+    // Process death: every in-memory structure is gone. Only the WAL
+    // file survives.
     drop(sched);
     drop(wal);
 
-    // Recovery from on-disk state alone: decode the torn WAL, reopen
-    // the segments (which replay the journaled seeds), resume.
+    // Recovery from the WAL's bytes alone: decode the torn log, re-seed
+    // a fresh store from the workload, resume.
     let bytes = std::fs::read(&wal_path).expect("read WAL bytes");
     let (survivors, wal_report) = decode_wal(&bytes).expect("own WAL is never foreign");
     if wal_report.torn() {
@@ -397,10 +346,9 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
         tally.ack_violations += missing;
     }
 
-    let backend2: Arc<dyn StorageBackend> =
-        Arc::new(FileBackend::open(&data_dir, store_cfg).expect("reopen backend"));
-    let (resumed, resume_report) =
-        hdd::resume(Arc::clone(&hierarchy), backend2, &survivors, config);
+    let store = Arc::new(MvStore::new());
+    w.seed(&store);
+    let (resumed, resume_report) = hdd::resume(Arc::clone(&hierarchy), store, &survivors, config);
     debug_assert!(resume_report.resumes_after > resume_report.recovery.high_water_mark);
 
     // Phase 2 on the survivor, clean.
@@ -435,7 +383,7 @@ pub fn run(quick: bool) -> Table {
     let tally = soak(seeds, n);
 
     let mut table = Table::new(
-        "E19 — durable tier: group commit, backends, recovery, disk faults (inventory)",
+        "E19 — durable tier: group commit, WAL recovery, disk faults (inventory)",
         &["row", "a", "b", "c", "d", "e"],
     );
     for p in &points {
@@ -450,7 +398,7 @@ pub fn run(quick: bool) -> Table {
     }
     for p in &recovery {
         table.row(&[
-            format!("recover/{}/{}", p.backend, p.events),
+            format!("recover/{}", p.events),
             format!("events={}", p.events),
             format!("redo={}", p.redo_applied),
             format!("ms={}", f2(p.recover_ms)),
@@ -487,7 +435,7 @@ mod tests {
         if points.is_empty() {
             return; // host below the worker cap
         }
-        assert_eq!(points.len(), 6, "baseline + 4 batch sizes + file row");
+        assert_eq!(points.len(), 5, "baseline + 4 batch sizes");
         for p in &points {
             assert!(p.committed > 0, "{p:?}");
             assert!(p.commits_per_sec > 0.0, "{p:?}");
@@ -501,9 +449,15 @@ mod tests {
     }
 
     #[test]
-    fn recovery_cost_grows_with_log_length_on_both_backends() {
+    fn recovery_cost_grows_with_log_length() {
+        for txns in [100, 400] {
+            let events = synthetic_log(txns);
+            let (decoded, report) = recover_from_wal(&encode_wal(&events));
+            assert_eq!(decoded, events, "the WAL round trip is exact");
+            assert_eq!(report.versions_installed, events.len() / 3);
+        }
         let points = recovery_sweep(true);
-        assert_eq!(points.len(), 4);
+        assert_eq!(points.len(), 2, "one row per log length");
         for p in &points {
             assert_eq!(p.redo_applied as usize, p.events / 3, "{p:?}");
         }

@@ -34,7 +34,7 @@ use certify::{advise, canonical_labels, lint_specs, AdvisorReport, LintReport};
 use hdd::analysis::{build_dhg, AccessSpec, Hierarchy};
 use hdd::decompose::repartition_to_tst;
 use hdd::protocol::HddConfig;
-use mvstore::StorageBackend;
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use txn_model::{ClassId, GranuleId, Scheduler, SegmentId, TxnProfile, TxnProgram, Value};
@@ -139,7 +139,7 @@ impl Workload for Phased {
         .with_segment_names(self.segment_names())
     }
 
-    fn seed(&self, store: &dyn StorageBackend) {
+    fn seed(&self, store: &MvStore) {
         for seg in 0..4u32 {
             for key in 0..self.granules {
                 store.seed(GranuleId::new(s(seg), key), Value::Int(0));

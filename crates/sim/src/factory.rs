@@ -6,7 +6,7 @@ use baselines::two_pl::TwoPlConfig;
 use baselines::{BasicTso, Mv2pl, Mvto, NoControl, TwoPhaseLocking};
 use hdd::protocol::{HddConfig, HddScheduler};
 use hdd::Hierarchy;
-use mvstore::{MvStore, StorageBackend};
+use mvstore::MvStore;
 use std::sync::Arc;
 use txn_model::{LogicalClock, Scheduler};
 use workloads::Workload;
@@ -75,10 +75,9 @@ pub fn build_scheduler(
     let sched: Box<dyn Scheduler> = match kind {
         SchedulerKind::Hdd => {
             let hierarchy = Arc::new(workload.hierarchy());
-            let backend: Arc<dyn StorageBackend> = store.clone();
             Box::new(HddScheduler::new(
                 hierarchy,
-                backend,
+                Arc::clone(&store),
                 clock,
                 HddConfig::default(),
             ))
@@ -134,33 +133,13 @@ pub fn build_hdd_with_config(
     let store = Arc::new(MvStore::new());
     workload.seed(store.as_ref());
     let hierarchy = Arc::new(workload.hierarchy());
-    let backend: Arc<dyn StorageBackend> = store.clone();
     let sched = Arc::new(HddScheduler::new(
         Arc::clone(&hierarchy),
-        backend,
+        Arc::clone(&store),
         Arc::new(LogicalClock::new()),
         config,
     ));
     (sched, store, hierarchy)
-}
-
-/// Build an HDD scheduler over a caller-supplied storage backend (the
-/// durable-tier experiments hand in a `FileBackend`), seeding it with
-/// the workload's initial image first.
-pub fn build_hdd_on(
-    backend: Arc<dyn StorageBackend>,
-    workload: &dyn Workload,
-    config: HddConfig,
-) -> (Arc<HddScheduler>, Arc<Hierarchy>) {
-    workload.seed(backend.as_ref());
-    let hierarchy = Arc::new(workload.hierarchy());
-    let sched = Arc::new(HddScheduler::new(
-        Arc::clone(&hierarchy),
-        backend,
-        Arc::new(LogicalClock::new()),
-        config,
-    ));
-    (sched, hierarchy)
 }
 
 #[cfg(test)]

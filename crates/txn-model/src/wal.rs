@@ -27,10 +27,8 @@
 //! ([`WAL_VERSION`]) — so recovery can tell a foreign or garbage file
 //! from a torn one: [`decode_wal`] rejects a bad header with a
 //! [`WalFileError`] instead of silently truncating everything, while a
-//! torn *tail* after a valid header still truncates cleanly. The frame
-//! primitives ([`frame_into`], [`raw_frame`], [`encode_value`],
-//! [`decode_value`]) are public because the `mvstore` file backend
-//! reuses the exact same framing for its segment files.
+//! torn *tail* after a valid header still truncates cleanly. [`raw_frame`]
+//! is public so tests can walk a buffer frame by frame.
 
 use crate::ids::{ClassId, GranuleId, SegmentId, Timestamp, TxnId};
 use crate::schedule::ScheduleEvent;
@@ -43,7 +41,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit checksum of `bytes`.
-pub fn checksum(bytes: &[u8]) -> u64 {
+fn checksum(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
@@ -84,8 +82,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Append one checksummed frame (`[len][fnv][payload]`) to `out`.
-/// Shared with the `mvstore` file backend's segment records.
-pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     put_u32(out, payload.len() as u32);
     put_u64(out, checksum(payload));
     out.extend_from_slice(payload);
@@ -107,9 +104,9 @@ pub fn raw_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     Some((payload, pos + 12 + len))
 }
 
-/// Append the tagged encoding of one [`Value`] to `out` (the same
-/// encoding `Write` frames embed; shared with segment records).
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+/// Append the tagged encoding of one [`Value`] to `out` (the encoding
+/// `Write` frames embed).
+fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(i) => {
             out.push(VTAG_INT);
@@ -126,7 +123,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Decode one tagged [`Value`] from the front of `buf`, returning it and
 /// the number of bytes consumed; `None` on a malformed encoding.
-pub fn decode_value(buf: &[u8]) -> Option<(Value, usize)> {
+fn decode_value(buf: &[u8]) -> Option<(Value, usize)> {
     let mut c = Cursor::new(buf);
     let v = match c.u8()? {
         VTAG_INT => Value::Int(c.u64()? as i64),

@@ -29,7 +29,7 @@
 use crate::script::{Script, ScriptAction, ScriptStep};
 use crate::Workload;
 use hdd::analysis::AccessSpec;
-use mvstore::StorageBackend;
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use txn_model::{ClassId, GranuleId, SegmentId, TxnProfile, TxnProgram, Value};
 
@@ -76,7 +76,7 @@ impl Workload for AnomalyWorkload {
         ]
     }
 
-    fn seed(&self, store: &dyn StorageBackend) {
+    fn seed(&self, store: &MvStore) {
         store.seed(granule_y(), Value::Absent);
         store.seed(granule_inventory(), Value::Int(10));
         store.seed(granule_order(), Value::Int(0));

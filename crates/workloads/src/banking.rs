@@ -9,7 +9,7 @@
 
 use crate::Workload;
 use hdd::analysis::AccessSpec;
-use mvstore::StorageBackend;
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::Rng;
 use txn_model::{ClassId, GranuleId, SegmentId, TxnProfile, TxnProgram, Value};
@@ -69,7 +69,7 @@ impl Banking {
     }
 
     /// Total balance across all accounts in a store.
-    pub fn total_balance(&self, store: &(dyn StorageBackend + 'static)) -> i64 {
+    pub fn total_balance(&self, store: &MvStore) -> i64 {
         (0..self.accounts)
             .map(|i| store.latest_value(self.account(i)).as_int())
             .sum()
@@ -97,7 +97,7 @@ impl Workload for Banking {
         )]
     }
 
-    fn seed(&self, store: &dyn StorageBackend) {
+    fn seed(&self, store: &MvStore) {
         for i in 0..self.accounts {
             store.seed(self.account(i), Value::Int(INITIAL_BALANCE));
         }
@@ -136,7 +136,6 @@ impl Workload for Banking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvstore::MvStore;
     use rand::SeedableRng;
 
     #[test]

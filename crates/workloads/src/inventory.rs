@@ -34,7 +34,7 @@
 
 use crate::Workload;
 use hdd::analysis::AccessSpec;
-use mvstore::StorageBackend;
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::Rng;
 use txn_model::{ClassId, GranuleId, SegmentId, TxnProfile, TxnProgram, Value};
@@ -281,7 +281,7 @@ impl Workload for Inventory {
         ]
     }
 
-    fn seed(&self, store: &dyn StorageBackend) {
+    fn seed(&self, store: &MvStore) {
         for item in 0..self.config.items {
             store.seed(Self::inventory_level(item), Value::Int(30));
             store.seed(Self::on_order(item), Value::Int(0));
@@ -327,7 +327,6 @@ impl Workload for Inventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvstore::MvStore;
     use rand::SeedableRng;
 
     #[test]

@@ -50,9 +50,9 @@ pub trait Workload {
             .with_segment_names(self.segment_names())
     }
 
-    /// Seed initial data into a storage backend (any
-    /// [`mvstore::StorageBackend`]; `&MvStore` coerces).
-    fn seed(&self, store: &dyn mvstore::StorageBackend);
+    /// Seed the initial database image into `store`. Recovery calls it
+    /// too: a recovered store is this image plus the replayed log.
+    fn seed(&self, store: &mvstore::MvStore);
 
     /// Generate the next transaction program.
     fn generate(&mut self, rng: &mut StdRng) -> TxnProgram;

@@ -10,7 +10,7 @@
 use crate::zipf::Zipf;
 use crate::Workload;
 use hdd::analysis::AccessSpec;
-use mvstore::StorageBackend;
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::Rng;
 use txn_model::{ClassId, GranuleId, SegmentId, TxnProfile, TxnProgram, Value};
@@ -180,7 +180,7 @@ impl Workload for Synthetic {
             .collect()
     }
 
-    fn seed(&self, store: &dyn StorageBackend) {
+    fn seed(&self, store: &MvStore) {
         for seg in 0..self.segment_count() {
             for key in 0..self.config.granules_per_segment {
                 store.seed(GranuleId::new(SegmentId(seg as u32), key), Value::Int(0));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: lock files, formatting, lints, the full test suite, the examples,
-# the benchmark smoke, docs, the ordering audit and the model checker. Every
-# correctness invariant is a `cargo test`; no stage runs an experiment.
+# Local CI gate: lock files, the store-indirection grep, formatting, lints, the
+# full test suite, the examples, the benchmark smoke, docs, the ordering audit
+# and the model checker. Every correctness invariant is a `cargo test`; no stage
+# runs an experiment.
 # Run from the repository root:
 #
 #   scripts/ci.sh
@@ -16,6 +17,16 @@ echo "== lockfiles =="
 # included) fails here, offline, in well under a second.
 cargo metadata --format-version 1 --locked --offline > /dev/null
 cargo metadata --format-version 1 --locked --offline --manifest-path benchmark/Cargo.toml > /dev/null
+
+echo "== store indirection =="
+# Schedulers, recovery and resume call `MvStore` directly. The
+# `StorageBackend` trait is left only for the benchmark's storage probe,
+# so nothing outside its own module may use it.
+if grep -rnE 'dyn StorageBackend|with_chain_dyn' crates tests examples src \
+    | grep -v '^crates/mvstore/src/backend.rs:'; then
+    echo "StorageBackend used outside crates/mvstore/src/backend.rs; call MvStore" >&2
+    exit 1
+fi
 
 echo "== fmt =="
 cargo fmt --all --check
