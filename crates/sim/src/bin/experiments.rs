@@ -3,8 +3,8 @@
 //! ```text
 //! cargo run --release -p sim --bin experiments             # full sizes
 //! cargo run --release -p sim --bin experiments -- quick    # CI sizes
-//! cargo run --release -p sim --bin experiments -- e14      # E14 only
-//!     # (likewise e17, e18, e19, e20; add `quick` for CI sizes)
+//! cargo run --release -p sim --bin experiments -- e17      # E17 only
+//!     # (likewise e18, e19, e20; add `quick` for CI sizes)
 //! ```
 //!
 //! Any other argument prints the valid names and exits 2. Experiments
@@ -13,7 +13,7 @@
 //! Throughput numbers come from `benchmark/run.sh` (see
 //! `benchmark/README.md`).
 
-use sim::experiments::{e14_obs_profile, e17_gauges, e18_blame, e19_durability, e20_drift};
+use sim::experiments::{e17_gauges, e18_blame, e19_durability, e20_drift};
 use sim::report::Table;
 
 /// Print an experiment's table; experiments themselves never fail.
@@ -42,7 +42,6 @@ type Command = fn(quick: bool) -> i32;
 /// experiment.
 const COMMANDS: &[(&str, Command)] = &[
     ("quick", suite),
-    ("e14", |q| show(e14_obs_profile::run(q))),
     ("e17", |q| show(e17_gauges::run(q))),
     ("e18", |q| show(e18_blame::run(q))),
     ("e19", |q| show(e19_durability::run(q))),

@@ -89,11 +89,9 @@ fn main() {
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);
     println!(
-        "run: {} committed in {:.3} s ({:.1} commits/sec), {} sampled flights, {} events \
-         ({} evicted)",
+        "run: {} committed in {:.3} s, {} sampled flights, {} events ({} evicted)",
         out.stats.committed,
         out.elapsed.as_secs_f64(),
-        out.throughput,
         sched.metrics().obs.flight.sampled_count(),
         sched.metrics().obs.events.recorded(),
         sched.metrics().obs.events.dropped(),

@@ -14,8 +14,9 @@
 //! correctness — served version < bound ≤ reader start (DESIGN.md §10)
 //! — so every cell's minimum is at least 1 tick.
 //!
-//! Like E14, each cell runs a warmup batch and reports the measured
-//! interval only.
+//! Each cell runs a warmup batch and reports the measured interval
+//! only; the schedule log of both batches is checked for
+//! serializability.
 //!
 //! ```text
 //! cargo run --release -p sim --bin experiments -- e17
@@ -23,7 +24,7 @@
 
 use crate::concurrent::{run_concurrent, ConcurrentConfig};
 use crate::factory::build_hdd_with_config;
-use crate::report::{f2, Table};
+use crate::report::Table;
 use hdd::protocol::HddConfig;
 use obs::GaugeSnapshot;
 use rand::rngs::StdRng;
@@ -41,8 +42,9 @@ pub struct GaugePoint {
     pub workload: &'static str,
     /// Transactions committed in the measured interval.
     pub committed: usize,
-    /// Committed transactions per second (measured interval).
-    pub commits_per_sec: f64,
+    /// The schedule log (warmup and measured batch) certified
+    /// serializable.
+    pub serializable: bool,
     /// Gauge board after a forced full refresh at end of run; its
     /// staleness cells cover the measured interval (the warmup's
     /// samples are cleared by the pre-interval reset).
@@ -65,7 +67,6 @@ fn run_one<W: Workload>(mut w: W, quick: bool, seed: u64) -> GaugePoint {
     let cfg = ConcurrentConfig {
         workers,
         obs: true,
-        verify: false,
         ..ConcurrentConfig::default()
     };
     run_concurrent(sched.as_ref(), warmup, &cfg);
@@ -76,7 +77,7 @@ fn run_one<W: Workload>(mut w: W, quick: bool, seed: u64) -> GaugePoint {
     GaugePoint {
         workload: w.name(),
         committed: out.stats.committed,
-        commits_per_sec: out.throughput,
+        serializable: out.stats.serializable == Some(true),
         gauges: sched.metrics().obs.gauges.snapshot(),
         segment_names: w.segment_names(),
         interval: sched.metrics().snapshot().delta(&before),
@@ -140,7 +141,7 @@ pub fn gauges_table(points: &[GaugePoint]) -> Table {
         "E17 — gauge board at end of measured interval",
         &[
             "workload",
-            "commits_per_sec",
+            "serializable",
             "wall_floor",
             "wall_lag",
             "registry_intervals",
@@ -156,7 +157,7 @@ pub fn gauges_table(points: &[GaugePoint]) -> Table {
         let g = &p.gauges;
         t.row(&[
             p.workload.to_string(),
-            f2(p.commits_per_sec),
+            p.serializable.to_string(),
             g.wall_floor.to_string(),
             g.wall_lag.to_string(),
             g.registry_intervals.to_string(),
@@ -190,6 +191,7 @@ mod tests {
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.committed > 0, "{}", p.workload);
+            assert!(p.serializable, "{}", p.workload);
             assert!(p.gauges.configured, "{}: board dimensioned", p.workload);
             if p.workload == "banking" {
                 // Control: a single-class decomposition has no cross
@@ -267,11 +269,11 @@ mod tests {
         let cfg = ConcurrentConfig {
             workers: 4,
             obs: true,
-            verify: false,
             ..ConcurrentConfig::default()
         };
         let out = run_concurrent(sched.as_ref(), programs, &cfg);
         assert!(out.stats.committed > 0, "the live run committed nothing");
+        assert_eq!(out.stats.serializable, Some(true), "{:?}", out.stats.cycle);
         sched.refresh_gauges_now();
 
         let obs = &sched.metrics().obs;

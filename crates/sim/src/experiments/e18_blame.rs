@@ -1,14 +1,14 @@
 //! **E18 — flight-recorder blame profile** (no paper figure; ours).
 //!
-//! For each worker count, two hdd runs over the same contended batch
-//! (`contended_batch`): one with the flight recorder **off** (the
-//! tracing-disabled throughput) and one with it sampling every 4th
+//! For each worker count, one hdd run over a contended batch
+//! (`contended_batch`) with the flight recorder sampling every 4th
 //! transaction. In that batch every 8th transaction holds its pending
 //! balance a while before committing, so transactions really block on
 //! each other — the waits the recorder exists to attribute — on any
 //! host, not only when a holder happens to be preempted mid-write. The
-//! traced run's span stream is assembled into flight trees and reduced
-//! to the two headline artifacts of the recorder:
+//! run's schedule log is checked for serializability, and its span
+//! stream is assembled into flight trees and reduced to the two
+//! headline artifacts of the recorder:
 //!
 //! * a [`BlameReport`] — measured block time bucketed by *cause edge*
 //!   (which transaction class, or which pending time wall, the waiter
@@ -55,10 +55,8 @@ fn contended_batch(n: usize, seed: u64) -> (Banking, Vec<TxnProgram>, FaultPlan)
 pub struct BlamePoint {
     /// Worker threads.
     pub workers: usize,
-    /// Commits/sec with the flight recorder (and obs) disabled.
-    pub disabled_cps: f64,
-    /// Commits/sec with obs on and the recorder sampling 1-in-4.
-    pub traced_cps: f64,
+    /// The run's schedule log certified serializable.
+    pub serializable: bool,
     /// Wait-cause blame over the sampled flights.
     pub blame: BlameReport,
     /// Phase profile over the sampled committed flights.
@@ -75,33 +73,19 @@ pub fn sweep(quick: bool) -> Vec<BlamePoint> {
     let worker_counts: &[usize] = if quick { &[2, 4] } else { &[1, 2, 4, 8, 16] };
     let mut points = Vec::new();
     for &workers in worker_counts {
-        // Leg 1: tracing disabled — the throughput the recorder must
-        // not disturb.
-        let (w, programs, plan) = contended_batch(n_txns, 0x00F1_8011);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers,
-            verify: false,
-            ..ConcurrentConfig::default()
-        };
-        let disabled = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
-
-        // Leg 2: same batch, recorder sampling every 4th transaction.
         let (w, programs, plan) = contended_batch(n_txns, 0x00F1_8011);
         let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
         let cfg = ConcurrentConfig {
             workers,
             obs: true,
             flight_sample: SAMPLE_EVERY,
-            verify: false,
             ..ConcurrentConfig::default()
         };
-        let traced = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
+        let out = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
         let log = assemble(&sched.metrics().obs.events.drain());
         points.push(BlamePoint {
             workers,
-            disabled_cps: disabled.throughput,
-            traced_cps: traced.throughput,
+            serializable: out.stats.serializable == Some(true),
             blame: BlameReport::build(&log),
             phases: PhaseBreakdown::of_commits(&log),
             flights: log.flights.len() + log.open,
@@ -118,8 +102,7 @@ pub fn run(quick: bool) -> Table {
         "E18 — flight-recorder blame profile (banking, slow holders, hdd, sample 1-in-4)",
         &[
             "workers",
-            "disabled-cps",
-            "traced-cps",
+            "serializable",
             "flights",
             "open",
             "coverage-pct",
@@ -136,8 +119,7 @@ pub fn run(quick: bool) -> Table {
             .map_or(0.0, |(_, s)| *s);
         table.row(&[
             p.workers.to_string(),
-            f2(p.disabled_cps),
-            f2(p.traced_cps),
+            p.serializable.to_string(),
             p.flights.to_string(),
             p.open.to_string(),
             f2(p.blame.coverage() * 100.0),
@@ -170,8 +152,7 @@ mod tests {
         let points = sweep(true);
         assert_eq!(points.len(), 2);
         for p in &points {
-            assert!(p.disabled_cps > 0.0);
-            assert!(p.traced_cps > 0.0);
+            assert!(p.serializable, "E18 at {} workers", p.workers);
             assert_eq!(p.open, 0, "no open flights at {} workers", p.workers);
             assert!(
                 p.flights > 0,
@@ -217,11 +198,11 @@ mod tests {
             workers: 8,
             obs: true,
             flight_sample: SAMPLE_EVERY,
-            verify: false,
             ..ConcurrentConfig::default()
         };
         let out = run_with_faults(sched.as_ref(), programs, &plan, &cfg);
         assert_eq!(out.stats.committed, 8_000);
+        assert_eq!(out.stats.serializable, Some(true), "{:?}", out.stats.cycle);
         let log = assemble(&sched.metrics().obs.events.drain());
         let blame = BlameReport::build(&log);
         assert_eq!(log.open, 0, "flights never terminated");

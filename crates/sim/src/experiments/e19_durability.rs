@@ -1,19 +1,14 @@
-//! **E19 — durable tier: group-commit amortization, recovery cost, and
-//! the disk-fault soak** (no paper figure; ours).
+//! **E19 — durable tier: recovery cost and the disk-fault soak** (no
+//! paper figure; ours).
 //!
 //! The group-commit WAL is the one durable state: the store holds none,
-//! so recovery is re-seed plus replay. Three legs:
+//! so recovery is re-seed plus replay. Two legs (the durable workload's
+//! commits/s is the benchmark's `inventory-durable`):
 //!
-//! 1. **Throughput vs fsync batch size.** The inventory workload on HDD
-//!    with the group-commit WAL at `max_batch_frames` 1/4/16/64, plus a
-//!    no-WAL baseline. Batch 1 fsyncs once per journaled commit; larger
-//!    caps let the commits that queue during one fsync share the next
-//!    (the *group-commit ack rule*: a commit counts only once its batch
-//!    is durable).
-//! 2. **Recovery time vs log length.** Synthesized redo logs of growing
+//! 1. **Recovery time vs log length.** Synthesized redo logs of growing
 //!    length, encoded as WAL bytes; the timed path is [`decode_wal`]
 //!    plus [`mvstore::recover`] into a freshly seeded store.
-//! 3. **Disk-fault soak.** Seeded chaos runs journal through a WAL whose
+//! 2. **Disk-fault soak.** Seeded chaos runs journal through a WAL whose
 //!    "disk" betrays them mid-run ([`chaos::DiskFaultPlan`]: torn final
 //!    write, lying fsync, kill before/after the write). The process
 //!    state is dropped, recovery reads *only the torn WAL's bytes* into
@@ -22,9 +17,8 @@
 //!    certify clean with no timestamp reuse. Except on lying-disk
 //!    seeds, every acked commit must be on disk.
 
-use crate::concurrent::{capped_workers, run_concurrent, run_with_faults, ConcurrentConfig};
-use crate::experiments::e02_inventory::batch;
-use crate::factory::{build_hdd_with_config, build_scheduler, SchedulerKind};
+use crate::concurrent::{run_concurrent, run_with_faults, ConcurrentConfig};
+use crate::factory::build_hdd_with_config;
 use crate::report::{f2, Table};
 use certify::certifier::certify_log;
 use chaos::{ChaosConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
@@ -57,25 +51,6 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One measured throughput cell.
-#[derive(Debug, Clone)]
-pub struct DurabilityPoint {
-    /// Row label (`hdd`, `hdd-wal-b16`, ...).
-    pub scheduler: String,
-    /// Worker threads.
-    pub workers: usize,
-    /// Fsync batch-size bound (0 = no WAL).
-    pub batch_frames: usize,
-    /// Transactions committed (durably, when a WAL is configured).
-    pub committed: usize,
-    /// Durable commits per second.
-    pub commits_per_sec: f64,
-    /// Fsync batches the WAL wrote (0 = no WAL).
-    pub fsync_batches: u64,
-    /// Update commits journaled through the WAL (0 = no WAL).
-    pub journaled: usize,
-}
-
 /// One recovery-cost cell.
 #[derive(Debug, Clone)]
 pub struct RecoveryPoint {
@@ -92,69 +67,6 @@ fn workload() -> Inventory {
         items: 16,
         ..InventoryConfig::default()
     })
-}
-
-/// Leg 1: throughput vs batch size, plus the no-WAL baseline.
-pub fn throughput_sweep(quick: bool) -> Vec<DurabilityPoint> {
-    let n_txns = if quick { 200 } else { 8_000 };
-    let workers = if quick { 2 } else { 8 };
-    let Some(workers) = capped_workers(workers) else {
-        return Vec::new();
-    };
-    let mut points = Vec::new();
-
-    // No-WAL baseline.
-    {
-        let (w, programs) = batch(n_txns, 0x00F1_9001);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers,
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        points.push(DurabilityPoint {
-            scheduler: "hdd".to_string(),
-            workers,
-            batch_frames: 0,
-            committed: out.stats.committed,
-            commits_per_sec: out.throughput,
-            fsync_batches: 0,
-            journaled: 0,
-        });
-    }
-
-    // Group-commit sweep: same workload, WAL ack-gated commits.
-    for &batch_frames in &[1usize, 4, 16, 64] {
-        let dir = scratch("wal");
-        let wal = Arc::new(
-            GroupCommitWal::create(
-                &dir.join("run.wal"),
-                GroupCommitConfig {
-                    max_batch_frames: batch_frames,
-                },
-            )
-            .expect("create WAL"),
-        );
-        let (w, programs) = batch(n_txns, 0x00F1_9001);
-        let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
-        let cfg = ConcurrentConfig {
-            workers,
-            wal: Some(Arc::clone(&wal)),
-            ..ConcurrentConfig::default()
-        };
-        let out = run_concurrent(sched.as_ref(), programs, &cfg);
-        points.push(DurabilityPoint {
-            scheduler: format!("hdd-wal-b{batch_frames}"),
-            workers,
-            batch_frames,
-            committed: out.stats.committed,
-            commits_per_sec: out.throughput,
-            fsync_batches: wal.stats().batches,
-            journaled: out.journaled,
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    points
 }
 
 /// Synthesize a committed-writes redo log with `txns` transactions.
@@ -196,7 +108,7 @@ fn recover_from_wal(bytes: &[u8]) -> (Vec<ScheduleEvent>, RecoveryReport) {
     (events, report)
 }
 
-/// Leg 2: recovery wall time vs log length, over WAL bytes.
+/// Leg 1: recovery wall time vs log length, over WAL bytes.
 pub fn recovery_sweep(quick: bool) -> Vec<RecoveryPoint> {
     let sizes: &[usize] = if quick {
         &[100, 400]
@@ -218,7 +130,7 @@ pub fn recovery_sweep(quick: bool) -> Vec<RecoveryPoint> {
         .collect()
 }
 
-/// Leg 3 tallies.
+/// Leg 2 tallies.
 #[derive(Debug, Default)]
 pub struct SoakTally {
     /// Seeds run.
@@ -377,25 +289,14 @@ pub fn soak(seeds: u64, n: usize) -> SoakTally {
 
 /// Run E19 and return the table.
 pub fn run(quick: bool) -> Table {
-    let points = throughput_sweep(quick);
     let recovery = recovery_sweep(quick);
     let (seeds, n) = if quick { (12, 30) } else { (200, 48) };
     let tally = soak(seeds, n);
 
     let mut table = Table::new(
-        "E19 — durable tier: group commit, WAL recovery, disk faults (inventory)",
+        "E19 — durable tier: WAL recovery and disk faults (inventory)",
         &["row", "a", "b", "c", "d", "e"],
     );
-    for p in &points {
-        table.row(&[
-            format!("tput/{}", p.scheduler),
-            format!("workers={}", p.workers),
-            format!("batch={}", p.batch_frames),
-            format!("committed={}", p.committed),
-            format!("cps={}", f2(p.commits_per_sec)),
-            format!("fsyncs={} journaled={}", p.fsync_batches, p.journaled),
-        ]);
-    }
     for p in &recovery {
         table.row(&[
             format!("recover/{}", p.events),
@@ -428,25 +329,6 @@ pub fn run(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_throughput_sweep_covers_the_grid() {
-        let points = throughput_sweep(true);
-        if points.is_empty() {
-            return; // host below the worker cap
-        }
-        assert_eq!(points.len(), 5, "baseline + 4 batch sizes");
-        for p in &points {
-            assert!(p.committed > 0, "{p:?}");
-            assert!(p.commits_per_sec > 0.0, "{p:?}");
-        }
-        let b1 = points.iter().find(|p| p.batch_frames == 1).unwrap();
-        assert!(b1.journaled > 0, "{b1:?}");
-        assert_eq!(
-            b1.fsync_batches as usize, b1.journaled,
-            "batch=1 fsyncs once per journaled commit: {b1:?}"
-        );
-    }
 
     #[test]
     fn recovery_cost_grows_with_log_length() {

@@ -241,6 +241,8 @@ pub fn measure(quick: bool) -> ShapesOutcome {
     let cfg = ConcurrentConfig {
         workers,
         obs: true,
+        // One scheduler serves every sub-batch: checking each run would
+        // re-check the whole log on every call.
         verify: false,
         ..ConcurrentConfig::default()
     };

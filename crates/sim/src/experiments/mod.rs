@@ -16,7 +16,6 @@ pub mod e09_timewall;
 pub mod e10_comparison;
 pub mod e11_cross_read_sweep;
 pub mod e12_dbc_messages;
-pub mod e14_obs_profile;
 pub mod e15_certify;
 pub mod e16_chaos;
 pub mod e17_gauges;
@@ -27,11 +26,10 @@ pub mod e20_drift;
 use crate::report::Table;
 
 /// Run every experiment (E1–E10 per figure, plus the E11 sweep, the
-/// E12 message analysis, the E14 observability profile, the E15
-/// certification sweep, the E16 chaos soak, the E17 staleness-gauge
-/// observatory, the E18 flight-recorder blame profile, the E19
-/// durability suite and the E20 observed-shape advisor) and return
-/// the tables in order.
+/// E12 message analysis, the E15 certification sweep, the E16 chaos
+/// soak, the E17 staleness-gauge observatory, the E18 flight-recorder
+/// blame profile, the E19 durability suite and the E20 observed-shape
+/// advisor) and return the tables in order.
 pub fn run_all(quick: bool) -> Vec<Table> {
     vec![
         e01_lost_update::run(quick),
@@ -46,7 +44,6 @@ pub fn run_all(quick: bool) -> Vec<Table> {
         e10_comparison::run(quick),
         e11_cross_read_sweep::run(quick),
         e12_dbc_messages::run(quick),
-        e14_obs_profile::run(quick),
         e15_certify::run(quick),
         e16_chaos::run(quick),
         e17_gauges::run(quick),

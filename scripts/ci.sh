@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: lock files, the store-indirection grep, formatting, lints, the
-# full test suite, the examples, the benchmark smoke, docs, the ordering audit
-# and the model checker. Every correctness invariant is a `cargo test`; no stage
-# runs an experiment.
+# Local CI gate: lock files, the store-indirection and one-stopwatch greps,
+# formatting, lints, the full test suite, the examples, the benchmark smoke,
+# docs, the ordering audit and the model checker. Every correctness invariant
+# is a `cargo test`; no stage runs an experiment.
 # Run from the repository root:
 #
 #   scripts/ci.sh
@@ -25,6 +25,15 @@ echo "== store indirection =="
 if grep -rnE 'dyn StorageBackend|with_chain_dyn' crates tests examples src \
     | grep -v '^crates/mvstore/src/backend.rs:'; then
     echo "StorageBackend used outside crates/mvstore/src/backend.rs; call MvStore" >&2
+    exit 1
+fi
+
+echo "== one stopwatch =="
+# A commits/s number comes only from benchmark/run.sh, from repeated runs whose
+# logs were checked. `sim` drives runs and prints tables, but times none as a
+# throughput.
+if grep -rnE '\.throughput\b|commits_per_sec|_cps\b' crates/sim/src; then
+    echo "a throughput figure in crates/sim/src; measure it with benchmark/run.sh" >&2
     exit 1
 fi
 

@@ -1,9 +1,10 @@
 //! Stress: the `obs` sidecar under full driver width. Eight workers
-//! drive an obs-enabled HDD run, and the resulting snapshot must be
-//! *consistent*: histogram counts equal bucket sums, one commit-latency
-//! sample per committed program, trace tickets dense after the striped
-//! drain, and the per-reason rejection counters partitioning the
-//! `rejections` total.
+//! drive an obs-enabled run under HDD, MVTO and 2PL, and each resulting
+//! snapshot must be *consistent*: histogram counts equal bucket sums,
+//! one commit-latency sample per committed program, trace tickets dense
+//! after the striped drain, the per-reason rejection counters
+//! partitioning the `rejections` total, and registry scans recorded
+//! under HDD alone (only HDD evaluates activity-link bounds).
 //!
 //! Plus a direct 8-thread hammer on a shared [`obs::Obs`]: concurrent
 //! recording into every dimension loses nothing and `snapshot()` taken
@@ -33,22 +34,38 @@ fn inventory_batch(seed: u64) -> (Inventory, Vec<TxnProgram>) {
 }
 
 #[test]
-fn obs_enabled_hdd_run_snapshot_is_consistent() {
+fn obs_enabled_run_snapshot_is_consistent_under_hdd_mvto_and_2pl() {
+    for kind in [
+        SchedulerKind::Hdd,
+        SchedulerKind::Mvto,
+        SchedulerKind::TwoPl,
+    ] {
+        obs_enabled_run_snapshot_is_consistent(kind);
+    }
+}
+
+fn obs_enabled_run_snapshot_is_consistent(kind: SchedulerKind) {
+    let name = kind.name();
     let (w, programs) = inventory_batch(0x0B55_0001);
-    let (sched, _store) = build_scheduler(SchedulerKind::Hdd, &w);
+    let (sched, _store) = build_scheduler(kind, &w);
     let cfg = ConcurrentConfig {
         workers: WORKERS,
         obs: true,
         ..ConcurrentConfig::default()
     };
     let out = run_concurrent(sched.as_ref(), programs, &cfg);
-    assert_eq!(out.stats.committed, TXNS);
-    assert_eq!(out.stats.serializable, Some(true), "{:?}", out.stats.cycle);
+    assert_eq!(out.stats.committed, TXNS, "{name}");
+    assert_eq!(
+        out.stats.serializable,
+        Some(true),
+        "{name}: {:?}",
+        out.stats.cycle
+    );
 
     let snap = sched.metrics().obs.snapshot();
     // One commit-latency sample per committed program, none lost in the
     // recorder stripes.
-    assert_eq!(snap.commit_latency.count, TXNS as u64);
+    assert_eq!(snap.commit_latency.count, TXNS as u64, "{name}");
     // Histogram-internal consistency: count == Σ buckets, sum ≥ count·min.
     for h in [
         &snap.commit_latency,
@@ -65,11 +82,16 @@ fn obs_enabled_hdd_run_snapshot_is_consistent() {
         }
     }
     // Every operation attempt was timed.
-    assert!(snap.op_service.count >= out.stats.steps);
-    // HDD served cross-class reads, so scan lengths were recorded and
-    // traces captured.
-    assert!(snap.registry_scan.count > 0);
-    assert!(snap.trace_recorded > 0);
+    assert!(snap.op_service.count >= out.stats.steps, "{name}");
+    // Only HDD evaluates activity-link bounds: it served cross-class
+    // reads, so scan lengths were recorded and traces captured; the
+    // baselines walk no registry.
+    if kind == SchedulerKind::Hdd {
+        assert!(snap.registry_scan.count > 0);
+        assert!(snap.trace_recorded > 0);
+    } else {
+        assert_eq!(snap.registry_scan.count, 0, "{name}");
+    }
 
     // The drained trace comes out ticket-ordered.
     let drained = sched.metrics().obs.events.drain();
@@ -85,9 +107,10 @@ fn obs_enabled_hdd_run_snapshot_is_consistent() {
     let m = out.stats.metrics;
     assert_eq!(
         m.rejections,
-        m.rej_write_too_late + m.rej_read_too_late + m.rej_deadlock_victim
+        m.rej_write_too_late + m.rej_read_too_late + m.rej_deadlock_victim,
+        "{name}"
     );
-    assert_eq!(m.wall_violations, 0, "bound proofs must hold under stress");
+    assert_eq!(m.wall_violations, 0, "{name}: bound proofs must hold");
 }
 
 #[test]
