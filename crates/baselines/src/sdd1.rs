@@ -190,10 +190,13 @@ impl Scheduler for Sdd1Pipeline {
             Metrics::bump(&self.base.metrics.blocks);
             return CommitOutcome::Block;
         }
-        let Some(info) = self.base.take(h.id) else {
+        // Install, then leave the table: while the writes go in, the
+        // gate still holds younger conflicting transactions back.
+        let Some(info) = self.base.txns.lock().get(&h.id).cloned() else {
             return CommitOutcome::Aborted;
         };
         let cts = self.base.commit_buffered(h.id, &info);
+        self.base.take(h.id);
         CommitOutcome::Committed(cts)
     }
 

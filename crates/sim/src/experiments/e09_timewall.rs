@@ -12,9 +12,10 @@ use crate::driver::{run_interleaved, DriverConfig};
 use crate::factory::build_hdd_with_config;
 use crate::report::{f2, Table};
 use hdd::protocol::HddConfig;
+use obs::TraceEvent;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use txn_model::TxnProgram;
+use txn_model::{Scheduler, TxnProgram};
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::Workload;
 
@@ -59,26 +60,32 @@ pub fn run(quick: bool) -> Table {
             &w,
             HddConfig {
                 wall_interval: interval,
-                gc_interval: 0, // keep walls retained for lag measurement
                 ..HddConfig::default()
             },
         );
+        // The lag comes from the release events the obs log records.
+        let obs = &sched.metrics().obs;
+        obs.set_enabled(true);
         let stats = run_interleaved(sched.as_ref(), programs, &DriverConfig::default());
-        let walls = sched.walls().released_all();
-        let lag: f64 = if walls.is_empty() {
-            0.0
-        } else {
-            walls
-                .iter()
-                .map(|w| (w.released_at.raw() - w.anchor_time.raw()) as f64)
-                .sum::<f64>()
-                / walls.len() as f64
-        };
+        let lags: Vec<f64> = obs
+            .events
+            .drain()
+            .iter()
+            .filter_map(|(_, e)| match e.decision()? {
+                TraceEvent::WallRelease {
+                    anchor,
+                    released_at,
+                    ..
+                } => Some((released_at - anchor) as f64),
+                _ => None,
+            })
+            .collect();
+        let lag = lags.iter().sum::<f64>() / lags.len().max(1) as f64;
         let m = &stats.metrics;
         table.row(&[
             interval.to_string(),
             stats.committed.to_string(),
-            walls.len().to_string(),
+            m.timewalls_released.to_string(),
             m.wall_reads.to_string(),
             m.read_registrations.to_string(),
             m.blocks.to_string(),

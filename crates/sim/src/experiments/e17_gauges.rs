@@ -209,8 +209,8 @@ mod tests {
                 // Strict positivity is a Protocol A guarantee: the
                 // activity-link bound never exceeds the reader's start.
                 // Wall rows are only non-negative — a reader that
-                // begins before the first wall release adopts a wall
-                // from its future (the `earliest()` fallback), and a
+                // begins before the first wall release binds the first
+                // wall at its first read, a wall from its future, and a
                 // `B`/`C_late` step can push a component past the
                 // reader's start, so `start − version` saturates to 0
                 // on those startup-transient reads (DESIGN.md §10).

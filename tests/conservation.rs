@@ -41,6 +41,7 @@ fn hdd_and_locking_conserve_money_concurrently() {
         SchedulerKind::Hdd,
         SchedulerKind::TwoPl,
         SchedulerKind::Mvto,
+        SchedulerKind::Sdd1,
     ] {
         let (w, programs) = transfer_batch(6, 200, 72);
         let (sched, store) = build_scheduler(kind, &w);

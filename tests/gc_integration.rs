@@ -78,7 +78,7 @@ fn gc_never_reclaims_what_a_pinned_reader_needs() {
     );
     // Release a wall, pin an audit to it.
     sched.maintenance();
-    assert!(sched.walls().released_count() > 0);
+    assert!(sched.metrics().snapshot().timewalls_released > 0);
     let audit = sched.begin(&TxnProfile::read_only(vec![SegmentId(1), SegmentId(4)]));
     let first = match sched.read(&audit, Inv::inventory_level(0)) {
         ReadOutcome::Value(v) => v,
