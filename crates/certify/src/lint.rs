@@ -302,7 +302,7 @@ pub fn lint_script(script: &Script, hierarchy: &Hierarchy) -> LintReport {
                     .with_help(
                         "its reads can never conflict: serve it outside the \
                          protocol (a plain snapshot read, no timestamp draw and \
-                         no time-wall wait) — or, if these segments do change, \
+                         no wall pin) — or, if these segments do change, \
                          add the missing update transaction to the script",
                     ),
                 );

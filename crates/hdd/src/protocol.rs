@@ -13,8 +13,7 @@
 //!   released before its initiation. Read-only transactions whose
 //!   segments do lie on one critical path ride Protocol A anchored at a
 //!   fictitious class below the chain (Section 5.0, Figure 8). Neither
-//!   kind registers reads or waits (except, for Protocol C, an initial
-//!   wait when no wall has been released yet).
+//!   kind registers reads or waits.
 //!
 //! Every unregistered read takes one path: under the shard lock `read`
 //! takes for the liveness check, `route` finds the bound — Protocol A's
@@ -50,10 +49,8 @@ enum RoMode {
     /// Read segments lie on one critical path: Protocol A from a
     /// fictitious class below `base`.
     OnChain { base: ClassId },
-    /// Protocol C: pinned at `begin` to the newest released wall; a
-    /// reader that began before the first release binds the first wall
-    /// at its first read.
-    Wall { wall: Option<Arc<TimeWall>> },
+    /// Protocol C: pinned at `begin` to the newest released wall.
+    Wall { wall: Arc<TimeWall> },
 }
 
 #[derive(Debug)]
@@ -108,8 +105,6 @@ enum Route {
     Root,
     /// Unregistered: the latest committed version below the bound.
     Below(Timestamp, Via),
-    /// Protocol C, and no wall has been released yet.
-    NoWall,
 }
 
 /// Which rule produced an unregistered read's bound — the fact `obs`
@@ -268,7 +263,7 @@ impl HddScheduler {
         metrics
             .obs
             .configure(n as u32, hierarchy.segment_count() as u32);
-        HddScheduler {
+        let sched = HddScheduler {
             hierarchy,
             store,
             clock,
@@ -280,7 +275,19 @@ impl HddScheduler {
             txns: TxnTable::new(),
             config,
             maintenance_calls: AtomicU64::new(0),
-        }
+        };
+        // The genesis wall: the database before any transaction is a
+        // consistent cut, so every component is `ts:1` (reads below it
+        // see the seed) and Protocol C always has a wall to pin. It is
+        // neither counted nor reported as a release.
+        let genesis = sched.walls.try_release(
+            &sched.hierarchy,
+            &sched.funcs(),
+            Timestamp::ZERO.succ(),
+            || Timestamp::ZERO,
+        );
+        genesis.expect("an empty registry computes every wall");
+        sched
     }
 
     /// The hierarchy in force.
@@ -380,30 +387,29 @@ impl HddScheduler {
         if !call.is_multiple_of(4) {
             return;
         }
-        if let Some(w) = self.walls.latest() {
-            let floor = w.floor();
-            gauges.set_wall(
-                w.anchor_time.raw(),
-                w.released_at.raw(),
-                floor.raw(),
-                now.raw().saturating_sub(floor.raw()),
-            );
-            let mut dragger: Option<u32> = None;
-            for c in 0..self.hierarchy.class_count() {
-                let class = ClassId(c as u32);
-                gauges.set_wall_component(c as u32, w.component(class).raw());
-                if dragger.is_none() && w.component(class) == floor {
-                    // The wall floor is min over components; the first
-                    // class sitting at it is the "dragger" whose
-                    // `I_old` holds every Protocol C reader back.
-                    dragger = Some(c as u32);
-                }
-                for seg in self.hierarchy.segments_of(class) {
-                    gauges.set_segment_wall(seg.0, w.component(class).raw());
-                }
+        let w = self.newest_wall();
+        let floor = w.floor();
+        gauges.set_wall(
+            w.anchor_time.raw(),
+            w.released_at.raw(),
+            floor.raw(),
+            now.raw().saturating_sub(floor.raw()),
+        );
+        let mut dragger: Option<u32> = None;
+        for c in 0..self.hierarchy.class_count() {
+            let class = ClassId(c as u32);
+            gauges.set_wall_component(c as u32, w.component(class).raw());
+            if dragger.is_none() && w.component(class) == floor {
+                // The wall floor is min over components; the first
+                // class sitting at it is the "dragger" whose
+                // `I_old` holds every Protocol C reader back.
+                dragger = Some(c as u32);
             }
-            gauges.note_wall_floor(dragger, now.raw());
+            for seg in self.hierarchy.segments_of(class) {
+                gauges.set_segment_wall(seg.0, w.component(class).raw());
+            }
         }
+        gauges.note_wall_floor(dragger, now.raw());
         let mut active_total = 0u64;
         let mut intervals_total = 0u64;
         let mut lag_total = 0u64;
@@ -458,20 +464,21 @@ impl HddScheduler {
     /// and a fresh computation reads its anchor under the release lock,
     /// at or above both that `now` and the newest wall's anchor. A
     /// reader the scan misses pinned, under its shard lock, the wall
-    /// read here or a newer one.
+    /// read here or a newer one. The genesis wall counts too: until the
+    /// first release the watermark stays at `ts:1`, so GC collects
+    /// nothing while the seed is the cut Protocol C reads.
     pub fn gc_watermark(&self) -> Timestamp {
         let mut f = self.clock.now();
         if let Some(anchor) = self.walls.pending_anchor() {
             f = f.min(anchor);
         }
-        if let Some(w) = self.walls.latest() {
-            f = f.min(w.floor()).min(w.anchor_time);
-        }
+        let w = self.newest_wall();
+        f = f.min(w.floor()).min(w.anchor_time);
         self.txns.for_each(|st| {
             if let Some(ro) = &st.ro_mode {
                 let floor = match ro {
-                    RoMode::Wall { wall: Some(w) } => w.floor().min(w.anchor_time),
-                    _ => st.start,
+                    RoMode::Wall { wall } => wall.floor().min(wall.anchor_time),
+                    RoMode::OnChain { .. } => st.start,
                 };
                 f = f.min(floor);
             }
@@ -541,6 +548,14 @@ impl HddScheduler {
 
     fn funcs(&self) -> ActivityFuncs<'_> {
         ActivityFuncs::new(&self.hierarchy, &self.registry)
+    }
+
+    /// The newest released wall; `new` released the genesis wall, so
+    /// there always is one.
+    fn newest_wall(&self) -> Arc<TimeWall> {
+        self.walls
+            .latest()
+            .expect("`new` releases the genesis wall")
     }
 
     /// `txn`'s operation on `g` blocked on `holder`'s pending version of
@@ -614,26 +629,20 @@ impl HddScheduler {
     /// How `st` reads a granule of `target`, under `st`'s shard lock.
     /// A Protocol A bound is looked up in `st.bounds`; a miss walks the
     /// registry and caches the bound of every class on the path (each
-    /// is a prefix of it). A Protocol C reader that began before the
-    /// first release binds the first wall on its first read. Lock
-    /// order: txn shard → registry class (and the wall service's leaf
-    /// `latest` lock). No one takes a shard lock while holding a class
-    /// lock — `begin_with`/`end_with` closures only tick, and the
-    /// GC watermark and the reaper release each shard before touching
-    /// the registry — so the nesting cannot deadlock.
+    /// is a prefix of it). A Protocol C reader reads the component of
+    /// the wall it pinned at `begin`. Lock order: txn shard → registry
+    /// class. No one takes a shard lock while holding a class lock —
+    /// `begin_with`/`end_with` closures only tick, and the GC watermark
+    /// and the reaper release each shard before touching the registry —
+    /// so the nesting cannot deadlock.
     fn route(&self, st: &mut TxnState, target: ClassId) -> Route {
-        let (reader, from_below) = match &mut st.ro_mode {
+        let (reader, from_below) = match &st.ro_mode {
             None if st.class == Some(target) => return Route::Root,
             None => (st.class.expect("update transactions carry a class"), false),
             Some(RoMode::OnChain { base }) => (*base, true),
             Some(RoMode::Wall { wall }) => {
-                if wall.is_none() {
-                    *wall = self.walls.latest();
-                }
-                return wall.as_ref().map_or(Route::NoWall, |w| {
-                    let anchor = w.anchor_time;
-                    Route::Below(w.component(target), Via::Wall { anchor })
-                });
+                let anchor = wall.anchor_time;
+                return Route::Below(wall.component(target), Via::Wall { anchor });
             }
         };
         let (funcs, start, bounds) = (self.funcs(), st.start, &mut st.bounds);
@@ -705,12 +714,11 @@ impl Scheduler for HddScheduler {
             profile.write_segments.iter().map(|s| s.0),
         );
 
-        let ro_mode = profile.is_read_only().then(|| {
-            match self.hierarchy.read_only_chain_base(&profile.read_segments) {
-                Some(base) => RoMode::OnChain { base },
-                None => RoMode::Wall { wall: None },
-            }
-        });
+        // `Some(base)` for a read-only transaction: the base of its
+        // critical path, or `None` when it is off-chain (Protocol C).
+        let chain = profile
+            .is_read_only()
+            .then(|| self.hierarchy.read_only_chain_base(&profile.read_segments));
 
         // Log the begin, then build the live state: a reap can only
         // follow the insert, so the log never holds an abort before its
@@ -730,19 +738,19 @@ impl Scheduler for HddScheduler {
                 bounds: Bounds::EMPTY,
             }
         };
+        // Classed transactions draw their initiation timestamp *inside*
+        // the class registry lock (`begin_with`): any concurrent
+        // activity-link evaluation either runs before the tick (and its
+        // bound cannot reach the new start) or after the insert (and sees
+        // the transaction as active). Ticking outside the lock opens a
+        // window where a bound computed from the registry overshoots a
+        // ticked-but-unregistered transaction, breaking the immutability
+        // of `I_old(m)` for `m ≤ now` that Protocol A's proof rests on.
+        let tick = || self.clock.tick();
         let start = match profile.class {
-            // Classed transactions draw their initiation timestamp
-            // *inside* the class registry lock (`begin_with`): any
-            // concurrent activity-link evaluation either runs before the
-            // tick (and its bound cannot reach the new start) or after
-            // the insert (and sees the transaction as active). Ticking
-            // outside the lock opens a window where a bound computed from
-            // the registry overshoots a ticked-but-unregistered
-            // transaction, breaking the immutability of `I_old(m)` for
-            // `m ≤ now` that Protocol A's proof rests on.
-            Some(class) => {
-                let start = self.registry.begin_with(class, || self.clock.tick());
-                self.txns.insert(id, begun(start, ro_mode));
+            Some(class) if chain.is_none() => {
+                let start = self.registry.begin_with(class, tick);
+                self.txns.insert(id, begun(start, None));
                 start
             }
             // A read-only transaction is known to the GC watermark only
@@ -755,12 +763,17 @@ impl Scheduler for HddScheduler {
             // wall there too, read before the tick so it was released
             // before the start: the scan sees the pin, or passed the
             // shard before it, having read this wall or an older one.
-            None => self.txns.insert_with(id, || {
-                let mut ro_mode = ro_mode;
-                if let Some(RoMode::Wall { wall }) = &mut ro_mode {
-                    *wall = self.walls.latest();
-                }
-                begun(self.clock.tick(), ro_mode)
+            class => self.txns.insert_with(id, || {
+                let ro_mode = chain.map(|base| match base {
+                    Some(base) => RoMode::OnChain { base },
+                    None => RoMode::Wall {
+                        wall: self.newest_wall(),
+                    },
+                });
+                // A classed profile that declares no writes nests the
+                // class lock inside the shard lock, as `route` does.
+                let start = class.map_or_else(tick, |c| self.registry.begin_with(c, tick));
+                begun(start, ro_mode)
             }),
         };
         TxnHandle {
@@ -788,14 +801,6 @@ impl Scheduler for HddScheduler {
             None => ReadOutcome::Abort,
             Some(Route::Root) => self.read_root(h, g),
             Some(Route::Below(bound, via)) => self.read_unregistered(h, g, target, bound, via),
-            Some(Route::NoWall) => {
-                // Wait for the service (the only wait Protocol C has).
-                Metrics::bump(&self.metrics.blocks);
-                self.metrics.obs.blocked_on_wall(h.id.0, || {
-                    self.walls.pending_anchor().map_or(0, Timestamp::raw)
-                });
-                ReadOutcome::Block
-            }
         }
     }
 
@@ -939,7 +944,7 @@ mod tests {
     use super::*;
     use crate::analysis::AccessSpec;
     use mvstore::MvStore;
-    use obs::{Obs, NO_CLASS};
+    use obs::Obs;
     use txn_model::{DependencyGraph, SegmentId};
 
     fn s(i: u32) -> SegmentId {
@@ -1320,37 +1325,21 @@ mod tests {
 
     #[test]
     fn one_fact_reaches_every_sink_once() {
-        // Sampled phase: a Protocol C reader blocks before any wall
-        // exists; the one wall-release event is what `assemble` resolves
-        // its wall-pending edge to.
+        // Sampled phase: one release is one event, which `assemble`
+        // keeps for the trace's maintenance track. The genesis wall `new`
+        // released is not a release.
         let sched = setup_branching();
         let obs = &sched.metrics().obs;
         obs.set_enabled(true);
         obs.shapes.set_enabled(true);
-        obs.flight.set_sample_every(1);
-        let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
-        assert!(obs.admit(ro.id.0, NO_CLASS, 0));
-        let blocked_at = obs.flight.now_ns();
-        assert_eq!(sched.read(&ro, g(1, 1)), ReadOutcome::Block);
         assert!(sched.try_release_wall());
-        let dur_ns = obs.flight.now_ns() - blocked_at;
-        obs.span(obs::SpanEvent::Wait {
-            txn: ro.id.0,
-            start_ns: blocked_at,
-            dur_ns,
-            slept_ns: 0,
-        });
-        sched.abort(&ro);
         let events = obs.events.drain();
         let releases = events
             .iter()
             .filter(|(_, e)| matches!(e.decision(), Some(obs::TraceEvent::WallRelease { .. })));
         assert_eq!(releases.count(), 1, "one release, one event");
-        let log = obs::assemble(&events);
-        assert_eq!(log.wall_releases.len(), 1);
-        let wait = log.flight(ro.id.0).expect("admitted").waits[0];
-        assert!(matches!(wait.cause, obs::WaitCause::WallPending { .. }));
-        assert!(log.wall_releases[0].1 <= wait.start_ns + wait.dur_ns);
+        assert_eq!(obs::assemble(&events).wall_releases.len(), 1);
+        assert_eq!(sched.metrics().snapshot().timewalls_released, 1);
 
         // Stride-0 phase: every Protocol A and Protocol C read is one
         // staleness sample and one decision event, and every begin one
@@ -1389,38 +1378,6 @@ mod tests {
         // D0 walk (from below class 1) caches class 1, so its D1 read
         // walks nothing — 3 walks a round for 4 Protocol A reads.
         assert_eq!(obs.registry_scan.count(), 12);
-    }
-
-    #[test]
-    fn read_only_off_chain_needs_a_wall() {
-        let sched = setup_branching();
-
-        // Without a wall, the read blocks.
-        let ro = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
-        assert_eq!(sched.read(&ro, g(1, 1)), ReadOutcome::Block);
-
-        // Release a wall: the blocked reader binds it on its retry, and
-        // transactions started after the release pin it at begin.
-        assert!(sched.try_release_wall());
-        match sched.read(&ro, g(1, 1)) {
-            ReadOutcome::Value(v) => assert_eq!(*v, Value::Int(11)),
-            other => panic!("expected value after wall release, got {other:?}"),
-        }
-        assert!(matches!(sched.commit(&ro), CommitOutcome::Committed(_)));
-        let ro2 = sched.begin(&TxnProfile::read_only(vec![s(1), s(2)]));
-        match sched.read(&ro2, g(1, 1)) {
-            ReadOutcome::Value(v) => assert_eq!(*v, Value::Int(11)),
-            other => panic!("expected value, got {other:?}"),
-        }
-        match sched.read(&ro2, g(2, 1)) {
-            ReadOutcome::Value(v) => assert_eq!(*v, Value::Int(22)),
-            other => panic!("expected value, got {other:?}"),
-        }
-        assert!(matches!(sched.commit(&ro2), CommitOutcome::Committed(_)));
-        let m = sched.metrics().snapshot();
-        assert_eq!(m.wall_reads, 3); // ro's post-release read + ro2's two
-        assert_eq!(m.read_registrations, 0);
-        assert!(DependencyGraph::from_log(sched.log()).is_serializable());
     }
 
     #[test]
@@ -1466,6 +1423,9 @@ mod tests {
             sched.write(&t, g(0, 1), Value::Int(i));
             sched.commit(&t);
         }
+        // The genesis wall pins the seed until a wall is released.
+        assert_eq!(sched.run_gc(), 0);
+        assert!(sched.try_release_wall());
         let before = sched.store().version_count();
         let reclaimed = sched.run_gc();
         assert!(reclaimed > 0, "old versions should be reclaimed");

@@ -155,6 +155,11 @@ pub fn resume(
         ivs.sort_by_key(|&(start, _, _)| start);
         sched.registry().absorb_class(class, &ivs);
     }
+    // Every recovered interval has ended, so a wall is computable now:
+    // a resumed Protocol C reader reads the recovered state, not the
+    // genesis wall's seed.
+    let released = sched.try_release_wall();
+    debug_assert!(released, "no recovered interval is running");
 
     let resumes_after = recovery.high_water_mark.succ();
     // Publish replay progress on the gauge board so a scraper watching

@@ -6,8 +6,8 @@
 //! needs:
 //!
 //! * [`BlameReport`] — total measured block time aggregated **by
-//!   cause** (holder class for Protocol B pending-version waits, the
-//!   time-wall service for Protocol C waits, unattributed remainder),
+//!   cause** (holder class for pending-version waits, unattributed
+//!   remainder),
 //!   plus the waiter-class × holder-class wait matrix and the share of
 //!   block time actually slept in driver backoff. Its
 //!   [`coverage`](BlameReport::coverage) is the fraction of block time
@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 /// bucket.
 #[derive(Debug, Clone)]
 pub struct CauseBucket {
-    /// Bucket label (e.g. `txn-pending c0`, `wall-pending`).
+    /// Bucket label (e.g. `txn-pending c0`, `unattributed`).
     pub label: String,
     /// Total wait time attributed to the bucket.
     pub wait_ns: u64,
@@ -46,8 +46,6 @@ pub struct BlameReport {
     pub total_wait_ns: u64,
     /// Portion of `total_wait_ns` carrying a cause edge.
     pub attributed_ns: u64,
-    /// Portion of `total_wait_ns` attributed to pending time walls.
-    pub wall_wait_ns: u64,
     /// Portion of `total_wait_ns` actually slept in driver backoff.
     pub backoff_slept_ns: u64,
     /// Cause buckets, sorted by descending wait time.
@@ -83,11 +81,6 @@ impl BlameReport {
                         report.attributed_ns += w.dur_ns;
                         *matrix.entry((f.class, class)).or_default() += w.dur_ns;
                         format!("txn-pending {}", class_label(class))
-                    }
-                    WaitCause::WallPending { .. } => {
-                        report.attributed_ns += w.dur_ns;
-                        report.wall_wait_ns += w.dur_ns;
-                        "wall-pending".to_string()
                     }
                     WaitCause::Unattributed => "unattributed".to_string(),
                 };
@@ -307,7 +300,7 @@ pub fn critical_chain(log: &FlightLog, flight: &TxnFlight) -> Vec<ChainHop> {
                     None => break, // holder was not sampled
                 }
             }
-            _ => break, // wall or unattributed: chain roots here
+            WaitCause::Unattributed => break, // the chain roots here
         }
     }
     chain
@@ -355,7 +348,7 @@ mod tests {
                     0,
                     vec![
                         wait(300, 50, WaitCause::TxnPending { txn: 2, class: 1 }),
-                        wait(100, 0, WaitCause::WallPending { anchor: 5 }),
+                        wait(100, 0, WaitCause::TxnPending { txn: 3, class: 2 }),
                     ],
                 ),
                 flight(2, 1, vec![wait(50, 0, WaitCause::Unattributed)]),
@@ -366,12 +359,12 @@ mod tests {
         let r = BlameReport::build(&log);
         assert_eq!(r.total_wait_ns, 450);
         assert_eq!(r.attributed_ns, 400);
-        assert_eq!(r.wall_wait_ns, 100);
         assert_eq!(r.backoff_slept_ns, 50);
         assert!((r.coverage() - 400.0 / 450.0).abs() < 1e-9);
         assert_eq!(r.by_cause[0].label, "txn-pending c1");
         assert_eq!(r.by_cause[0].wait_ns, 300);
-        assert_eq!(r.class_matrix, vec![(0, 1, 300)]);
+        assert_eq!(r.by_cause[1].label, "txn-pending c2");
+        assert_eq!(r.class_matrix, vec![(0, 1, 300), (0, 2, 100)]);
         let table = r.render_top(5);
         assert!(table.contains("txn-pending c1"));
         assert!(table.contains("waiter -> holder"));
@@ -431,11 +424,7 @@ mod tests {
                     1,
                     vec![wait(300, 0, WaitCause::TxnPending { txn: 1, class: 0 })],
                 ),
-                flight(
-                    3,
-                    2,
-                    vec![wait(100, 0, WaitCause::WallPending { anchor: 9 })],
-                ),
+                flight(3, 2, vec![wait(100, 0, WaitCause::Unattributed)]),
             ],
             wall_releases: vec![],
             open: 0,
@@ -444,9 +433,9 @@ mod tests {
         assert_eq!(chain.len(), 2, "cycle 1->2->1 must stop");
         assert_eq!(chain[0].txn, 1);
         assert_eq!(chain[1].txn, 2);
-        let wall = critical_chain(&log, log.flight(3).unwrap());
-        assert_eq!(wall.len(), 1);
-        assert!(matches!(wall[0].cause, WaitCause::WallPending { .. }));
+        let root = critical_chain(&log, log.flight(3).unwrap());
+        assert_eq!(root.len(), 1);
+        assert_eq!(root[0].cause, WaitCause::Unattributed);
         assert!(critical_chain(&log, &flight(9, 0, vec![])).is_empty());
     }
 }

@@ -570,11 +570,6 @@ pub fn flight_chrome_trace(log: &FlightLog) -> String {
                 WaitCause::TxnPending { txn, .. } => {
                     log.flight(txn).map(|h| (u64::from(h.worker) + 1, h.end_ns))
                 }
-                WaitCause::WallPending { .. } => log
-                    .wall_releases
-                    .iter()
-                    .find(|&&(_, at)| at >= w.start_ns)
-                    .map(|&(_, at)| (FLIGHT_TID_MAINTENANCE, at)),
                 WaitCause::Unattributed => None,
             };
             if let Some((src_tid, src_ns)) = source {
@@ -951,7 +946,7 @@ mod tests {
                             start_ns: 6_000,
                             dur_ns: 1_000,
                             slept_ns: 0,
-                            cause: WaitCause::WallPending { anchor: 4 },
+                            cause: WaitCause::Unattributed,
                         },
                     ],
                 },
@@ -972,12 +967,12 @@ mod tests {
         let text = flight_chrome_trace(&log);
         let n = validate_chrome_trace(&text).expect("validates");
         // 3 thread metadata + 1 wall release + 2 flights + 1 op + 2
-        // waits + 2 flow arrows per attributed wait (2 attributed).
-        assert_eq!(n, 3 + 1 + 2 + 1 + 2 + 4);
+        // waits + 2 flow arrows per attributed wait (1 attributed).
+        assert_eq!(n, 3 + 1 + 2 + 1 + 2 + 2);
         assert!(text.contains("\"name\":\"txn 1 [committed]\""));
         assert!(text.contains("\"name\":\"txn 2 [aborted]\""));
         assert!(text.contains("\"name\":\"wait: txn-pending\""));
-        assert!(text.contains("\"name\":\"wait: wall-pending\""));
+        assert!(text.contains("\"name\":\"wait: unattributed\""));
         assert!(text.contains("\"ph\":\"s\""), "flow start missing");
         assert!(
             text.contains("\"ph\":\"f\",\"bp\":\"e\""),
@@ -991,9 +986,12 @@ mod tests {
         assert!(
             text.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":5.000,\"pid\":1,\"tid\":1")
         );
-        // Wall edge flows from the release instant on the maintenance
-        // track.
-        assert!(text.contains("\"ph\":\"s\",\"id\":2,\"ts\":6.800,\"pid\":1,\"tid\":0"));
+        // The release is an instant on the maintenance track; the
+        // unattributed wait draws no arrow.
+        assert!(
+            text.contains("\"name\":\"wall-release\",\"cat\":\"wall\",\"ph\":\"i\",\"ts\":6.800")
+        );
+        assert!(!text.contains("\"id\":2"));
         assert!(flight_chrome_trace(&FlightLog::default()).contains("maintenance"));
         assert!(validate_chrome_trace(&flight_chrome_trace(&FlightLog::default())).is_ok());
     }

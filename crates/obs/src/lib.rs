@@ -288,34 +288,17 @@ impl Obs {
         }
     }
 
-    /// A cause edge, for sampled flights only — so is resolving `cause`.
-    #[inline]
-    fn blocked(&self, txn: u64, cause: impl FnOnce() -> WaitCause) {
-        if self.enabled() && self.flight.sampled(txn) {
-            let (at_ns, cause) = (self.flight.now_ns(), cause());
-            self.span(SpanEvent::BlockCause { txn, at_ns, cause });
-        }
-    }
-
     /// `txn` blocked on `holder`'s pending version: the wait ends when
-    /// `holder` (of class `holder_class()`) commits or aborts.
+    /// `holder` (of class `holder_class()`) commits or aborts. A cause
+    /// edge, for sampled flights only — so is resolving the class.
     #[inline]
     pub fn blocked_on_txn(&self, txn: u64, holder: u64, holder_class: impl FnOnce() -> u32) {
-        self.blocked(txn, || {
+        if self.enabled() && self.flight.sampled(txn) {
+            let at_ns = self.flight.now_ns();
             let class = holder_class();
-            WaitCause::TxnPending { txn: holder, class }
-        });
-    }
-
-    /// `txn` blocked on the time-wall service (Protocol C before any
-    /// release): the wait ends at the next wall release.
-    /// `pending_anchor()` is 0 when no wall is pending.
-    #[inline]
-    pub fn blocked_on_wall(&self, txn: u64, pending_anchor: impl FnOnce() -> u64) {
-        self.blocked(txn, || {
-            let anchor = pending_anchor();
-            WaitCause::WallPending { anchor }
-        });
+            let cause = WaitCause::TxnPending { txn: holder, class };
+            self.span(SpanEvent::BlockCause { txn, at_ns, cause });
+        }
     }
 
     /// The time-wall service released the wall anchored at `anchor` at
@@ -613,7 +596,6 @@ mod tests {
             o.cross_read(1, read, Some(3));
             o.wall_read(6, read);
             o.blocked_on_txn(4, 2, || unreachable!("flight not sampled"));
-            o.blocked_on_wall(4, || unreachable!("flight not sampled"));
             o.wall_released(6, 7);
             o.gc_ran(5, 0);
             o.gc_ran(5, 2);
@@ -668,7 +650,6 @@ mod tests {
         );
         assert_eq!(s.registry_scan.count, 2);
         o.blocked_on_txn(6, 2, || 1);
-        o.blocked_on_wall(6, || 9);
-        assert_eq!(o.events.recorded(), 7);
+        assert_eq!(o.events.recorded(), 6);
     }
 }

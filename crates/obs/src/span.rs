@@ -78,13 +78,6 @@ pub enum WaitCause {
         /// The holder's class index.
         class: u32,
     },
-    /// Blocked on the time-wall service (Protocol C before any wall has
-    /// been released): the wait ends at the next wall release. `anchor`
-    /// is the pending wall's anchor time, 0 when none was pending.
-    WallPending {
-        /// Anchor time `m` of the pending wall.
-        anchor: u64,
-    },
     /// No cause was recorded for the wait (non-hdd scheduler, or the
     /// cause event was evicted from the ring).
     Unattributed,
@@ -95,7 +88,6 @@ impl WaitCause {
     pub fn label(self) -> &'static str {
         match self {
             WaitCause::TxnPending { .. } => "txn-pending",
-            WaitCause::WallPending { .. } => "wall-pending",
             WaitCause::Unattributed => "unattributed",
         }
     }
@@ -108,7 +100,6 @@ impl fmt::Display for WaitCause {
                 write!(f, "txn-pending(t{txn})")
             }
             WaitCause::TxnPending { txn, class } => write!(f, "txn-pending(t{txn} c{class})"),
-            WaitCause::WallPending { anchor } => write!(f, "wall-pending(m={anchor})"),
             WaitCause::Unattributed => f.write_str("unattributed"),
         }
     }
@@ -405,7 +396,7 @@ impl FlightLog {
 
 /// Fold a drained event stream into per-transaction flights. Decision
 /// events are skipped, except the two scheduler facts that are also
-/// flight facts: a wall release (the wake event of wall-pending edges)
+/// flight facts: a wall release (an instant on the maintenance track)
 /// and a watchdog reap (the flight's [`Terminal::Reaped`]).
 ///
 /// * Events without a preceding `Admit` (evicted, or reported by the
@@ -559,8 +550,8 @@ mod tests {
             dur_ns: 50,
         };
         o.span(SpanEvent::Op { txn: 7, op });
-        // Two block streaks: the first caused by t3, the second by the
-        // pending wall. Causes recorded at block points, waits by the
+        // Two block streaks: the first caused by t3, the second by t5.
+        // Causes recorded at block points, waits by the
         // driver when each streak ends.
         o.span(SpanEvent::BlockCause {
             txn: 7,
@@ -576,7 +567,7 @@ mod tests {
         o.span(SpanEvent::BlockCause {
             txn: 7,
             at_ns: 210,
-            cause: WaitCause::WallPending { anchor: 42 },
+            cause: WaitCause::TxnPending { txn: 5, class: 1 },
         });
         o.span(SpanEvent::Wait {
             txn: 7,
@@ -584,8 +575,8 @@ mod tests {
             dur_ns: 30,
             slept_ns: 0,
         });
-        // The scheduler's one wall-release fact is the wake event, and
-        // foreign decisions in the same slice are skipped.
+        // The scheduler's wall-release fact is kept, and foreign
+        // decisions in the same slice are skipped.
         o.emit(TraceEvent::WallRelease {
             anchor: 42,
             released_at: 43,
@@ -610,7 +601,7 @@ mod tests {
         assert_eq!(f.ops.len(), 1);
         assert_eq!(f.waits.len(), 2);
         assert_eq!(f.waits[0].cause, WaitCause::TxnPending { txn: 3, class: 0 });
-        assert_eq!(f.waits[1].cause, WaitCause::WallPending { anchor: 42 });
+        assert_eq!(f.waits[1].cause, WaitCause::TxnPending { txn: 5, class: 1 });
         assert_eq!(f.wait_ns(), 70);
         assert_eq!(f.end_ns, 300);
     }
@@ -665,10 +656,6 @@ mod tests {
                 }
             ),
             "txn-pending(t9)"
-        );
-        assert_eq!(
-            format!("{}", WaitCause::WallPending { anchor: 3 }),
-            "wall-pending(m=3)"
         );
     }
 }

@@ -144,9 +144,9 @@ pub enum TraceEvent {
         /// Reason code.
         reason: RejectReason,
     },
-    /// The time-wall service released a wall — also the wake event
-    /// [`assemble`](crate::span::assemble) resolves
-    /// [`WaitCause::WallPending`](crate::span::WaitCause) edges to.
+    /// The time-wall service released a wall (also a flight fact:
+    /// [`assemble`](crate::span::assemble) keeps it for the trace's
+    /// maintenance track).
     WallRelease {
         /// Anchor time `m` of the wall.
         anchor: u64,

@@ -3,10 +3,11 @@
 //! Figure 9 draws the wall: per-class bounds across which no dependency
 //! can point old → new. This experiment runs the inventory application
 //! with off-chain audits (which must use Protocol C) while sweeping the
-//! wall-release interval, and reports: walls released, the audits'
-//! waiting (only ever for the *first* wall), the wall computation lag
-//! (release time − anchor time — how long `C_late` computability took),
-//! and the serializability verdict that Theorem 2 promises.
+//! wall-release interval, and reports: walls released, blocks (Protocol
+//! B's only: an audit never waits, the seed state is the first wall),
+//! the wall computation lag (release time − anchor time — how long
+//! `C_late` computability took), and the serializability verdict that
+//! Theorem 2 promises.
 
 use crate::driver::{run_interleaved, DriverConfig};
 use crate::factory::build_hdd_with_config;

@@ -206,24 +206,20 @@ mod tests {
                 );
             }
             for cell in &p.gauges.staleness {
-                // Strict positivity is a Protocol A guarantee: the
-                // activity-link bound never exceeds the reader's start.
-                // Wall rows are only non-negative — a reader that
-                // begins before the first wall release binds the first
-                // wall at its first read, a wall from its future, and a
-                // `B`/`C_late` step can push a component past the
-                // reader's start, so `start − version` saturates to 0
-                // on those startup-transient reads (DESIGN.md §10).
-                if cell.reader != obs::gauges::WALL_READER {
-                    assert!(
-                        cell.hist.min >= 1 && cell.hist.p50() >= 1,
-                        "{}: Protocol A staleness must be strictly positive ({} seg {}: min {})",
-                        p.workload,
-                        cell.reader_label(),
-                        cell.segment,
-                        cell.hist.min
-                    );
-                }
+                // Strict positivity: an activity-link bound never
+                // exceeds the reader's start, and a wall reader's served
+                // version is below a component, which was settled before
+                // the wall's release, which precedes the reader's start
+                // (the genesis wall serves only the seed, below every
+                // start).
+                assert!(
+                    cell.hist.min >= 1 && cell.hist.p50() >= 1,
+                    "{}: staleness must be strictly positive ({} seg {}: min {})",
+                    p.workload,
+                    cell.reader_label(),
+                    cell.segment,
+                    cell.hist.min
+                );
             }
             // One staleness sample per *served* Protocol A/C read: the
             // counters bump per attempt, and the only attempt that is

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: lock files, the store-indirection and one-stopwatch greps,
-# formatting, lints, the full test suite, the examples, the benchmark smoke,
-# docs, the ordering audit and the model checker. Every correctness invariant
-# is a `cargo test`; no stage runs an experiment.
+# Local CI gate: lock files, the store-indirection, one-stopwatch and
+# protocol-C greps, formatting, lints, the full test suite, the examples, the
+# benchmark smoke, docs, the ordering audit and the model checker. Every
+# correctness invariant is a `cargo test`; no stage runs an experiment.
 # Run from the repository root:
 #
 #   scripts/ci.sh
@@ -34,6 +34,15 @@ echo "== one stopwatch =="
 # throughput.
 if grep -rnE '\.throughput\b|commits_per_sec|_cps\b' crates/sim/src; then
     echo "a throughput figure in crates/sim/src; measure it with benchmark/run.sh" >&2
+    exit 1
+fi
+
+echo "== protocol C never waits =="
+# The seed state is the first time wall, so a Protocol C reader always has
+# a wall to pin at `begin` and never waits for one. The wait path, its cause
+# and its blame bucket stay deleted.
+if grep -rnE 'WallPending|blocked_on_wall|NoWall|wall_wait_ns' crates tests examples src; then
+    echo "a Protocol C wait path is back; pin the newest wall at begin instead" >&2
     exit 1
 fi
 

@@ -2,12 +2,19 @@
 //! drivers, always ending in a serializability check of the recorded
 //! schedule (the paper's own correctness criterion).
 
+use certify::certifier::certify_log;
+use hdd::{AccessSpec, HddConfig, HddScheduler, Hierarchy};
+use mvstore::MvStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::concurrent::{run_concurrent, ConcurrentConfig};
 use sim::driver::{run_interleaved, DriverConfig};
 use sim::factory::{build_scheduler, SchedulerKind, ALL_KINDS};
-use txn_model::TxnProgram;
+use std::sync::Arc;
+use txn_model::{
+    ClassId, CommitOutcome, GranuleId, LogicalClock, ReadOutcome, Scheduler, SegmentId, TxnProfile,
+    TxnProgram, Value, WriteOutcome,
+};
 use workloads::banking::Banking;
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::synthetic::{Synthetic, SyntheticConfig};
@@ -116,8 +123,7 @@ fn hdd_cross_class_reads_never_block_under_load() {
     let mut w = Inventory::new(InventoryConfig {
         items: 4, // hot items → plenty of concurrent writers
         w_report: 20,
-        w_audit: 0, // only on-chain read-only traffic (audits may wait
-        // once for the first wall)
+        w_audit: 0, // only on-chain read-only traffic
         ..InventoryConfig::default()
     });
     let programs = programs_of(&mut w, 250, 77);
@@ -130,6 +136,56 @@ fn hdd_cross_class_reads_never_block_under_load() {
     // workload-level property: with report-only read-only traffic the
     // unregistered reads outnumber blocks by a wide margin.
     assert!(stats.metrics.cross_class_reads > 0);
+}
+
+/// Protocol C never waits: the seed state is the first time wall. An
+/// off-chain reader that begins before any release reads the seed at
+/// once and keeps reading it through later commits, a release and a GC;
+/// a reader that begins after the release reads that wall's cut.
+#[test]
+fn protocol_c_reads_the_seed_before_the_first_release() {
+    let s = SegmentId;
+    // 1 → 0 ← 2: segments 1 and 2 lie on no one critical path.
+    let specs = [
+        AccessSpec::new("c0", vec![s(0)], vec![]),
+        AccessSpec::new("c1", vec![s(1)], vec![s(0)]),
+        AccessSpec::new("c2", vec![s(2)], vec![s(0)]),
+    ];
+    let hierarchy = Arc::new(Hierarchy::build(3, &specs).unwrap());
+    let store = Arc::new(MvStore::new());
+    let (d1, d2) = (GranuleId::new(s(1), 1), GranuleId::new(s(2), 1));
+    store.seed(d1, Value::Int(11));
+    store.seed(d2, Value::Int(22));
+    let clock = Arc::new(LogicalClock::new());
+    let sched = HddScheduler::new(Arc::clone(&hierarchy), store, clock, HddConfig::default());
+    let off_chain = TxnProfile::read_only(vec![s(1), s(2)]);
+    let read = |h, g| match sched.read(h, g) {
+        ReadOutcome::Value(v) => (*v).clone(),
+        other => panic!("{g}: expected a value, got {other:?}"),
+    };
+
+    let early = sched.begin(&off_chain);
+    assert_eq!(read(&early, d1), Value::Int(11), "the seed, at once");
+    for v in 0..20 {
+        let t = sched.begin(&TxnProfile::update(ClassId(1), vec![s(0)]));
+        assert_eq!(sched.write(&t, d1, Value::Int(v)), WriteOutcome::Done);
+        assert!(matches!(sched.commit(&t), CommitOutcome::Committed(_)));
+    }
+    assert!(sched.try_release_wall());
+    sched.run_gc();
+    assert_eq!(read(&early, d1), Value::Int(11), "the seed survives GC");
+    assert_eq!(read(&early, d2), Value::Int(22));
+    assert!(matches!(sched.commit(&early), CommitOutcome::Committed(_)));
+
+    let late = sched.begin(&off_chain);
+    assert_eq!(read(&late, d1), Value::Int(19), "the released wall's cut");
+    assert_eq!(read(&late, d2), Value::Int(22));
+    assert!(matches!(sched.commit(&late), CommitOutcome::Committed(_)));
+
+    let m = sched.metrics().snapshot();
+    assert_eq!((m.blocks, m.wall_reads, m.timewalls_released), (0, 5, 1));
+    let cert = certify_log("hdd", sched.log(), Some(&hierarchy));
+    assert!(cert.ok(), "{}", cert.render());
 }
 
 #[test]

@@ -15,7 +15,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use txn_model::{
-    decode_events, encode_events, GranuleId, ScheduleEvent, Scheduler, Timestamp, TxnId, Value,
+    decode_events, encode_events, CommitOutcome, GranuleId, ReadOutcome, ScheduleEvent, Scheduler,
+    SegmentId, Timestamp, TxnId, TxnProfile, Value,
 };
 use workloads::inventory::{Inventory, InventoryConfig};
 use workloads::Workload;
@@ -187,6 +188,56 @@ fn concurrent_crash_recover_resume_certifies() {
             );
         }
     }
+}
+
+/// `resume` releases a wall over the recovered state: an off-chain
+/// read-only transaction (an inventory audit) that begins on the
+/// resumed scheduler reads what the run committed, not the seed, and
+/// never waits.
+#[test]
+fn resumed_wall_reader_reads_the_recovered_state() {
+    let mut w = Inventory::new(InventoryConfig {
+        items: 4,
+        ..InventoryConfig::default()
+    });
+    let mut rng = StdRng::seed_from_u64(64);
+    let programs: Vec<_> = (0..150).map(|_| w.generate(&mut rng)).collect();
+    let (sched, live_store, hierarchy) = build_hdd_with_config(&w, HddConfig::default());
+    let stats = run_interleaved(sched.as_ref(), programs, &DriverConfig::default());
+    assert_eq!(stats.serializable, Some(true));
+
+    let store = Arc::new(MvStore::new());
+    w.seed(store.as_ref());
+    let seed = MvStore::new();
+    w.seed(&seed);
+    let events = sched.log().events();
+    let (resumed, _report) =
+        hdd::resume(Arc::clone(&hierarchy), store, &events, HddConfig::default());
+
+    let audit = resumed.begin(&TxnProfile::read_only(vec![SegmentId(1), SegmentId(4)]));
+    let mut moved = 0;
+    for item in 0..4 {
+        for g in [
+            Inventory::inventory_level(item),
+            Inventory::accounting(item),
+        ] {
+            let value = match resumed.read(&audit, g) {
+                ReadOutcome::Value(v) => (*v).clone(),
+                other => panic!("{g}: expected a value, got {other:?}"),
+            };
+            assert_eq!(value, live_store.latest_value(g), "{g}");
+            moved += usize::from(value != seed.latest_value(g));
+        }
+    }
+    assert!(moved > 0, "the run must move some audited granule");
+    assert!(matches!(
+        resumed.commit(&audit),
+        CommitOutcome::Committed(_)
+    ));
+    let m = resumed.metrics().snapshot();
+    assert_eq!((m.blocks, m.wall_reads), (0, 8));
+    let cert = certify_log("hdd", resumed.log(), Some(&hierarchy));
+    assert!(cert.ok(), "{}", cert.render());
 }
 
 #[test]
