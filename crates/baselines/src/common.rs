@@ -3,12 +3,11 @@
 
 use mvstore::MvStore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txn_model::{
-    ClassId, GranuleId, LogicalClock, Metrics, ScheduleEvent, ScheduleLog, SegmentId, Timestamp,
-    TxnHandle, TxnId, TxnProfile, Value,
+    ClassId, GranuleId, IdMap, LogicalClock, Metrics, ScheduleEvent, ScheduleLog, SegmentId,
+    Timestamp, TxnHandle, TxnId, TxnProfile, Value,
 };
 
 /// Live state of one baseline transaction.
@@ -18,7 +17,7 @@ pub struct TxnInfo {
     /// schedulers).
     pub write_set: Vec<GranuleId>,
     /// Buffered writes (install-at-commit schedulers).
-    pub buffer: HashMap<GranuleId, Value>,
+    pub buffer: IdMap<GranuleId, Value>,
     /// Buffer insertion order (so installs replay in program order).
     pub buffer_order: Vec<GranuleId>,
     /// The transaction's class, if declared.
@@ -44,7 +43,7 @@ pub struct Base {
     /// Cost counters.
     pub metrics: Metrics,
     /// Transaction table.
-    pub txns: Mutex<HashMap<TxnId, TxnInfo>>,
+    pub txns: Mutex<IdMap<TxnId, TxnInfo>>,
     next_txn: AtomicU64,
 }
 
@@ -56,7 +55,7 @@ impl Base {
             clock,
             log: ScheduleLog::new(),
             metrics: Metrics::default(),
-            txns: Mutex::new(HashMap::new()),
+            txns: Mutex::default(),
             next_txn: AtomicU64::new(1),
         }
     }

@@ -34,12 +34,11 @@ use crate::timewall::{TimeWall, TimeWallService};
 use mvstore::{MvStore, MvtoReadResult, MvtoWriteResult};
 use obs::{RejectReason, ServedRead};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txn_model::{
-    ClassId, CommitOutcome, GranuleId, LogicalClock, Metrics, ReadOutcome, ScheduleEvent,
+    ClassId, CommitOutcome, GranuleId, IdMap, LogicalClock, Metrics, ReadOutcome, ScheduleEvent,
     ScheduleLog, Scheduler, Timestamp, TxnHandle, TxnId, TxnProfile, Value, WriteOutcome,
 };
 
@@ -130,19 +129,17 @@ const TXN_SHARDS: usize = 16;
 /// shards). Mirrors how `MvStore` shards its chain map.
 #[derive(Debug)]
 struct TxnTable {
-    shards: Vec<Mutex<HashMap<TxnId, TxnState>>>,
+    shards: Vec<Mutex<IdMap<TxnId, TxnState>>>,
 }
 
 impl TxnTable {
     fn new() -> Self {
         TxnTable {
-            shards: (0..TXN_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..TXN_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn shard(&self, id: TxnId) -> &Mutex<HashMap<TxnId, TxnState>> {
+    fn shard(&self, id: TxnId) -> &Mutex<IdMap<TxnId, TxnState>> {
         &self.shards[(id.0 as usize) & (TXN_SHARDS - 1)]
     }
 

@@ -102,7 +102,7 @@ mod tests {
         let snapshot = |s: &MvStore| {
             let mut chains = Vec::new();
             s.for_each_chain(&mut |g, c| {
-                let versions: Vec<_> = c.versions().iter().map(|v| (v.ts, v.committed)).collect();
+                let versions: Vec<_> = c.versions().map(|v| (v.ts, v.committed)).collect();
                 chains.push((g.segment.0, g.key, versions));
             });
             chains.sort();

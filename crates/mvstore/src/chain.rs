@@ -70,10 +70,18 @@ fn absent() -> Arc<Value> {
 }
 
 /// A granule's versions, ordered by write timestamp.
+///
+/// The newest version sits inline, so a one-version chain — nearly every
+/// chain in a store — is read, written and committed without leaving the
+/// map entry. Older versions go in `older`, whose buffer survives
+/// [`prune_before`](Self::prune_before): a hot chain pruned back to one
+/// version reuses it instead of freeing and regrowing it.
 #[derive(Debug, Default, Clone)]
 pub struct VersionChain {
-    /// Sorted ascending by `ts`.
-    versions: Vec<Version>,
+    /// The version with the largest `ts`; `None` only on an empty chain.
+    newest: Option<Version>,
+    /// Every other version, sorted ascending by `ts`.
+    older: Vec<Version>,
     /// Granule-level max read timestamp (basic single-version TSO).
     pub max_rts: Timestamp,
     /// Whether the owning store shard's GC queue names this chain.
@@ -91,34 +99,47 @@ impl VersionChain {
     /// A chain seeded with one committed initial version at
     /// [`Timestamp::ZERO`] written by the virtual initial transaction.
     pub fn seeded(value: Value) -> Self {
-        let mut c = Self::new();
-        c.versions.push(Version {
-            ts: Timestamp::ZERO,
-            value: Arc::new(value),
-            writer: TxnId(0),
-            committed: true,
-            rts: Timestamp::ZERO,
-        });
-        c
+        VersionChain {
+            newest: Some(Version {
+                ts: Timestamp::ZERO,
+                value: Arc::new(value),
+                writer: TxnId(0),
+                committed: true,
+                rts: Timestamp::ZERO,
+            }),
+            ..Self::default()
+        }
     }
 
-    /// All versions (ascending by ts). Exposed for checkers and tests.
-    pub fn versions(&self) -> &[Version] {
-        &self.versions
+    /// All versions, ascending by ts (`.rev()` walks newest first).
+    /// Exposed for checkers and tests.
+    pub fn versions(&self) -> impl DoubleEndedIterator<Item = &Version> {
+        self.older.iter().chain(&self.newest)
+    }
+
+    fn versions_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut Version> {
+        self.older.iter_mut().chain(&mut self.newest)
     }
 
     /// Number of versions currently held.
     pub fn len(&self) -> usize {
-        self.versions.len()
+        self.older.len() + usize::from(self.newest.is_some())
     }
 
     /// True when the chain holds no versions.
     pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
+        self.newest.is_none()
     }
 
-    fn insertion_point(&self, ts: Timestamp) -> Result<usize, usize> {
-        self.versions.binary_search_by_key(&ts, |v| v.ts)
+    /// The version with write timestamp `ts`, if present.
+    fn at_mut(&mut self, ts: Timestamp) -> Option<&mut Version> {
+        match &mut self.newest {
+            Some(v) if v.ts == ts => Some(v),
+            _ => {
+                let i = self.older.binary_search_by_key(&ts, |v| v.ts).ok()?;
+                Some(&mut self.older[i])
+            }
+        }
     }
 
     /// Install a version with write timestamp `ts`. Returns `false` if a
@@ -131,29 +152,29 @@ impl VersionChain {
         writer: TxnId,
         committed: bool,
     ) -> bool {
-        match self.insertion_point(ts) {
-            Ok(_) => false,
-            Err(i) => {
-                self.versions.insert(
-                    i,
-                    Version {
-                        ts,
-                        value,
-                        writer,
-                        committed,
-                        rts: Timestamp::ZERO,
-                    },
-                );
-                true
-            }
+        let v = Version {
+            ts,
+            value,
+            writer,
+            committed,
+            rts: Timestamp::ZERO,
+        };
+        match &mut self.newest {
+            None => self.newest = Some(v),
+            Some(newest) if newest.ts < ts => self.older.push(std::mem::replace(newest, v)),
+            Some(newest) if newest.ts == ts => return false,
+            Some(_) => match self.older.binary_search_by_key(&ts, |v| v.ts) {
+                Ok(_) => return false,
+                Err(i) => self.older.insert(i, v),
+            },
         }
+        true
     }
 
     /// The latest *committed* version with `ts < bound`. This is the
     /// paper's version-selection rule for Protocols A and C.
     pub fn latest_committed_before(&self, bound: Timestamp) -> Option<&Version> {
-        self.versions
-            .iter()
+        self.versions()
             .rev()
             .filter(|v| v.ts < bound)
             .find(|v| v.committed)
@@ -161,17 +182,17 @@ impl VersionChain {
 
     /// The latest committed version, regardless of timestamp.
     pub fn latest_committed(&self) -> Option<&Version> {
-        self.versions.iter().rev().find(|v| v.committed)
+        self.versions().rev().find(|v| v.committed)
     }
 
     /// The latest version (committed or pending).
     pub fn latest(&self) -> Option<&Version> {
-        self.versions.last()
+        self.newest.as_ref()
     }
 
     /// The version written by `writer`, if present (own-writes lookup).
     pub fn version_by_writer(&self, writer: TxnId) -> Option<&Version> {
-        self.versions.iter().rev().find(|v| v.writer == writer)
+        self.versions().rev().find(|v| v.writer == writer)
     }
 
     /// MVTO read at transaction timestamp `ts`: select the latest version
@@ -179,7 +200,7 @@ impl VersionChain {
     /// skipped — skipping one would let the reader miss a write it must be
     /// ordered after); record `rts`.
     pub fn mvto_read(&mut self, ts: Timestamp) -> MvtoReadResult {
-        let candidate = self.versions.iter_mut().rev().find(|v| v.ts < ts);
+        let candidate = self.versions_mut().rev().find(|v| v.ts < ts);
         match candidate {
             Some(v) if !v.committed => MvtoReadResult::BlockOn(v.writer),
             Some(v) => {
@@ -209,7 +230,7 @@ impl VersionChain {
     /// admits committed versions by construction, but if a pending version
     /// is selected (mis-use), it blocks like `mvto_read`.
     pub fn read_before_unregistered(&self, bound: Timestamp) -> MvtoReadResult {
-        match self.versions.iter().rev().find(|v| v.ts < bound) {
+        match self.versions().rev().find(|v| v.ts < bound) {
             Some(v) if !v.committed => MvtoReadResult::BlockOn(v.writer),
             Some(v) => MvtoReadResult::Value {
                 value: v.value.clone(),
@@ -235,14 +256,13 @@ impl VersionChain {
         writer: TxnId,
     ) -> MvtoWriteResult {
         // Re-writes by the same transaction overwrite its pending version.
-        if let Ok(i) = self.insertion_point(ts) {
-            debug_assert_eq!(self.versions[i].writer, writer);
-            self.versions[i].value = value;
+        if let Some(v) = self.at_mut(ts) {
+            debug_assert_eq!(v.writer, writer);
+            v.value = value;
             return MvtoWriteResult::Installed;
         }
         let conflicting_rts = self
-            .versions
-            .iter()
+            .versions()
             .rev()
             .find(|v| v.ts < ts)
             .map_or(Timestamp::ZERO, |v| v.rts);
@@ -257,14 +277,16 @@ impl VersionChain {
     /// Remove the version with write timestamp `ts`, if present (redo
     /// replay uses this so later log entries for the same version win).
     pub fn remove_version_at(&mut self, ts: Timestamp) {
-        if let Ok(i) = self.insertion_point(ts) {
-            self.versions.remove(i);
+        if self.newest.as_ref().is_some_and(|v| v.ts == ts) {
+            self.newest = self.older.pop();
+        } else if let Ok(i) = self.older.binary_search_by_key(&ts, |v| v.ts) {
+            self.older.remove(i);
         }
     }
 
     /// Mark all versions written by `writer` as committed.
     pub fn commit_writer(&mut self, writer: TxnId) {
-        for v in &mut self.versions {
+        for v in self.versions_mut() {
             if v.writer == writer {
                 v.committed = true;
             }
@@ -273,36 +295,64 @@ impl VersionChain {
 
     /// Remove all pending versions written by `writer` (abort cleanup).
     pub fn remove_writer_pending(&mut self, writer: TxnId) {
-        self.versions.retain(|v| v.writer != writer || v.committed);
+        self.older.retain(|v| v.writer != writer || v.committed);
+        if self
+            .newest
+            .as_ref()
+            .is_some_and(|v| v.writer == writer && !v.committed)
+        {
+            self.newest = self.older.pop();
+        }
     }
 
     /// Garbage-collect: drop committed versions with `ts < wm`, except the
     /// latest such version (still needed as the snapshot below `wm`).
     /// Pending versions are never dropped. Returns versions reclaimed.
     pub fn prune_before(&mut self, wm: Timestamp) -> usize {
-        // Find the last committed version with ts < wm; keep it.
-        let keep = self
-            .versions
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, v)| v.committed && v.ts < wm)
-            .map(|(i, _)| i);
-        let Some(keep) = keep else { return 0 };
-        let before = self.versions.len();
-        let mut idx = 0;
-        self.versions.retain(|v| {
-            let i = idx;
-            idx += 1;
-            !(v.committed && v.ts < wm && i != keep)
-        });
-        before - self.versions.len()
+        let before = self.older.len();
+        if self
+            .newest
+            .as_ref()
+            .is_some_and(|v| v.committed && v.ts < wm)
+        {
+            // The newest is the snapshot kept; every older committed
+            // version lies below it, so below `wm`.
+            self.older.retain(|v| !v.committed);
+        } else {
+            // Keep the last committed version with ts < wm, if any.
+            let Some(keep) = self.older.iter().rposition(|v| v.committed && v.ts < wm) else {
+                return 0;
+            };
+            let mut i = 0;
+            self.older.retain(|v| {
+                i += 1;
+                !(v.committed && v.ts < wm) || i - 1 == keep
+            });
+        }
+        before - self.older.len()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Seeded generator for the differential scripts here and in `store`.
+    pub(crate) struct SplitMix64(pub(crate) u64);
+
+    impl SplitMix64 {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
 
     fn chain_with(tss: &[(u64, i64, u64, bool)]) -> VersionChain {
         let mut c = VersionChain::new();
@@ -320,7 +370,7 @@ mod tests {
     #[test]
     fn install_keeps_sorted_and_rejects_duplicates() {
         let mut c = chain_with(&[(5, 50, 1, true), (2, 20, 2, true), (9, 90, 3, true)]);
-        let tss: Vec<u64> = c.versions().iter().map(|v| v.ts.raw()).collect();
+        let tss: Vec<u64> = c.versions().map(|v| v.ts.raw()).collect();
         assert_eq!(tss, vec![2, 5, 9]);
         assert!(!c.install(Timestamp(5), Arc::new(Value::Int(0)), TxnId(9), true));
     }
@@ -356,10 +406,10 @@ mod tests {
                 writer: TxnId(0)
             }
         );
-        assert_eq!(c.versions()[0].rts, Timestamp(10));
+        assert_eq!(c.versions().next().unwrap().rts, Timestamp(10));
         // Older read does not lower rts.
         c.mvto_read(Timestamp(5));
-        assert_eq!(c.versions()[0].rts, Timestamp(10));
+        assert_eq!(c.versions().next().unwrap().rts, Timestamp(10));
 
         // Pending version in range blocks.
         c.install(Timestamp(7), Arc::new(Value::Int(7)), TxnId(3), false);
@@ -383,7 +433,7 @@ mod tests {
             c.mvto_write(Timestamp(11), Arc::new(Value::Int(11)), TxnId(3)),
             MvtoWriteResult::Installed
         );
-        assert!(!c.versions().last().unwrap().committed);
+        assert!(!c.latest().unwrap().committed);
     }
 
     #[test]
@@ -406,7 +456,7 @@ mod tests {
         let mut c = VersionChain::seeded(Value::Int(1));
         c.mvto_write(Timestamp(5), Arc::new(Value::Int(5)), TxnId(2));
         c.commit_writer(TxnId(2));
-        assert!(c.versions().last().unwrap().committed);
+        assert!(c.latest().unwrap().committed);
 
         c.mvto_write(Timestamp(8), Arc::new(Value::Int(8)), TxnId(3));
         c.remove_writer_pending(TxnId(3));
@@ -431,7 +481,7 @@ mod tests {
                 writer: TxnId(2)
             }
         );
-        assert!(c.versions().iter().all(|v| v.rts == Timestamp::ZERO));
+        assert!(c.versions().all(|v| v.rts == Timestamp::ZERO));
     }
 
     #[test]
@@ -446,7 +496,7 @@ mod tests {
         // Watermark 4: committed versions <4 are {1,2,3}; keep ts=3.
         let reclaimed = c.prune_before(Timestamp(4));
         assert_eq!(reclaimed, 2);
-        let tss: Vec<u64> = c.versions().iter().map(|v| v.ts.raw()).collect();
+        let tss: Vec<u64> = c.versions().map(|v| v.ts.raw()).collect();
         assert_eq!(tss, vec![3, 4, 9]);
         // Snapshot below the watermark still served correctly.
         assert_eq!(
@@ -517,5 +567,257 @@ mod tests {
         c.install(Timestamp(9), Arc::new(Value::Int(9)), TxnId(1), true);
         assert_eq!(c.prune_before(Timestamp(5)), 0);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn prune_keeps_the_older_buffer() {
+        let mut c = VersionChain::seeded(Value::Int(0));
+        for ts in 1..=3 {
+            c.install(Timestamp(ts), Arc::new(Value::Int(1)), TxnId(ts), true);
+        }
+        let capacity = c.older.capacity();
+        assert_eq!(c.prune_before(Timestamp::MAX), 3);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.older.capacity(), capacity, "the buffer outlives a prune");
+    }
+
+    /// The chain as one plain ascending `Vec`: every operation written
+    /// the obvious way, with no inline newest version. The differential
+    /// below holds `VersionChain` to it.
+    #[derive(Default)]
+    struct RefChain(Vec<Version>);
+
+    impl RefChain {
+        fn install(
+            &mut self,
+            ts: Timestamp,
+            value: Arc<Value>,
+            writer: TxnId,
+            committed: bool,
+        ) -> bool {
+            match self.0.binary_search_by_key(&ts, |v| v.ts) {
+                Ok(_) => false,
+                Err(i) => {
+                    let rts = Timestamp::ZERO;
+                    self.0.insert(
+                        i,
+                        Version {
+                            ts,
+                            value,
+                            writer,
+                            committed,
+                            rts,
+                        },
+                    );
+                    true
+                }
+            }
+        }
+
+        fn below(&self, ts: Timestamp) -> Option<&Version> {
+            self.0.iter().rev().find(|v| v.ts < ts)
+        }
+
+        fn served(v: Option<&Version>) -> MvtoReadResult {
+            match v {
+                Some(v) if !v.committed => MvtoReadResult::BlockOn(v.writer),
+                Some(v) => MvtoReadResult::Value {
+                    value: Arc::clone(&v.value),
+                    version: v.ts,
+                    writer: v.writer,
+                },
+                None => MvtoReadResult::Value {
+                    value: absent(),
+                    version: Timestamp::ZERO,
+                    writer: TxnId(0),
+                },
+            }
+        }
+
+        fn mvto_read(&mut self, ts: Timestamp) -> MvtoReadResult {
+            let out = Self::served(self.below(ts));
+            if let MvtoReadResult::Value { version, .. } = out {
+                if let Some(v) = self.0.iter_mut().find(|v| v.ts == version) {
+                    v.rts = v.rts.max(ts);
+                }
+            }
+            out
+        }
+
+        fn mvto_write(
+            &mut self,
+            ts: Timestamp,
+            value: Arc<Value>,
+            writer: TxnId,
+        ) -> MvtoWriteResult {
+            if let Some(v) = self.0.iter_mut().find(|v| v.ts == ts) {
+                v.value = value;
+                return MvtoWriteResult::Installed;
+            }
+            if self.below(ts).is_some_and(|v| v.rts > ts) {
+                return MvtoWriteResult::Rejected;
+            }
+            self.install(ts, value, writer, false);
+            MvtoWriteResult::Installed
+        }
+
+        fn prune_before(&mut self, wm: Timestamp) -> usize {
+            let Some(keep) = self.0.iter().rposition(|v| v.committed && v.ts < wm) else {
+                return 0;
+            };
+            let keep = self.0[keep].ts;
+            let before = self.0.len();
+            self.0
+                .retain(|v| !(v.committed && v.ts < wm) || v.ts == keep);
+            before - self.0.len()
+        }
+    }
+
+    type View = Vec<(u64, Value, u64, bool, u64)>;
+
+    fn view<'a>(versions: impl Iterator<Item = &'a Version>) -> View {
+        versions
+            .map(|v| {
+                (
+                    v.ts.raw(),
+                    (*v.value).clone(),
+                    v.writer.0,
+                    v.committed,
+                    v.rts.raw(),
+                )
+            })
+            .collect()
+    }
+
+    /// Every query answered alike, at every bound the script can reach.
+    fn assert_same_answers(c: &VersionChain, r: &RefChain, ctx: &str) {
+        let ts_of = |v: Option<&Version>| v.map(|v| v.ts);
+        assert_eq!(view(c.versions()), view(r.0.iter()), "{ctx}: versions");
+        assert_eq!(c.len(), r.0.len(), "{ctx}: len");
+        assert_eq!(ts_of(c.latest()), ts_of(r.0.last()), "{ctx}: latest");
+        let latest_committed = r.0.iter().rev().find(|v| v.committed);
+        assert_eq!(
+            ts_of(c.latest_committed()),
+            ts_of(latest_committed),
+            "{ctx}"
+        );
+        for bound in (0..=MAX_TS + 1).map(Timestamp) {
+            let committed = r.0.iter().rev().find(|v| v.ts < bound && v.committed);
+            assert_eq!(
+                ts_of(c.latest_committed_before(bound)),
+                ts_of(committed),
+                "{ctx}: {bound:?}"
+            );
+            assert_eq!(
+                c.read_before_unregistered(bound),
+                RefChain::served(r.below(bound)),
+                "{ctx}: unregistered read below {bound:?}"
+            );
+        }
+        for w in 0..=WRITERS {
+            let by = r.0.iter().rev().find(|v| v.writer == TxnId(w));
+            assert_eq!(
+                ts_of(c.version_by_writer(TxnId(w))),
+                ts_of(by),
+                "{ctx}: writer {w}"
+            );
+        }
+    }
+
+    const MAX_TS: u64 = 40;
+    const WRITERS: u64 = 7;
+
+    /// A version's writer is a function of its timestamp, as under MVTO
+    /// (the seed's is `t0`), and several timestamps share one, so a
+    /// writer spans versions.
+    fn writer_of(ts: Timestamp) -> TxnId {
+        TxnId(ts.raw() % (WRITERS + 1))
+    }
+
+    /// A timestamp that is the newest version's, an older version's, or
+    /// any at all, each a third of the time.
+    fn pick_ts(rng: &mut SplitMix64, r: &RefChain) -> Timestamp {
+        match (rng.below(3), r.0.len()) {
+            (0, n) if n > 0 => r.0[n - 1].ts,
+            (1, n) if n > 1 => r.0[rng.below(n as u64 - 1) as usize].ts,
+            _ => Timestamp(rng.below(MAX_TS + 1)),
+        }
+    }
+
+    #[test]
+    fn chain_matches_a_plain_vec_on_200_seeded_scripts() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64(seed);
+            let (mut c, mut r) = (VersionChain::new(), RefChain::default());
+            if rng.below(2) == 0 {
+                c = VersionChain::seeded(Value::Int(-1));
+                r.install(Timestamp::ZERO, Arc::new(Value::Int(-1)), TxnId(0), true);
+            }
+            for step in 0..120 {
+                let ctx = format!("seed {seed} step {step}");
+                let value = Arc::new(Value::Int(rng.below(1000) as i64));
+                match rng.below(10) {
+                    // Out-of-order install, duplicates included.
+                    0 => {
+                        let ts = Timestamp(rng.below(MAX_TS + 1));
+                        let committed = rng.below(2) == 0;
+                        let (w, v) = (writer_of(ts), Arc::clone(&value));
+                        assert_eq!(
+                            c.install(ts, v, w, committed),
+                            r.install(ts, value, w, committed),
+                            "{ctx}"
+                        );
+                    }
+                    // Fresh writes, rewrites of the newest or an older
+                    // version, and rejections by a younger read.
+                    1 | 2 => {
+                        let ts = pick_ts(&mut rng, &r);
+                        let (w, v) = (writer_of(ts), Arc::clone(&value));
+                        assert_eq!(c.mvto_write(ts, v, w), r.mvto_write(ts, value, w), "{ctx}");
+                    }
+                    3 => {
+                        let ts = Timestamp(rng.below(MAX_TS + 2));
+                        assert_eq!(c.mvto_read(ts), r.mvto_read(ts), "{ctx}: read at {ts:?}");
+                    }
+                    4 => {
+                        let w = TxnId(rng.below(WRITERS + 1));
+                        c.commit_writer(w);
+                        r.0.iter_mut()
+                            .filter(|v| v.writer == w)
+                            .for_each(|v| v.committed = true);
+                    }
+                    // Abort cleanup, aimed at a pending newest version
+                    // half the time.
+                    5 => {
+                        let w = match r.0.last() {
+                            Some(v) if rng.below(2) == 0 => v.writer,
+                            _ => TxnId(rng.below(WRITERS + 1)),
+                        };
+                        c.remove_writer_pending(w);
+                        r.0.retain(|v| v.writer != w || v.committed);
+                    }
+                    6 => {
+                        let ts = pick_ts(&mut rng, &r);
+                        c.remove_version_at(ts);
+                        r.0.retain(|v| v.ts != ts);
+                    }
+                    // Prune where the kept version is the newest, an
+                    // older one, or absent.
+                    _ => {
+                        let wm = match rng.below(4) {
+                            0 => Timestamp::MAX,
+                            1 => Timestamp::ZERO,
+                            _ => pick_ts(&mut rng, &r).succ(),
+                        };
+                        assert_eq!(
+                            c.prune_before(wm),
+                            r.prune_before(wm),
+                            "{ctx}: prune at {wm:?}"
+                        );
+                    }
+                }
+                assert_same_answers(&c, &r, &ctx);
+            }
+        }
     }
 }

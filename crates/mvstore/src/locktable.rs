@@ -9,8 +9,8 @@
 //! driver retries waiting operations, and retries promote queue heads.
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
-use txn_model::{GranuleId, TxnId};
+use std::collections::VecDeque;
+use txn_model::{GranuleId, IdMap, IdSet, TxnId};
 
 /// Lock mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +74,9 @@ impl GranuleLock {
 
 #[derive(Debug, Default)]
 struct Inner {
-    locks: HashMap<GranuleId, GranuleLock>,
+    locks: IdMap<GranuleId, GranuleLock>,
     /// Granules each transaction holds or waits on (release index).
-    touched: HashMap<TxnId, HashSet<GranuleId>>,
+    touched: IdMap<TxnId, IdSet<GranuleId>>,
 }
 
 /// The lock table.
@@ -167,7 +167,7 @@ impl LockTable {
             }
             out
         };
-        let mut visited = HashSet::new();
+        let mut visited = IdSet::default();
         let mut stack = waits_for(start);
         while let Some(t) = stack.pop() {
             if t == start {

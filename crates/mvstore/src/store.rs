@@ -11,12 +11,17 @@
 //! seam every chain mutation crosses — enqueues a chain the moment it
 //! grows past one version, so garbage collection and the version gauges
 //! visit what was written since the last prune, not what is stored.
+//!
+//! A lookup costs two multiplies and, for a one-version chain, one map
+//! entry: `shard_index` picks the shard by a golden-ratio multiply-shift,
+//! the shard's map hashes with [`txn_model::IdHasher`] (a folded multiply
+//! by a different constant, so the bits the map reads vary within a
+//! shard), and the entry holds the chain's newest version inline.
 
 use crate::chain::VersionChain;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
-use txn_model::{GranuleId, Timestamp, TxnId, Value};
+use txn_model::{GranuleId, IdMap, Timestamp, TxnId, Value};
 
 /// Power-of-two shard count, indexed by mask instead of `%`.
 const SHARDS: usize = 64;
@@ -24,9 +29,10 @@ const SHARDS: usize = 64;
 /// Fibonacci multiply-shift mixer over the granule's raw bits. A
 /// `GranuleId` is `(segment, key)` with low entropy in both words;
 /// multiplying by the 64-bit golden-ratio constant diffuses that into
-/// the high bits, which the shift then selects. No hasher state is
-/// constructed per access (the previous `DefaultHasher`-per-call did a
-/// full SipHash setup and finalization on every chain touch).
+/// the high bits, which the shift then selects. Only the pick is this
+/// multiply: inside the shard the map hashes with `IdHasher`, whose
+/// multiplier differs, because within one shard these top bits are fixed
+/// and a map tag taken from them would match every slot.
 #[inline]
 fn shard_index(g: GranuleId) -> usize {
     let raw = (g.segment.0 as u64) << 48 ^ g.key;
@@ -43,7 +49,7 @@ fn shard_index(g: GranuleId) -> usize {
 /// its pending versions aborted) — the next prune retires the entry.
 #[derive(Debug, Default)]
 struct Shard {
-    chains: HashMap<GranuleId, VersionChain>,
+    chains: IdMap<GranuleId, VersionChain>,
     gc_queue: Vec<GranuleId>,
 }
 
@@ -249,7 +255,8 @@ impl Default for MvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txn_model::SegmentId;
+    use crate::chain::tests::SplitMix64;
+    use txn_model::{IdSet, SegmentId};
 
     fn g(seg: u32, key: u64) -> GranuleId {
         GranuleId::new(SegmentId(seg), key)
@@ -354,7 +361,7 @@ mod tests {
     /// visited on every prune.
     #[derive(Default)]
     struct SweepStore {
-        chains: HashMap<GranuleId, VersionChain>,
+        chains: IdMap<GranuleId, VersionChain>,
     }
 
     impl SweepStore {
@@ -374,35 +381,18 @@ mod tests {
     fn view_of(chain: &VersionChain) -> ChainView {
         chain
             .versions()
-            .iter()
             .map(|v| (v.ts.raw(), (*v.value).clone(), v.writer.0, v.committed))
             .collect()
-    }
-
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
     }
 
     /// Everything a prune must leave equal between the queued store and
     /// the sweeping reference, plus the queue's own invariants.
     fn assert_matches_reference(store: &MvStore, reference: &SweepStore, ctx: &str) {
-        let mut views: HashMap<GranuleId, ChainView> = HashMap::new();
+        let mut views: IdMap<GranuleId, ChainView> = IdMap::default();
         store.for_each_chain(&mut |g, c| {
             views.insert(g, view_of(c));
         });
-        let expected: HashMap<GranuleId, ChainView> = reference
+        let expected: IdMap<GranuleId, ChainView> = reference
             .chains
             .iter()
             .map(|(g, c)| (*g, view_of(c)))
@@ -415,7 +405,7 @@ mod tests {
         assert_eq!(store.granule_count(), views.len(), "{ctx}");
 
         let queue = store.gc_queue();
-        let distinct: std::collections::HashSet<_> = queue.iter().copied().collect();
+        let distinct: IdSet<_> = queue.iter().copied().collect();
         assert_eq!(
             distinct.len(),
             queue.len(),

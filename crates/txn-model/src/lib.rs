@@ -37,7 +37,7 @@ pub use group_commit::{
     BatchAck, FaultAction, GroupCommitConfig, GroupCommitStats, GroupCommitWal, WalCrashed,
     WalFault,
 };
-pub use ids::{ClassId, GranuleId, SegmentId, Timestamp, TxnId};
+pub use ids::{ClassId, GranuleId, IdHasher, IdMap, IdSet, SegmentId, Timestamp, TxnId};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use program::{Step, TxnProgram, WriteSource};
 pub use schedule::{ScheduleEvent, ScheduleLog};

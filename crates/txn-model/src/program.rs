@@ -6,10 +6,9 @@
 //! values read so far — exactly the shape of the paper's examples
 //! ("reads Smith's balance … computes new balance … writes new balance").
 
-use crate::ids::GranuleId;
+use crate::ids::{GranuleId, IdMap};
 use crate::scheduler::TxnProfile;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// copies the value.
 #[derive(Debug, Default, Clone)]
 pub struct ReadCtx {
-    by_granule: HashMap<GranuleId, Arc<Value>>,
+    by_granule: IdMap<GranuleId, Arc<Value>>,
     in_order: Vec<(GranuleId, Arc<Value>)>,
 }
 

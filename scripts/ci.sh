@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: lock files, the store-indirection, one-stopwatch and
-# protocol-C greps, formatting, lints, the full test suite, the examples, the
-# benchmark smoke, docs, the ordering audit and the model checker. Every
-# correctness invariant is a `cargo test`; no stage runs an experiment.
+# Local CI gate: lock files, the store-indirection, one-stopwatch,
+# protocol-C and id-hasher greps, formatting, lints, the full test suite,
+# the examples, the benchmark smoke, docs, the ordering audit and the
+# model checker. Every correctness invariant is a `cargo test`; no stage
+# runs an experiment.
 # Run from the repository root:
 #
 #   scripts/ci.sh
@@ -43,6 +44,19 @@ echo "== protocol C never waits =="
 # and its blame bucket stay deleted.
 if grep -rnE 'WallPending|blocked_on_wall|NoWall|wall_wait_ns' crates tests examples src; then
     echo "a Protocol C wait path is back; pin the newest wall at begin instead" >&2
+    exit 1
+fi
+
+echo "== one id hasher =="
+# Every map an operation touches is keyed by an id and hashed by
+# `txn_model::IdHasher` (one folded multiply), named through the `IdMap` /
+# `IdSet` aliases, test modules included. A std `HashMap<GranuleId, _>` or
+# `HashMap<TxnId, _>` here would put SipHash back on the hot path; the
+# offline maps (recovery, dependency graphs) are not listed.
+if grep -rnE 'HashMap<(GranuleId|TxnId),|HashSet<GranuleId>' \
+    crates/mvstore/src/{store,chain,locktable}.rs crates/hdd/src/protocol.rs \
+    crates/baselines/src crates/txn-model/src/program.rs; then
+    echo "a std-hashed id map on the operation path; use txn_model::IdMap / IdSet" >&2
     exit 1
 fi
 

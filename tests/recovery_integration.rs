@@ -303,13 +303,8 @@ fn resumed_store_collects_what_the_live_store_would() {
     let views = |s: &MvStore| {
         let mut out: HashMap<GranuleId, Vec<(Timestamp, Value, TxnId)>> = HashMap::new();
         s.for_each_chain(&mut |g, c| {
-            let versions = c.versions().iter();
-            out.insert(
-                g,
-                versions
-                    .map(|v| (v.ts, (*v.value).clone(), v.writer))
-                    .collect(),
-            );
+            let versions = c.versions().map(|v| (v.ts, (*v.value).clone(), v.writer));
+            out.insert(g, versions.collect());
         });
         out
     };
