@@ -199,12 +199,18 @@ impl TxnTable {
 /// Configuration for [`HddScheduler`].
 #[derive(Debug, Clone)]
 pub struct HddConfig {
-    /// Release a new time wall at most once per this many maintenance
-    /// calls (Section 5.2 computes walls "at certain intervals").
+    /// Try to release a new time wall once per this many maintenance
+    /// calls (Section 5.2 computes walls "at certain intervals"), and
+    /// collect garbage right after each release that succeeds; 0
+    /// disables both. This is the one cadence GC needs: the watermark
+    /// (`gc_watermark`) never rises above the newest wall, and every
+    /// version written after a collection starts at or above the
+    /// watermark that collection used, so a second collection under the
+    /// same wall finds nothing the wall held back. What the other terms
+    /// free in between (the oldest running start, read-only pins) is
+    /// collected at the next release, at most `wall_interval` calls
+    /// later.
     pub wall_interval: u64,
-    /// Run garbage collection every this many maintenance calls
-    /// (0 disables GC).
-    pub gc_interval: u64,
     /// Straggler-watchdog lease. `Some(lease)` gives every transaction a
     /// deadline renewed on each read/write; [`HddScheduler::maintenance`]
     /// aborts transactions past it so a stalled or crashed worker cannot
@@ -217,7 +223,6 @@ impl Default for HddConfig {
     fn default() -> Self {
         HddConfig {
             wall_interval: 8,
-            gc_interval: 64,
             txn_lease: None,
         }
     }
@@ -907,19 +912,11 @@ impl Scheduler for HddScheduler {
         // ordering: Relaxed — private cadence counter for interval gating;
         // no cross-thread data depends on it.
         let n = self.maintenance_calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let HddConfig {
-            wall_interval,
-            gc_interval,
-            ..
-        } = self.config;
-        let due = |interval: u64| interval > 0 && n.is_multiple_of(interval);
+        let wall_interval = self.config.wall_interval;
         if self.config.txn_lease.is_some() {
             self.reap_stragglers();
         }
-        if due(wall_interval) {
-            self.try_release_wall();
-        }
-        if due(gc_interval) {
+        if wall_interval > 0 && n.is_multiple_of(wall_interval) && self.try_release_wall() {
             self.run_gc();
         }
         if self.metrics.obs.enabled() {
@@ -1429,6 +1426,21 @@ mod tests {
         assert!(sched.store().version_count() < before);
         // The latest value survives.
         assert_eq!(sched.store().latest_value(g(0, 1)), Value::Int(19));
+
+        // Until the next release the watermark stays put, so a second
+        // collection finds nothing: a running update and newer versions
+        // elsewhere all start above it. `maintenance` therefore collects
+        // only after a release.
+        let wm = sched.gc_watermark();
+        let running = sched.begin(&profile_t2());
+        for i in 0..5 {
+            let t = sched.begin(&profile_t3());
+            sched.write(&t, g(2, 1), Value::Int(i));
+            sched.commit(&t);
+        }
+        assert_eq!(sched.gc_watermark(), wm);
+        assert_eq!(sched.run_gc(), 0);
+        sched.commit(&running);
     }
 
     #[test]

@@ -47,6 +47,15 @@ if grep -rnE 'WallPending|blocked_on_wall|NoWall|wall_wait_ns' crates tests exam
     exit 1
 fi
 
+echo "== one GC cadence =="
+# GC runs right after each time-wall release, so `wall_interval` is the one
+# cadence: the watermark cannot rise between releases, and a second knob
+# for the same cadence only lets versions pile up between collections.
+if grep -rn gc_interval crates tests examples src benchmark/src; then
+    echo "a second GC cadence is back; collect after each wall release instead" >&2
+    exit 1
+fi
+
 echo "== one id hasher =="
 # Every map an operation touches is keyed by an id and hashed by
 # `txn_model::IdHasher` (one folded multiply), named through the `IdMap` /

@@ -22,23 +22,25 @@ fn inventory_batch(n: usize, seed: u64) -> (Inventory, Vec<TxnProgram>) {
     (w, programs)
 }
 
+/// GC runs after each wall release, so `wall_interval` is its cadence:
+/// off (0), lazy (64) and the default (8).
 #[test]
-fn gc_intervals_all_serialize_and_bound_versions() {
+fn wall_intervals_all_serialize_and_bound_versions() {
     let mut counts = Vec::new();
-    for gc_interval in [0u64, 64, 8] {
+    for wall_interval in [0u64, 64, 8] {
         let mut w = Banking::new(4);
         let mut rng = StdRng::seed_from_u64(42);
         let programs: Vec<_> = (0..300).map(|_| w.generate(&mut rng)).collect();
         let (sched, store, _h) = build_hdd_with_config(
             &w,
             HddConfig {
-                gc_interval,
+                wall_interval,
                 ..HddConfig::default()
             },
         );
         let stats = run_interleaved(sched.as_ref(), programs, &DriverConfig::default());
-        assert_eq!(stats.serializable, Some(true), "gc={gc_interval}");
-        counts.push((gc_interval, store.version_count()));
+        assert_eq!(stats.serializable, Some(true), "walls={wall_interval}");
+        counts.push((wall_interval, store.version_count()));
     }
     let versions_of = |g: u64| counts.iter().find(|(i, _)| *i == g).unwrap().1;
     assert!(versions_of(8) <= versions_of(64));

@@ -20,12 +20,11 @@ fn gc_bounds_version_growth_without_breaking_serializability() {
     let mut rng = StdRng::seed_from_u64(31);
     let programs: Vec<_> = (0..300).map(|_| w.generate(&mut rng)).collect();
 
-    // Aggressive GC.
+    // Aggressive GC: a release, and a collection, every 4th call.
     let (sched, store, _h) = build_hdd_with_config(
         &w,
         HddConfig {
-            gc_interval: 4,
-            wall_interval: 8,
+            wall_interval: 4,
             ..HddConfig::default()
         },
     );
@@ -36,12 +35,11 @@ fn gc_bounds_version_growth_without_breaking_serializability() {
     assert!(gced > 0, "aggressive GC must reclaim something");
     let with_gc_versions = store.version_count();
 
-    // No GC at all.
+    // No walls past the genesis one, so no GC at all.
     let (sched2, store2, _h) = build_hdd_with_config(
         &w,
         HddConfig {
-            gc_interval: 0,
-            wall_interval: 8,
+            wall_interval: 0,
             ..HddConfig::default()
         },
     );
@@ -71,8 +69,7 @@ fn gc_never_reclaims_what_a_pinned_reader_needs() {
     let (sched, _store, _h) = build_hdd_with_config(
         &w,
         HddConfig {
-            gc_interval: 1, // GC at every maintenance tick
-            wall_interval: 1,
+            wall_interval: 1, // a release, and GC, at every maintenance tick
             ..HddConfig::default()
         },
     );
@@ -112,10 +109,46 @@ fn gc_never_reclaims_what_a_pinned_reader_needs() {
     let _ = GranuleId::new(SegmentId(0), 0);
 }
 
-/// A prune on every maintenance call, racing Protocol A/C unregistered
-/// readers (which take no registration a watermark could see) and
-/// committing writers across 4 workers: every version a reader's bound
-/// selects must still be there, on 20 seeds of two hierarchies.
+/// GC runs right after each wall release, and that release leaves
+/// nothing for a second collection under the same wall: the watermark
+/// the collection used cannot rise until the next release.
+#[test]
+fn a_release_leaves_nothing_to_collect() {
+    use txn_model::{ClassId, SegmentId, TxnProfile, Value};
+    use workloads::inventory::Inventory as Inv;
+
+    let w = Inventory::new(InventoryConfig {
+        items: 2,
+        ..InventoryConfig::default()
+    });
+    let (sched, _store, _h) = build_hdd_with_config(&w, HddConfig::default());
+    let mut released = 0;
+    for i in 0..200i64 {
+        let t = sched.begin(&TxnProfile::update(
+            ClassId(1),
+            vec![SegmentId(0), SegmentId(1)],
+        ));
+        sched.write(&t, Inv::inventory_level(0), Value::Int(i));
+        sched.commit(&t);
+        sched.maintenance();
+        let walls = sched.metrics().snapshot().timewalls_released;
+        if walls > released {
+            released = walls;
+            assert_eq!(sched.run_gc(), 0, "release {released} left garbage");
+        }
+    }
+    assert!(released > 0, "the default cadence must release walls");
+    assert!(
+        sched.metrics().snapshot().versions_gced > 0,
+        "the releases must have collected"
+    );
+}
+
+/// A release attempt on every maintenance call and a prune after each
+/// release, racing Protocol A/C unregistered readers (which take no
+/// registration a watermark could see) and committing writers across 4
+/// workers: every version a reader's bound selects must still be there,
+/// on 20 seeds of two hierarchies.
 ///
 /// `wall_violations` is asserted on the tree, whose read-only
 /// transactions all stay on one critical path (Protocol A, whose
@@ -158,7 +191,6 @@ fn gc_at_the_watermark_races_unregistered_readers_cleanly() {
             let (sched, _store, hierarchy) = build_hdd_with_config(
                 w.as_ref(),
                 HddConfig {
-                    gc_interval: 1,
                     wall_interval: 1,
                     ..HddConfig::default()
                 },

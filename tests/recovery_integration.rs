@@ -284,7 +284,7 @@ fn resumed_store_collects_what_the_live_store_would() {
     let mut rng = StdRng::seed_from_u64(63);
     let programs: Vec<_> = (0..150).map(|_| w.generate(&mut rng)).collect();
     let config = HddConfig {
-        gc_interval: 0, // keep every version: the crash image is the log
+        wall_interval: 0, // no release, so no GC: the crash image is the log
         ..HddConfig::default()
     };
     let (sched, live_store, hierarchy) = build_hdd_with_config(&w, config.clone());
